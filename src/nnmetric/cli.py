@@ -19,9 +19,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="key = value experiment file")
     run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output directory")
-    run_p.add_argument(
-        "--threads", type=int, default=None, help="grid points evaluated in parallel"
-    )
 
     synth_p = sub.add_parser("synth", help="write a synthetic regression CSV")
     synth_p.add_argument("--out", required=True, help="destination CSV path")
@@ -50,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        return harness.cmd_run(args.config, seed=args.seed, out=args.out, threads=args.threads)
+        return harness.cmd_run(args.config, seed=args.seed, out=args.out)
     if args.command == "synth":
         return harness.cmd_synth(
             args.out,

@@ -337,39 +337,53 @@ def _should_stop(prev_mean, mean, rel_tol) -> bool:
     return (prev_mean - mean) < rel_tol * abs(prev_mean)
 
 
-def train_sgd(
-    train: Dataset,
-    config: GerryTrainConfig,
-    variant: str = "symmetric",
-    loss_matrix=None,
-    audit_psd: bool = False,
-) -> TrainResult:
-    """SGD on the surrogate loss.
+def run_epochs(n: int, config, rng, run_batch) -> list:
+    """The epoch loop shared by every trainer; returns the trace.
+
+    Each epoch visits a fresh ``rng.permutation(n)`` in batches of
+    ``config.batch_size``.  ``run_batch(batch)`` applies the batch's updates
+    and returns the surrogate of each sample it did not skip; the rest count
+    as skipped.  An epoch whose samples were all skipped has a NaN mean.
+    Training stops after ``config.epochs`` or when the epoch-mean surrogate
+    fails to decrease by ``config.stop_rel_tol`` relative (or is not finite).
+    """
+    trace: list[TraceRow] = []
+    prev_mean = None
+    for epoch in range(config.epochs):
+        order = rng.permutation(n)
+        losses = []
+        for start in range(0, n, config.batch_size):
+            losses += run_batch(order[start : start + config.batch_size])
+        mean_loss = float(np.mean(losses)) if losses else float("nan")
+        trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=n - len(losses)))
+        if _should_stop(prev_mean, mean_loss, config.stop_rel_tol):
+            break
+        prev_mean = mean_loss
+    return trace
+
+
+def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
+               audit_psd: bool = False) -> TrainResult:
+    """Stochastic subgradient descent between latent neighbor sets.
+
+    ``infer(i, dists)`` gets the leave-one-out distances of training point i
+    under the current metric and returns (surrogate, h-hat, h*), or raises
+    InfeasibleTargetError to skip the sample.
 
     Symmetric variant: per applied sample, W <- (1 - eta(t)) W - C (Psi(x, h-hat)
     - Psi(x, h-star)), then projection onto the PSD cone.  Asymmetric variant:
     descent on U and V with the score partials (scaled by C) plus the joint
     Frobenius penalty gradients; PSD holds by construction.
 
-    Samples whose targeted inference is infeasible (too few same-class
-    neighbors) are skipped and counted in the trace.  Mini-batches compute
-    all member gradients at the batch-start metric, then apply them
-    sequentially in sample order.
+    Mini-batches run inference for all members at the batch-start metric,
+    then apply the updates sequentially in sample order.
     """
-    if train.kind != CLASS:
-        raise ValueError("train_sgd needs a classed dataset")
     if variant not in ("symmetric", "asymmetric"):
         raise ValueError(f"unknown variant {variant!r}")
-    lam = (
-        zero_one_loss(train.n_classes)
-        if loss_matrix is None
-        else validate_loss_matrix(loss_matrix)
-    )
     rng = np.random.default_rng(config.seed)
     d = train.d
     if variant == "symmetric":
-        w = _init_matrix(config, d)
-        metric = MahalanobisMetric(w=w)
+        metric = MahalanobisMetric(w=_init_matrix(config, d))
     else:
         if config.init == "zeros":  # zero projections cannot break symmetry
             base = np.eye(d)
@@ -378,66 +392,76 @@ def train_sgd(
             base = np.sqrt(_init_matrix(config, d))
         else:
             base = _init_matrix(config, d)
-        u = base.copy()
-        v = base.copy()
-        metric = AsymmetricMetric(u=u, v=v)
-
-    trace: list[TraceRow] = []
+        metric = AsymmetricMetric(u=base.copy(), v=base.copy())
     psd_audit: list[float] = []
-    prev_mean = None
     t = 0
-    epochs_run = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(train.n)
-        losses = []
-        skipped = 0
-        for start in range(0, train.n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            updates = []
-            for i in batch:
-                x = train.features[i]
-                y = int(train.labels[i])
-                dists = metric.distances(x, train.features)
-                dists[i] = np.inf
-                try:
-                    h_hat, augmented = loss_augmented_inference_core(
-                        dists, train.labels, y, config.k, lam
-                    )
-                    h_star = targeted_inference_core(
-                        dists, train.labels, y, config.k, tau=1
-                    )
-                except InfeasibleTargetError:
-                    skipped += 1
-                    continue
-                losses.append(augmented + float(dists[h_star].sum()))
-                updates.append((i, h_hat, h_star))
-            for i, h_hat, h_star in updates:
-                t += 1
-                x = train.features[i]
-                if variant == "symmetric":
-                    eta = _learning_rate(config.lr, t)
-                    delta = feature_map_psi(x, h_hat, train) - feature_map_psi(
-                        x, h_star, train
-                    )
-                    w = psd_project((1.0 - eta) * metric.w - config.c * delta)
-                    metric = MahalanobisMetric(w=w)
-                    if audit_psd:
-                        psd_audit.append(float(sym_eig(w).values[-1]))
-                else:
-                    eta = _learning_rate(config.lr, t, offset=_ASYM_LR_OFFSET)
-                    gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
-                    gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
-                    reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
-                    u = metric.u - eta * (config.c * (gu_hat - gu_star) + reg_u)
-                    v = metric.v - eta * (config.c * (gv_hat - gv_star) + reg_v)
-                    metric = AsymmetricMetric(u=u, v=v)
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=skipped))
-        epochs_run = epoch + 1
-        if _should_stop(prev_mean, mean_loss, config.stop_rel_tol):
-            break
-        prev_mean = mean_loss
-    return TrainResult(metric=metric, trace=trace, epochs_run=epochs_run, psd_audit=psd_audit)
+
+    def run_batch(batch):
+        nonlocal metric, t
+        losses, updates = [], []
+        for i in batch:
+            dists = metric.distances(train.features[i], train.features)
+            dists[i] = np.inf
+            try:
+                surrogate, h_hat, h_star = infer(i, dists)
+            except InfeasibleTargetError:
+                continue
+            losses.append(surrogate)
+            updates.append((i, h_hat, h_star))
+        for i, h_hat, h_star in updates:
+            t += 1
+            x = train.features[i]
+            if variant == "symmetric":
+                eta = _learning_rate(config.lr, t)
+                delta = feature_map_psi(x, h_hat, train) - feature_map_psi(
+                    x, h_star, train
+                )
+                w = psd_project((1.0 - eta) * metric.w - config.c * delta)
+                metric = MahalanobisMetric(w=w)
+                if audit_psd:
+                    psd_audit.append(float(sym_eig(w).values[-1]))
+            else:
+                eta = _learning_rate(config.lr, t, offset=_ASYM_LR_OFFSET)
+                gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
+                gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
+                reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
+                u = metric.u - eta * (config.c * (gu_hat - gu_star) + reg_u)
+                v = metric.v - eta * (config.c * (gv_hat - gv_star) + reg_v)
+                metric = AsymmetricMetric(u=u, v=v)
+        return losses
+
+    trace = run_epochs(train.n, config, rng, run_batch)
+    return TrainResult(metric=metric, trace=trace, epochs_run=len(trace), psd_audit=psd_audit)
+
+
+def train_sgd(
+    train: Dataset,
+    config: GerryTrainConfig,
+    variant: str = "symmetric",
+    loss_matrix=None,
+    audit_psd: bool = False,
+) -> TrainResult:
+    """SGD on the classification surrogate; updates as in :func:`latent_sgd`.
+
+    h-hat is the loss-augmented set and h* the tie-free targeted set for the
+    sample's own class.  Samples whose targeted inference is infeasible (too
+    few same-class neighbors) are skipped and counted in the trace.
+    """
+    if train.kind != CLASS:
+        raise ValueError("train_sgd needs a classed dataset")
+    lam = (
+        zero_one_loss(train.n_classes)
+        if loss_matrix is None
+        else validate_loss_matrix(loss_matrix)
+    )
+
+    def infer(i, dists):
+        y = int(train.labels[i])
+        h_hat, augmented = loss_augmented_inference_core(dists, train.labels, y, config.k, lam)
+        h_star = targeted_inference_core(dists, train.labels, y, config.k, tau=1)
+        return augmented + float(dists[h_star].sum()), h_hat, h_star
+
+    return latent_sgd(train, config, variant, infer, audit_psd)
 
 
 def metric_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:

@@ -24,8 +24,9 @@ import numpy as np
 from .dataset import CLASS, Dataset
 from .gerrymander import (
     InfeasibleTargetError,
-    TraceRow,
+    _learning_rate,
     loss_augmented_inference_core,
+    run_epochs,
     targeted_inference_core,
     validate_loss_matrix,
     zero_one_loss,
@@ -212,7 +213,8 @@ def train_hamming(
     Inference runs on hard codes frozen at the batch start; gradients follow
     the relaxed-sign formulas, then the zero-mean penalty is added, momentum
     applied, and U, V (or the shared W) renormalized.  Samples with no
-    feasible target set are skipped and counted.
+    feasible target set are skipped and counted.  Epochs, batching and
+    stopping follow :func:`nnmetric.gerrymander.run_epochs`.
     """
     if train.kind != CLASS:
         raise ValueError("train_hamming needs a classed dataset")
@@ -230,71 +232,56 @@ def train_hamming(
     vel_v = np.zeros_like(v)
     feats = train.features
     labels = train.labels
-
-    trace: list[TraceRow] = []
-    prev_mean = None
     t = 0
-    epochs_run = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(train.n)
+
+    def run_batch(batch):
+        nonlocal u, v, vel_u, vel_v, t
+        codes_db = encode(v, feats)
+        grad_u = np.zeros_like(u)
+        grad_v = np.zeros_like(v)
         losses = []
-        skipped = 0
-        for start in range(0, train.n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            codes_db = encode(v, feats)
-            grad_u = np.zeros_like(u)
-            grad_v = np.zeros_like(v)
-            moved = False
-            for i in batch:
-                x = feats[i]
-                q = binarize(u, x)
-                dists = (config.c - codes_db @ q) / 2.0
-                dists[i] = np.inf
-                try:
-                    h_hat, augmented = loss_augmented_inference_core(
-                        dists, labels, int(labels[i]), config.k, lam
-                    )
-                    h_star = targeted_inference_core(
-                        dists, labels, int(labels[i]), config.k, tau=1
-                    )
-                except InfeasibleTargetError:
-                    skipped += 1
-                    continue
-                losses.append(augmented + float(dists[h_star].sum()))
-                code_diff = codes_db[h_hat].sum(axis=0) - codes_db[h_star].sum(axis=0)
-                grad_u += query_side_grad(u, x, code_diff, config.relaxation)
-                grad_v += db_side_grad(v, feats[h_hat], q, config.relaxation)
-                grad_v -= db_side_grad(v, feats[h_star], q, config.relaxation)
-                moved = True
-            if not moved:
-                continue
-            t += 1
-            eta = 1.0 / t if config.lr == "inv_t" else float(config.lr)
-            if mode == "symmetric":
-                grad = grad_u + grad_v + config.penalty * zero_mean_grad(
-                    u, feats, config.relaxation
+        for i in batch:
+            x = feats[i]
+            q = binarize(u, x)
+            dists = (config.c - codes_db @ q) / 2.0
+            dists[i] = np.inf
+            try:
+                h_hat, augmented = loss_augmented_inference_core(
+                    dists, labels, int(labels[i]), config.k, lam
                 )
-                vel_u = config.momentum * vel_u + grad
-                u = _normalize(u - eta * vel_u)
-                v = u
-            else:
-                grad_u += config.penalty * zero_mean_grad(u, feats, config.relaxation)
-                grad_v += config.penalty * zero_mean_grad(v, feats, config.relaxation)
-                vel_u = config.momentum * vel_u + grad_u
-                vel_v = config.momentum * vel_v + grad_v
-                u = _normalize(u - eta * vel_u)
-                v = _normalize(v - eta * vel_v)
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=skipped))
-        epochs_run = epoch + 1
-        if prev_mean is not None and np.isfinite(mean_loss):
-            if config.stop_rel_tol is not None and (
-                prev_mean - mean_loss
-            ) < config.stop_rel_tol * abs(prev_mean):
-                break
-        prev_mean = mean_loss
+                h_star = targeted_inference_core(
+                    dists, labels, int(labels[i]), config.k, tau=1
+                )
+            except InfeasibleTargetError:
+                continue
+            losses.append(augmented + float(dists[h_star].sum()))
+            code_diff = codes_db[h_hat].sum(axis=0) - codes_db[h_star].sum(axis=0)
+            grad_u += query_side_grad(u, x, code_diff, config.relaxation)
+            grad_v += db_side_grad(v, feats[h_hat], q, config.relaxation)
+            grad_v -= db_side_grad(v, feats[h_star], q, config.relaxation)
+        if not losses:
+            return losses
+        t += 1
+        eta = _learning_rate(config.lr, t)
+        if mode == "symmetric":
+            grad = grad_u + grad_v + config.penalty * zero_mean_grad(
+                u, feats, config.relaxation
+            )
+            vel_u = config.momentum * vel_u + grad
+            u = _normalize(u - eta * vel_u)
+            v = u
+        else:
+            grad_u += config.penalty * zero_mean_grad(u, feats, config.relaxation)
+            grad_v += config.penalty * zero_mean_grad(v, feats, config.relaxation)
+            vel_u = config.momentum * vel_u + grad_u
+            vel_v = config.momentum * vel_v + grad_v
+            u = _normalize(u - eta * vel_u)
+            v = _normalize(v - eta * vel_v)
+        return losses
+
+    trace = run_epochs(train.n, config, rng, run_batch)
     hasher = HammingHasher(u=u, v=v, relaxation=config.relaxation)
-    return HammingTrainResult(hasher=hasher, trace=trace, epochs_run=epochs_run)
+    return HammingTrainResult(hasher=hasher, trace=trace, epochs_run=len(trace))
 
 
 def hamming_predictions(

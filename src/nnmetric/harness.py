@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,7 +65,7 @@ from .hamming import (
     random_hasher,
     train_hamming,
 )
-from .numerics import psd_project, sym_eig
+from .numerics import psd_project, save_matrix_csv, sym_eig
 from .predictors import NeighborRule, evaluate, predict_batch, transform_features
 from .regression_ml import (
     RegTrainConfig,
@@ -203,7 +202,6 @@ class ExperimentConfig:
     folds: int = 2
     seed: int = 0
     out_dir: str = "runs"
-    threads: int = 1
     grid_k: tuple = (3,)
     grid_h: tuple = (1.0,)
     grid_t: tuple = (0.25,)
@@ -255,7 +253,6 @@ _SCHEMA = {
     "cv.folds": ("folds", lambda r, k: _as_int(r, k, lo=2)),
     "seed": ("seed", lambda r, k: _as_int(r, k, lo=0)),
     "out.dir": ("out_dir", lambda r, k: r),
-    "threads": ("threads", lambda r, k: _as_int(r, k, lo=1)),
     "grid.k": ("grid_k", lambda r, k: _as_int_list(r, k, lo=1)),
     "grid.h": ("grid_h", lambda r, k: _as_float_list(r, k, lo=0.0, strict=True)),
     "grid.t": ("grid_t", lambda r, k: _as_float_list(r, k, lo=0.0, strict=True)),
@@ -334,43 +331,8 @@ def parse_config_file(path) -> dict:
 
 def config_json(config: ExperimentConfig) -> str:
     """The resolved config (defaults filled in) as deterministic JSON."""
-    obj = {
-        "task": config.task,
-        "method": list(config.methods),
-        "predict.rule": config.rule,
-        "data.source": config.source,
-        "data.test_fraction": config.test_fraction,
-        "cv.folds": config.folds,
-        "seed": config.seed,
-        "out.dir": config.out_dir,
-        "threads": config.threads,
-        "grid.k": list(config.grid_k),
-        "grid.h": list(config.grid_h),
-        "grid.t": list(config.grid_t),
-        "grid.c": list(config.grid_c),
-        "grid.gamma": list(config.grid_gamma),
-        "grid.eps": list(config.grid_eps),
-        "train.epochs": config.epochs,
-        "train.init": config.init,
-        "hamming.bits": config.bits,
-        "hamming.mode": config.hamming_mode,
-        "ejop.temperature": config.temperature,
-        "reg.hstar": config.hstar,
-    }
-    if config.source == "csv":
-        obj["data.path"] = config.path
-        obj["data.label_column"] = config.label_column
-    else:
-        obj.update(
-            {
-                "data.n": config.n,
-                "data.d": config.d,
-                "data.c1": config.c1,
-                "data.decay": config.decay,
-                "data.rotate": config.rotate,
-                "data.noise_std": config.noise_std,
-            }
-        )
+    skip = _SYNTH_KEYS if config.source == "csv" else _CSV_KEYS
+    obj = {key: getattr(config, attr) for key, (attr, _) in _SCHEMA.items() if key not in skip}
     return _json_text(obj)
 
 
@@ -425,13 +387,6 @@ def _objective(predictions, truth, task: str) -> float:
 
 
 _CV_METRIC = {"classify": "error", "regress": "mse"}
-
-
-def _eval_combos(combos, eval_one, threads: int):
-    if threads > 1 and len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(eval_one, combos))
-    return [eval_one(params) for params in combos]
 
 
 def _pick_best(combos, fold_values):
@@ -535,7 +490,7 @@ def _fit_transform_method(method, train, config, rows) -> FittedModel:
             values.append(_objective(preds, val.labels, config.task))
         return values
 
-    fold_values = _eval_combos(combos, eval_one, config.threads)
+    fold_values = [eval_one(params) for params in combos]
     _append_grid_rows(rows, method, combos, fold_values, _CV_METRIC[config.task])
     best = _pick_best(combos, fold_values)
 
@@ -612,7 +567,7 @@ def _fit_gerry(method, train, config, rows) -> FittedModel:
         preds = metric_predictions(result.metric, fit, val.features, params["k"])
         return [_objective(preds, val.labels, "classify")]
 
-    fold_values = _eval_combos(combos, eval_one, config.threads)
+    fold_values = [eval_one(params) for params in combos]
     _append_grid_rows(rows, method, combos, fold_values, "error")
     best = _pick_best(combos, fold_values)
 
@@ -655,7 +610,7 @@ def _fit_gerry_reg(train, config, rows) -> FittedModel:
         preds = metric_reg_predictions(result.metric, fit, val.features, params["k"])
         return [_objective(preds, val.labels, "regress")]
 
-    fold_values = _eval_combos(combos, eval_one, config.threads)
+    fold_values = [eval_one(params) for params in combos]
     _append_grid_rows(rows, "gerry_reg", combos, fold_values, "mse")
     best = _pick_best(combos, fold_values)
 
@@ -695,7 +650,7 @@ def _fit_hamming(train, config, rows) -> FittedModel:
             values.append(_objective(preds, val.labels, "classify"))
         return values
 
-    fold_values = _eval_combos(combos, eval_one, config.threads)
+    fold_values = [eval_one(params) for params in combos]
     _append_grid_rows(rows, "hamming", combos, fold_values, "error")
     best = _pick_best(combos, fold_values)
 
@@ -778,14 +733,6 @@ def _json_text(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
-def save_matrix_csv(path, matrix) -> None:
-    """Headerless CSV of repr floats; round-trips through np.loadtxt."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in matrix:
-            fh.write(",".join(repr(float(value)) for value in row) + "\n")
-
-
 def _write_outputs(out_dir, config, rows, models, reports, stats) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w", encoding="utf-8", newline="") as fh:
@@ -827,7 +774,7 @@ def _write_outputs(out_dir, config, rows, models, reports, stats) -> None:
         (mdir / "model.json").write_text(_json_text(info), encoding="utf-8")
 
 
-def cmd_run(config_path, seed=None, out=None, threads=None) -> int:
+def cmd_run(config_path, seed=None, out=None) -> int:
     """Exit 0 on success, 1 on a runtime failure, 2 on a config problem."""
     try:
         mapping = parse_config_file(config_path)
@@ -841,8 +788,6 @@ def cmd_run(config_path, seed=None, out=None, threads=None) -> int:
         mapping["seed"] = str(seed)
     if out is not None:
         mapping["out.dir"] = str(out)
-    if threads is not None:
-        mapping["threads"] = str(threads)
     try:
         config = ExperimentConfig.from_mapping(mapping)
     except ConfigError as exc:

@@ -8,15 +8,11 @@ classes, and any remaining tie by the smallest label id.
 
 from __future__ import annotations
 
-import csv
-import io
-import itertools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CLASS, Dataset, SplitSpec
+from .dataset import Dataset
 
 
 @dataclass(frozen=True)
@@ -45,19 +41,6 @@ class EvalReport:
     n_test: int
     hyperparams: dict = field(default_factory=dict)
     seed: int = 0
-
-    def csv_row(self) -> str:
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="").writerow(
-            [
-                self.metric_name,
-                repr(self.value),
-                self.n_test,
-                json.dumps(self.hyperparams, sort_keys=True),
-                self.seed,
-            ]
-        )
-        return buf.getvalue()
 
 
 def transform_features(features: np.ndarray, transform) -> np.ndarray:
@@ -171,31 +154,3 @@ def evaluate(predictions, truth, task: str, loss_matrix=None, seed: int = 0, hyp
         hyperparams=dict(hyperparams or {}),
         seed=seed,
     )
-
-
-def cross_validate(train: Dataset, grid: dict, folds: SplitSpec, objective):
-    """Exhaustive grid search by k-fold cross-validation.
-
-    Parameters
-    ----------
-    grid : dict of name -> list of values, iterated in listed order.
-    objective : callable(fold_train, fold_val, params) -> float, lower better.
-
-    Returns the first-listed params achieving the lowest mean objective,
-    together with that mean.
-    """
-    if not grid or any(len(v) == 0 for v in grid.values()):
-        raise ValueError("grid must be nonempty")
-    names = list(grid.keys())
-    best_params, best_value = None, np.inf
-    for combo in itertools.product(*(grid[name] for name in names)):
-        params = dict(zip(names, combo))
-        scores = []
-        for f in range(folds.n_folds):
-            val_idx = folds.fold_indices(f)
-            tr_idx = np.flatnonzero(folds.assignment != f)
-            scores.append(objective(train.subset(tr_idx), train.subset(val_idx), params))
-        mean_score = float(np.mean(scores))
-        if mean_score < best_value:  # strict: ties keep the first-listed combo
-            best_params, best_value = params, mean_score
-    return best_params, best_value

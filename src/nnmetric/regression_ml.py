@@ -22,20 +22,12 @@ import numpy as np
 
 from .dataset import REAL, Dataset
 from .gerrymander import (
-    AsymmetricMetric,
+    GerryTrainConfig,
     InfeasibleTargetError,
-    MahalanobisMetric,
-    TraceRow,
     TrainResult,
-    _init_matrix,
-    _learning_rate,
-    _should_stop,
-    _ASYM_LR_OFFSET,
-    asym_reg_grads,
-    asym_score_grads,
-    feature_map_psi,
+    _loo_distances,
+    latent_sgd,
 )
-from .numerics import psd_project, sym_eig
 
 
 def delta_reg(y: float, h, targets) -> float:
@@ -121,21 +113,18 @@ def _worst_member(h, targets, y):
     return pos
 
 
-def hstar_alternate(metric, x, y: float, k: int, variant: RegLossVariant,
-                    train: Dataset, exclude=None):
+def hstar_alternate_core(dists, targets, y: float, k: int, variant: RegLossVariant):
     """Heuristic zero-loss sets for the two alternate h* notions.
 
     eps_insensitive: start at the plain top-k, repeatedly swap the member
     worsening Delta most for the nearest outside point that strictly reduces
     Delta, until Delta <= eps; raises when the swap budget (5k) runs out
     first.  min_loss: start from the k targets nearest y, same swap loop,
-    run until no swap improves.  Neither is exact.
+    run until no swap improves.  Neither is exact.  Excluded points carry
+    infinite distance.
     """
-    targets = np.asarray(train.labels, dtype=float)
-    dists = metric.distances(x, train.features)
-    if exclude is not None:
-        dists = dists.copy()
-        dists[exclude] = np.inf
+    targets = np.asarray(targets, dtype=float)
+    dists = np.asarray(dists, dtype=float)
     finite = np.flatnonzero(np.isfinite(dists))
     if len(finite) < k:
         raise InfeasibleTargetError(f"fewer than k={k} candidates")
@@ -171,62 +160,40 @@ def hstar_alternate(metric, x, y: float, k: int, variant: RegLossVariant,
     return np.asarray(sorted(h, key=lambda i: (dists[i], i)), dtype=int)
 
 
-@dataclass(frozen=True)
-class RegTrainConfig:
-    """Trainer knobs; gamma scales the target-gap term inside inference."""
+def hstar_alternate(metric, x, y: float, k: int, variant: RegLossVariant,
+                    train: Dataset, exclude=None):
+    """:func:`hstar_alternate_core` on the distances from x under metric."""
+    dists = _loo_distances(metric, x, train, exclude)
+    return hstar_alternate_core(dists, train.labels, y, k, variant)
 
-    k: int
+
+@dataclass(frozen=True)
+class RegTrainConfig(GerryTrainConfig):
+    """Trainer knobs; gamma scales the target-gap term inside inference,
+    hstar picks the h* rule and eps is the eps_insensitive tube width."""
+
     gamma: float = 1.0
-    c: float = 1.0
-    epochs: int = 20
-    lr: object = "inv_t"
-    init: str = "zeros"
-    init_weights: np.ndarray | None = None
-    seed: int = 0
-    batch_size: int = 1
-    stop_rel_tol: float | None = 1e-4
     hstar: str = "upper_bound"
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        super().__post_init__()
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if not self.c > 0:
-            raise ValueError("C must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.hstar not in ("upper_bound", "eps_insensitive", "min_loss"):
             raise ValueError(f"unknown hstar variant {self.hstar!r}")
 
 
 def train_reg_sgd(train: Dataset, config: RegTrainConfig, mode: str = "symmetric",
                   audit_psd: bool = False) -> TrainResult:
-    """SGD on the separable regression surrogate.
+    """SGD on the separable regression surrogate; updates as in
+    :func:`nnmetric.gerrymander.latent_sgd`.
 
-    Updates mirror the classification trainer: symmetric mode applies
-    W <- (1 - eta) W - C (Psi(x, h-hat) - Psi(x, h*)) with PSD projection,
-    asymmetric mode descends the U/V score partials plus the joint Frobenius
-    penalty.  h* comes from the configured variant; eps-infeasible samples
-    are skipped and counted.
+    h-hat is the loss-augmented top-k; h* comes from the configured variant.
+    eps-infeasible samples are skipped and counted.
     """
     if train.kind != REAL:
         raise ValueError("train_reg_sgd needs real targets")
-    if mode not in ("symmetric", "asymmetric"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = np.random.default_rng(config.seed)
-    d = train.d
-    if mode == "symmetric":
-        metric = MahalanobisMetric(w=_init_matrix(config, d))
-    else:
-        if config.init == "zeros":
-            base = np.eye(d)
-        elif config.init == "diag":
-            base = np.sqrt(_init_matrix(config, d))
-        else:
-            base = _init_matrix(config, d)
-        metric = AsymmetricMetric(u=base.copy(), v=base.copy())
     variant = None
     if config.hstar != "upper_bound":
         variant = RegLossVariant(
@@ -234,69 +201,18 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, mode: str = "symmetric
         )
     targets = np.asarray(train.labels, dtype=float)
 
-    trace: list[TraceRow] = []
-    psd_audit: list[float] = []
-    prev_mean = None
-    t = 0
-    epochs_run = 0
-    for epoch in range(config.epochs):
-        order = rng.permutation(train.n)
-        losses = []
-        skipped = 0
-        for start in range(0, train.n, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            updates = []
-            for i in batch:
-                x = train.features[i]
-                y = float(targets[i])
-                dists = metric.distances(x, train.features)
-                dists[i] = np.inf
-                try:
-                    h_hat = reg_inference_core(
-                        dists, targets, y, config.k, config.gamma, "loss_augmented"
-                    )
-                    if variant is None:
-                        h_star = reg_inference_core(
-                            dists, targets, y, config.k, config.gamma, "targeted"
-                        )
-                    else:
-                        h_star = hstar_alternate(
-                            metric, x, y, config.k, variant, train, exclude=i
-                        )
-                except InfeasibleTargetError:
-                    skipped += 1
-                    continue
-                up = -dists[h_hat].sum() + config.gamma * delta_reg_ub(y, h_hat, targets)
-                down = -dists[h_star].sum() - config.gamma * delta_reg_ub(y, h_star, targets)
-                losses.append(float(up - down))
-                updates.append((i, h_hat, h_star))
-            for i, h_hat, h_star in updates:
-                t += 1
-                x = train.features[i]
-                if mode == "symmetric":
-                    eta = _learning_rate(config.lr, t)
-                    delta = feature_map_psi(x, h_hat, train) - feature_map_psi(
-                        x, h_star, train
-                    )
-                    w = psd_project((1.0 - eta) * metric.w - config.c * delta)
-                    metric = MahalanobisMetric(w=w)
-                    if audit_psd:
-                        psd_audit.append(float(sym_eig(w).values[-1]))
-                else:
-                    eta = _learning_rate(config.lr, t, offset=_ASYM_LR_OFFSET)
-                    gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
-                    gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
-                    reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
-                    u = metric.u - eta * (config.c * (gu_hat - gu_star) + reg_u)
-                    v = metric.v - eta * (config.c * (gv_hat - gv_star) + reg_v)
-                    metric = AsymmetricMetric(u=u, v=v)
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=skipped))
-        epochs_run = epoch + 1
-        if _should_stop(prev_mean, mean_loss, config.stop_rel_tol):
-            break
-        prev_mean = mean_loss
-    return TrainResult(metric=metric, trace=trace, epochs_run=epochs_run, psd_audit=psd_audit)
+    def infer(i, dists):
+        y = float(targets[i])
+        h_hat = reg_inference_core(dists, targets, y, config.k, config.gamma, "loss_augmented")
+        if variant is None:
+            h_star = reg_inference_core(dists, targets, y, config.k, config.gamma, "targeted")
+        else:
+            h_star = hstar_alternate_core(dists, targets, y, config.k, variant)
+        up = -dists[h_hat].sum() + config.gamma * delta_reg_ub(y, h_hat, targets)
+        down = -dists[h_star].sum() - config.gamma * delta_reg_ub(y, h_star, targets)
+        return float(up - down), h_hat, h_star
+
+    return latent_sgd(train, config, mode, infer, audit_psd)
 
 
 def metric_reg_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:

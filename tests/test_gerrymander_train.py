@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import anisotropic_blobs, gauss_blobs
 
-from nnmetric.dataset import CLASS, Dataset
+from nnmetric.dataset import CLASS, REAL, Dataset
 from nnmetric.gerrymander import (
     AsymmetricMetric,
     GerryTrainConfig,
@@ -12,7 +12,9 @@ from nnmetric.gerrymander import (
     metric_predictions,
     train_sgd,
 )
+from nnmetric.hamming import HammingTrainConfig, train_hamming
 from nnmetric.predictors import NeighborRule, predict_batch
+from nnmetric.regression_ml import RegTrainConfig, train_reg_sgd
 
 
 def knn_error(metric, train, test, k=3):
@@ -110,6 +112,23 @@ class TestSymmetricTraining:
         bad = np.array([[0.5, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError):
             train_sgd(train, GerryTrainConfig(k=1, epochs=1), loss_matrix=bad)
+
+
+class TestSharedEpochLoop:
+    def test_all_skipped_epochs_stop_every_trainer(self):
+        """With no h* for any sample, every trainer's epoch mean is NaN and
+        the shared stop rule ends training after the second epoch."""
+        features = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
+        classed = Dataset(features=features, labels=np.array([1, 2, 3]), kind=CLASS)
+        real = Dataset(features=features, labels=np.array([0.0, 1.0, 3.0]), kind=REAL)
+        results = [
+            train_sgd(classed, GerryTrainConfig(k=1, epochs=5)),
+            train_reg_sgd(real, RegTrainConfig(k=1, epochs=5, hstar="eps_insensitive")),
+            train_hamming(classed, HammingTrainConfig(c=4, k=1, epochs=5)),
+        ]
+        for result in results:
+            assert result.epochs_run == 2
+            assert [row.skipped for row in result.trace] == [3, 3]
 
 
 class TestAsymmetricTraining:

@@ -334,13 +334,15 @@ class TestCmdRun:
         assert finals["gerry_sym"] < finals["euclidean"]
 
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys):
-        config = write_config(
-            tmp_path,
-            {"task": "regress", "method": "egop", "data.source": "synth",
-             "data.n": "50", "data.d": "3", "grid.h": "wide"},
-        )
-        assert cli.main(["run", "--config", str(config)]) == 2
-        assert "grid.h" in capsys.readouterr().err
+        base = {"task": "regress", "method": "egop", "data.source": "synth",
+                "data.n": "50", "data.d": "3"}
+        for key, value, message in (
+            ("grid.h", "wide", "grid.h"),
+            ("threads", "2", "unknown config key 'threads'"),
+        ):
+            config = write_config(tmp_path, {**base, key: value})
+            assert cli.main(["run", "--config", str(config)]) == 2
+            assert message in capsys.readouterr().err
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "gone.cfg")]) == 2
@@ -365,16 +367,6 @@ class TestCmdRun:
         assert resolved["seed"] == 8
         rows = read_results(tmp_path / "s2")
         assert all(row["seed"] == "8" for row in rows)
-
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        config = self.rotated_config(tmp_path, "t1")
-        assert cli.main(["run", "--config", str(config), "--threads", "1"]) == 0
-        assert cli.main(
-            ["run", "--config", str(config), "--threads", "4", "--out", str(tmp_path / "t4")]
-        ) == 0
-        assert (tmp_path / "t1" / "results.csv").read_bytes() == (
-            tmp_path / "t4" / "results.csv"
-        ).read_bytes()
 
 
 class TestTrainTestHygiene:

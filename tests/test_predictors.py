@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from nnmetric.dataset import Dataset, kfold
+from nnmetric.dataset import Dataset
 from nnmetric.predictors import (
     NeighborRule,
-    cross_validate,
     evaluate,
     neighbor_predict,
     predict_batch,
@@ -101,50 +100,3 @@ class TestEvaluate:
     def test_zero_variance_flagged(self):
         with pytest.raises(ValueError, match="zero variance"):
             evaluate(np.array([1.0]), np.array([1.0]), "regress")
-
-
-class TestCrossValidate:
-    def test_single_point_grid(self):
-        train = classed([[0.0], [1.0], [2.0], [3.0]], [1, 1, 2, 2])
-        folds = kfold(train.n, 2, seed=0)
-        params, _ = cross_validate(train, {"k": [3]}, folds, lambda a, b, p: 0.0)
-        assert params == {"k": 3}
-
-    def test_selects_lower_error_k(self):
-        rng = np.random.default_rng(0)
-        n = 40
-        feats = np.concatenate([rng.normal(-2, 0.3, (n, 1)), rng.normal(2, 0.3, (n, 1))])
-        labels = np.array([1] * n + [2] * n)
-        train = classed(feats, labels)
-        folds = kfold(train.n, 2, seed=1)
-
-        def objective(tr, val, params):
-            preds = predict_batch(tr, None, val.features, NeighborRule("knn", k=params["k"]), "classify")
-            return float(np.mean(preds != val.labels))
-
-        params, value = cross_validate(train, {"k": [1, 75]}, folds, objective)
-        assert params["k"] == 1  # k=75 mixes both blobs on 40-point folds
-        assert value < 0.2
-
-    def test_tie_keeps_first_listed(self):
-        train = classed([[0.0], [1.0], [2.0], [3.0]], [1, 1, 2, 2])
-        folds = kfold(train.n, 2, seed=2)
-        params, _ = cross_validate(train, {"k": [5, 1]}, folds, lambda a, b, p: 1.0)
-        assert params["k"] == 5
-
-    def test_deterministic(self):
-        train = classed([[0.0], [1.0], [2.0], [3.0]], [1, 2, 1, 2])
-        grid = {"k": [1, 3]}
-
-        def objective(tr, val, params):
-            preds = predict_batch(tr, None, val.features, NeighborRule("knn", k=params["k"]), "classify")
-            return float(np.mean(preds != val.labels))
-
-        a = cross_validate(train, grid, kfold(4, 2, 3), objective)
-        b = cross_validate(train, grid, kfold(4, 2, 3), objective)
-        assert a == b
-
-    def test_empty_grid(self):
-        train = classed([[0.0], [1.0]], [1, 2])
-        with pytest.raises(ValueError):
-            cross_validate(train, {}, kfold(2, 2, 0), lambda a, b, p: 0.0)

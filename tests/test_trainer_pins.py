@@ -1,0 +1,101 @@
+"""Trainer outputs pinned on small fixtures.
+
+``data/trainer_pins.json`` holds, per case, the final matrices, the epoch
+trace and ``epochs_run`` of one training run, recorded before the three
+trainers were folded onto one SGD loop.  Any change to the update order, the
+learning-rate schedule, the batching or the stop rule moves these numbers.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from conftest import gauss_blobs
+
+from nnmetric.dataset import synth_sin
+from nnmetric.gerrymander import GerryTrainConfig, train_sgd
+from nnmetric.hamming import HammingTrainConfig, train_hamming
+from nnmetric.regression_ml import RegTrainConfig, train_reg_sgd
+
+PINS = Path(__file__).parent / "data" / "trainer_pins.json"
+
+
+def classed():
+    """30 points, 3 classes, d=3; the third coordinate is wide noise."""
+    centers = [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 2.0, 0.0]]
+    return gauss_blobs(centers, 10, [1.0, 1.0, 3.0], seed=5)
+
+
+def real():
+    return synth_sin(30, 3, c1=2.0, decay=0.5, noise_std=0.05, seed=4)
+
+
+CASES = {
+    "sgd_sym": lambda: train_sgd(
+        classed(), GerryTrainConfig(k=3, epochs=6, seed=1), audit_psd=True
+    ),
+    "sgd_sym_batch5": lambda: train_sgd(
+        classed(), GerryTrainConfig(k=3, epochs=6, seed=2, batch_size=5)
+    ),
+    "sgd_asym_diag": lambda: train_sgd(
+        classed(),
+        GerryTrainConfig(
+            k=3, epochs=6, seed=3, init="diag", init_weights=np.array([1.0, 0.5, 0.2])
+        ),
+        variant="asymmetric",
+    ),
+    "reg_upper_bound": lambda: train_reg_sgd(
+        real(), RegTrainConfig(k=3, epochs=6, seed=4), audit_psd=True
+    ),
+    "reg_min_loss": lambda: train_reg_sgd(
+        real(), RegTrainConfig(k=3, epochs=6, seed=5, hstar="min_loss")
+    ),
+    "reg_eps_insensitive": lambda: train_reg_sgd(
+        real(), RegTrainConfig(k=3, epochs=6, seed=6, hstar="eps_insensitive", eps=0.02)
+    ),
+    "reg_asym": lambda: train_reg_sgd(
+        real(), RegTrainConfig(k=3, gamma=0.5, epochs=6, seed=7, init="identity"),
+        mode="asymmetric",
+    ),
+    "hamming_sym": lambda: train_hamming(
+        classed(), HammingTrainConfig(c=4, k=3, epochs=6, seed=8), mode="symmetric"
+    ),
+    "hamming_asym": lambda: train_hamming(
+        classed(), HammingTrainConfig(c=4, k=3, epochs=6, seed=9), mode="asymmetric"
+    ),
+}
+
+
+def snapshot(result) -> dict:
+    """The pinned parts of a TrainResult or HammingTrainResult, as JSON data."""
+    model = result.metric if hasattr(result, "metric") else result.hasher
+    names = ("w",) if hasattr(model, "w") else ("u", "v")
+    return {
+        "arrays": {name: getattr(model, name).tolist() for name in names},
+        "trace": [[row.epoch, row.mean_surrogate, row.skipped] for row in result.trace],
+        "epochs_run": result.epochs_run,
+        "psd_audit": list(getattr(result, "psd_audit", [])),
+    }
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trainer_matches_pin(case, pins):
+    got = snapshot(CASES[case]())
+    want = pins[case]
+    assert got["epochs_run"] == want["epochs_run"]
+    assert len(got["trace"]) == len(want["trace"])
+    assert [row[::2] for row in got["trace"]] == [row[::2] for row in want["trace"]]
+    np.testing.assert_allclose(
+        [row[1] for row in got["trace"]], [row[1] for row in want["trace"]], rtol=1e-12
+    )
+    assert sorted(got["arrays"]) == sorted(want["arrays"])
+    for name, matrix in want["arrays"].items():
+        np.testing.assert_allclose(got["arrays"][name], matrix, rtol=1e-12)
+    assert len(got["psd_audit"]) == len(want["psd_audit"])
+    np.testing.assert_allclose(got["psd_audit"], want["psd_audit"], rtol=1e-12)
