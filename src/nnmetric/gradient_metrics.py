@@ -167,12 +167,6 @@ class GradientMetricEstimate:
         return whitening_transform(self.g, rank_tol=rank_tol)
 
 
-def _loo_subset(train: Dataset, idx: int) -> Dataset:
-    keep = np.ones(train.n, dtype=bool)
-    keep[idx] = False
-    return train.subset(np.flatnonzero(keep))
-
-
 def _plugin_rows(train: Dataset, spec: KernelSpec, x, idx, active, t):
     """Kernel weight rows for the 2m probes around sample ``idx``.
 

@@ -1,13 +1,18 @@
 """Experiment orchestration: config files, tuning, evaluation, reports.
 
 A run is described by a flat ``key = value`` config file (dotted keys group
-sections).  The pipeline fits z-scoring on the training split only, tunes
-hyperparameter grids by k-fold cross-validation on the training split
-(2-fold by default; the structured-prediction learners tune C on a 75/25
-split instead), refits on the full training split, evaluates once on the
-held-out test split, and writes results.csv plus model artifacts.  Every
-random choice derives from the config seed, so rerunning a (config, seed)
-pair reproduces the report bytes exactly.
+sections).  The pipeline fits z-scoring on the training split only, then
+runs one tuning loop per method: each grid point is scored on (fit, val)
+splits of the training rows, the lowest mean score wins, and the winner is
+refit on the full training split.  The transform methods and ``hamming``
+tune on ``cv.folds`` folds; ``gerry_sym``, ``gerry_asym`` and ``gerry_reg``
+tune on one seeded 75/25 split.  Every ``grid.k`` value must be below the
+row count of the smallest fit split.  ``predict.rule = hnn`` applies to the
+transform methods only; the learned methods always predict by kNN with
+their tuned k.  Each model is evaluated once on the held-out test split,
+and the run writes results.csv plus model artifacts.  Every random choice
+derives from the config seed, so rerunning a (config, seed) pair
+reproduces the report bytes exactly.
 
 The oracle suites compare the fast inference and gradient routines against
 the exhaustive references in :mod:`nnmetric.bruteforce` on randomized
@@ -386,21 +391,6 @@ def _objective(predictions, truth, task: str) -> float:
     return float(np.mean(diff**2))
 
 
-_CV_METRIC = {"classify": "error", "regress": "mse"}
-
-
-def _pick_best(combos, fold_values):
-    means = [float(np.mean(values)) for values in fold_values]
-    best = min(range(len(combos)), key=lambda i: (means[i], i))
-    return combos[best]
-
-
-def _append_grid_rows(rows, method, combos, fold_values, metric):
-    for params, values in zip(combos, fold_values):
-        for fold, value in enumerate(values):
-            rows.append((method, fold, dict(params), metric, float(value)))
-
-
 def _radius_from_quantile(feats: np.ndarray, q: float) -> float:
     n = feats.shape[0]
     if n > _RADIUS_SAMPLE:
@@ -423,12 +413,18 @@ def _make_rule(config: ExperimentConfig, params: dict, transformed_feats):
     return NeighborRule("hnn", radius=radius), {"radius": radius}
 
 
-def _indicator_dataset(ds: Dataset) -> Dataset:
+def _indicator_dataset(ds: Dataset, method: str) -> Dataset:
     """Two-class data as a real regression surface on class-1 membership."""
     if ds.kind == REAL:
         return ds
-    if int(ds.labels.max()) != 2:
-        raise ValueError("gw/egop on classification needs exactly two classes")
+    top = int(ds.labels.max())
+    if top != 2:
+        cls = 3 if top > 2 else 2
+        raise ConfigError(
+            f"method: {method} on task = classify needs exactly two classes; class {cls} "
+            f"(numbered by first appearance) has {int(np.sum(ds.labels == cls))} of the "
+            f"{ds.n} rows of a fit split"
+        )
     return Dataset(
         features=ds.features,
         labels=(np.asarray(ds.labels, dtype=int) == 1).astype(float),
@@ -437,9 +433,16 @@ def _indicator_dataset(ds: Dataset) -> Dataset:
     )
 
 
-def _relieff_weights_for(ds: Dataset, seed: int) -> np.ndarray:
+def _relieff_weights_for(ds: Dataset, seed: int, method: str) -> np.ndarray:
     counts = np.bincount(np.asarray(ds.labels, dtype=int))[1:]
-    k_hits = max(1, min(5, int(counts.min()) - 1))
+    if counts.min() < 2:
+        cls = 1 + int(np.argmin(counts))
+        raise ConfigError(
+            f"method: {method} computes ReliefF weights, which need at least 2 rows per "
+            f"class; class {cls} (numbered by first appearance) has {int(counts[cls - 1])} "
+            f"of the {ds.n} rows of a fit split"
+        )
+    k_hits = min(5, int(counts.min()) - 1)
     return relieff_weights(ds, k_hits=k_hits, seed=seed)
 
 
@@ -448,147 +451,120 @@ def _fit_transform(method: str, ds: Dataset, params: dict, config: ExperimentCon
     if method == "euclidean":
         return None, None
     if method == "relieff":
-        weights = _relieff_weights_for(ds, config.seed)
+        weights = _relieff_weights_for(ds, config.seed, method)
         return np.diag(np.sqrt(weights)), weights[None, :]
     spec = KernelSpec(bandwidth=float(params["h"]))
     t = float(params["t"])
     if method == "gw":
-        weights = estimate_gw(_indicator_dataset(ds), spec, t)
+        weights = estimate_gw(_indicator_dataset(ds, method), spec, t)
         return np.diag(np.sqrt(weights)), weights[None, :]
     if method == "egop":
-        est = estimate_egop(_indicator_dataset(ds), spec, t)
+        est = estimate_egop(_indicator_dataset(ds, method), spec, t)
     else:
         est = estimate_ejop(ds, spec, t, temperature=config.temperature)
     return est.transform(), est.g
 
 
-def _fit_transform_method(method, train, config, rows) -> FittedModel:
-    rule_axis = (
-        [{"k": k} for k in config.grid_k]
-        if config.rule == "knn"
-        else [{"q": q} for q in _RADIUS_QUANTILES]
-    )
-    if method in ("euclidean", "relieff"):
-        combos = [dict(r) for r in rule_axis]
-    else:
-        combos = [
-            {"h": h, "t": t, **r}
-            for h in config.grid_h
-            for t in config.grid_t
-            for r in rule_axis
-        ]
+def _kfold_splits(train: Dataset, config: ExperimentConfig):
+    """The cv.folds (fit, val) pairs of the training rows."""
     folds = kfold(train.n, config.folds, config.seed)
-
-    def eval_one(params):
-        values = []
-        for f in range(folds.n_folds):
-            fit = train.subset(np.flatnonzero(folds.assignment != f))
-            val = train.subset(folds.fold_indices(f))
-            transform, _ = _fit_transform(method, fit, params, config)
-            rule, _ = _make_rule(config, params, transform_features(fit.features, transform))
-            preds = predict_batch(fit, transform, val.features, rule, config.task)
-            values.append(_objective(preds, val.labels, config.task))
-        return values
-
-    fold_values = [eval_one(params) for params in combos]
-    _append_grid_rows(rows, method, combos, fold_values, _CV_METRIC[config.task])
-    best = _pick_best(combos, fold_values)
-
-    transform, estimate = _fit_transform(method, train, best, config)
-    rule, extra = _make_rule(config, best, transform_features(train.features, transform))
-    chosen = {**best, **extra}
-    artifacts = {"transform": transform if transform is not None else np.eye(train.d)}
-    meta = {}
-    if estimate is not None:
-        artifacts["estimate"] = estimate
-        meta["estimate"] = {
-            "kind": method,
-            "h": float(best["h"]) if "h" in best else None,
-            "t": float(best["t"]) if "t" in best else None,
-            "temperature": config.temperature if method == "ejop" else None,
-            "n": train.n,
-            "seed": config.seed,
-        }
-
-    def predictor(queries):
-        return predict_batch(train, transform, queries, rule, config.task)
-
-    return FittedModel(method, chosen, predictor, artifacts, meta)
+    return [
+        (
+            train.subset(np.flatnonzero(folds.assignment != f)),
+            train.subset(folds.fold_indices(f)),
+        )
+        for f in range(folds.n_folds)
+    ]
 
 
 def _tune_split(train: Dataset, config: ExperimentConfig):
-    """75/25 split of the training rows for tuning C and friends."""
+    """One seeded 75/25 (fit, val) pair of the training rows for tuning C and friends."""
     rng = np.random.default_rng([_TUNE_STREAM, config.seed])
     perm = rng.permutation(train.n)
     n_val = min(max(int(round(train.n * 0.25)), 1), train.n - 2)
     fit = train.subset(np.sort(perm[n_val:]), name="tune_fit")
     val = train.subset(np.sort(perm[:n_val]), name="tune_val")
-    return fit, val
+    return [(fit, val)]
 
 
-def _init_candidates(config: ExperimentConfig, fit: Dataset):
-    if config.init != "auto":
-        return [config.init]
-    if fit.kind == CLASS:
-        counts = np.bincount(np.asarray(fit.labels, dtype=int))[1:]
-        if counts.size and counts.min() >= 2:
-            return ["zeros", "relieff"]
-    return ["zeros"]
+# Each family below returns (grid, splits, fit) for _fit_method, where
+# fit(ds, params) -> (predictor, chosen params, artifacts, meta) trains one
+# grid point on ds.  Trainers and predictors are looked up by global name at
+# call time, so perfbench/tracer.py can patch them on this module.
 
 
-def _gerry_train_config(config, k, c, init, init_weights) -> GerryTrainConfig:
-    if init == "relieff":
-        return GerryTrainConfig(
-            k=k,
-            c=c,
-            epochs=config.epochs,
-            seed=config.seed,
-            init="diag",
-            init_weights=init_weights,
-        )
-    return GerryTrainConfig(k=k, c=c, epochs=config.epochs, seed=config.seed, init="zeros")
+def _transform_family(method, train, config):
+    if config.rule == "knn":
+        grid = [{"k": k} for k in config.grid_k]
+    else:
+        grid = [{"q": q} for q in _RADIUS_QUANTILES]
+    if method not in ("euclidean", "relieff"):
+        grid = [{"h": h, "t": t, **r} for h in config.grid_h for t in config.grid_t for r in grid]
+
+    def fit(ds, params):
+        transform, estimate = _fit_transform(method, ds, params, config)
+        rule, extra = _make_rule(config, params, transform_features(ds.features, transform))
+        artifacts = {"transform": transform if transform is not None else np.eye(ds.d)}
+        meta = {}
+        if estimate is not None:
+            artifacts["estimate"] = estimate
+            meta["estimate"] = {
+                "kind": method,
+                "h": float(params["h"]) if "h" in params else None,
+                "t": float(params["t"]) if "t" in params else None,
+                "temperature": config.temperature if method == "ejop" else None,
+                "n": ds.n,
+                "seed": config.seed,
+            }
+
+        def predictor(queries):
+            return predict_batch(ds, transform, queries, rule, config.task)
+
+        return predictor, {**params, **extra}, artifacts, meta
+
+    return grid, _kfold_splits(train, config), fit
 
 
-def _fit_gerry(method, train, config, rows) -> FittedModel:
+def _gerry_family(method, train, config):
     variant = "symmetric" if method == "gerry_sym" else "asymmetric"
-    fit, val = _tune_split(train, config)
-    inits = _init_candidates(config, fit)
-    fit_weights = _relieff_weights_for(fit, config.seed) if "relieff" in inits else None
-    combos = [
+    splits = _tune_split(train, config)
+    inits = [config.init]
+    if config.init == "auto":
+        # the ReliefF init needs 2 rows of every class in the fit split
+        counts = np.bincount(splits[0][0].labels)[1:]
+        inits = ["zeros", "relieff"] if counts.min() >= 2 else ["zeros"]
+    grid = [
         {"k": k, "c": c, "init": init}
         for k in config.grid_k
         for c in config.grid_c
         for init in inits
     ]
 
-    def eval_one(params):
-        gcfg = _gerry_train_config(config, params["k"], params["c"], params["init"], fit_weights)
-        result = train_sgd(fit, gcfg, variant=variant)
-        preds = metric_predictions(result.metric, fit, val.features, params["k"])
-        return [_objective(preds, val.labels, "classify")]
+    def fit(ds, params):
+        init = {"init": "zeros"}
+        if params["init"] == "relieff":
+            weights = _relieff_weights_for(ds, config.seed, method)
+            init = {"init": "diag", "init_weights": weights}
+        gcfg = GerryTrainConfig(
+            k=params["k"], c=params["c"], epochs=config.epochs, seed=config.seed, **init
+        )
+        metric = train_sgd(ds, gcfg, variant=variant).metric
+        if variant == "symmetric":
+            artifacts = {"w": metric.w}
+        else:
+            artifacts = {"u": metric.u, "v": metric.v}
 
-    fold_values = [eval_one(params) for params in combos]
-    _append_grid_rows(rows, method, combos, fold_values, "error")
-    best = _pick_best(combos, fold_values)
+        def predictor(queries):
+            return metric_predictions(metric, ds, queries, params["k"])
 
-    weights = _relieff_weights_for(train, config.seed) if best["init"] == "relieff" else None
-    gcfg = _gerry_train_config(config, best["k"], best["c"], best["init"], weights)
-    metric = train_sgd(train, gcfg, variant=variant).metric
-    if variant == "symmetric":
-        artifacts = {"w": metric.w}
-    else:
-        artifacts = {"u": metric.u, "v": metric.v}
+        return predictor, params, artifacts, {"variant": variant}
 
-    def predictor(queries):
-        return metric_predictions(metric, train, queries, best["k"])
-
-    return FittedModel(method, best, predictor, artifacts, {"variant": variant})
+    return grid, splits, fit
 
 
-def _fit_gerry_reg(train, config, rows) -> FittedModel:
-    fit, val = _tune_split(train, config)
+def _gerry_reg_family(method, train, config):
     eps_axis = config.grid_eps if config.hstar == "eps_insensitive" else (0.0,)
-    combos = [
+    grid = [
         {"k": k, "gamma": g, "c": c, "eps": e}
         for k in config.grid_k
         for g in config.grid_gamma
@@ -596,90 +572,74 @@ def _fit_gerry_reg(train, config, rows) -> FittedModel:
         for e in eps_axis
     ]
 
-    def eval_one(params):
+    def fit(ds, params):
         rcfg = RegTrainConfig(
-            k=params["k"],
-            gamma=params["gamma"],
-            c=params["c"],
-            epochs=config.epochs,
-            seed=config.seed,
-            hstar=config.hstar,
-            eps=params["eps"],
+            **params, epochs=config.epochs, seed=config.seed, hstar=config.hstar
         )
-        result = train_reg_sgd(fit, rcfg, mode="symmetric")
-        preds = metric_reg_predictions(result.metric, fit, val.features, params["k"])
-        return [_objective(preds, val.labels, "regress")]
+        metric = train_reg_sgd(ds, rcfg, mode="symmetric").metric
 
-    fold_values = [eval_one(params) for params in combos]
-    _append_grid_rows(rows, "gerry_reg", combos, fold_values, "mse")
-    best = _pick_best(combos, fold_values)
+        def predictor(queries):
+            return metric_reg_predictions(metric, ds, queries, params["k"])
 
-    rcfg = RegTrainConfig(
-        k=best["k"],
-        gamma=best["gamma"],
-        c=best["c"],
-        epochs=config.epochs,
-        seed=config.seed,
-        hstar=config.hstar,
-        eps=best["eps"],
-    )
-    metric = train_reg_sgd(train, rcfg, mode="symmetric").metric
+        return predictor, params, {"w": metric.w}, {"hstar": config.hstar}
 
-    def predictor(queries):
-        return metric_reg_predictions(metric, train, queries, best["k"])
-
-    return FittedModel(
-        "gerry_reg", best, predictor, {"w": metric.w}, {"hstar": config.hstar}
-    )
+    return grid, _tune_split(train, config), fit
 
 
-def _fit_hamming(train, config, rows) -> FittedModel:
-    folds = kfold(train.n, config.folds, config.seed)
-    combos = [{"k": k} for k in config.grid_k]
+def _hamming_family(method, train, config):
+    grid = [{"k": k} for k in config.grid_k]
 
-    def eval_one(params):
-        values = []
-        for f in range(folds.n_folds):
-            fit = train.subset(np.flatnonzero(folds.assignment != f))
-            val = train.subset(folds.fold_indices(f))
-            hcfg = HammingTrainConfig(
-                c=config.bits, k=params["k"], epochs=config.epochs, seed=config.seed
-            )
-            result = train_hamming(fit, hcfg, mode=config.hamming_mode)
-            preds = hamming_predictions(result.hasher, fit, val.features, params["k"])
-            values.append(_objective(preds, val.labels, "classify"))
-        return values
+    def fit(ds, params):
+        hcfg = HammingTrainConfig(
+            c=config.bits, k=params["k"], epochs=config.epochs, seed=config.seed
+        )
+        hasher = train_hamming(ds, hcfg, mode=config.hamming_mode).hasher
 
-    fold_values = [eval_one(params) for params in combos]
-    _append_grid_rows(rows, "hamming", combos, fold_values, "error")
-    best = _pick_best(combos, fold_values)
+        def predictor(queries):
+            return hamming_predictions(hasher, ds, queries, params["k"])
 
-    hcfg = HammingTrainConfig(
-        c=config.bits, k=best["k"], epochs=config.epochs, seed=config.seed
-    )
-    hasher = train_hamming(train, hcfg, mode=config.hamming_mode).hasher
-    chosen = {**best, "bits": config.bits}
+        chosen = {**params, "bits": config.bits}
+        return predictor, chosen, {"u": hasher.u, "v": hasher.v}, {"mode": config.hamming_mode}
 
-    def predictor(queries):
-        return hamming_predictions(hasher, train, queries, best["k"])
-
-    return FittedModel(
-        "hamming",
-        chosen,
-        predictor,
-        {"u": hasher.u, "v": hasher.v},
-        {"mode": config.hamming_mode},
-    )
+    return grid, _kfold_splits(train, config), fit
 
 
 def _fit_method(method, train, config, rows) -> FittedModel:
+    """Tune one method's grid on its (fit, val) splits, then refit on train.
+
+    Every grid point is trained on each fit split and scored on its val
+    split; one row per (point, split) goes to ``rows``.  The point with the
+    lowest mean score wins, ties going to the earlier point.
+    """
     if method in _TRANSFORM_METHODS:
-        return _fit_transform_method(method, train, config, rows)
-    if method in ("gerry_sym", "gerry_asym"):
-        return _fit_gerry(method, train, config, rows)
-    if method == "gerry_reg":
-        return _fit_gerry_reg(train, config, rows)
-    return _fit_hamming(train, config, rows)
+        family = _transform_family
+    elif method in ("gerry_sym", "gerry_asym"):
+        family = _gerry_family
+    elif method == "gerry_reg":
+        family = _gerry_reg_family
+    else:
+        family = _hamming_family
+    grid, splits, fit = family(method, train, config)
+    n_fit = min(fit_ds.n for fit_ds, _ in splits)
+    for params in grid:
+        if params.get("k", 0) >= n_fit:
+            raise ConfigError(
+                f"grid.k: {method} tunes on fit splits of {n_fit} training rows, "
+                f"so every k must be below {n_fit}; got k = {params['k']}"
+            )
+    metric = "error" if config.task == "classify" else "mse"
+    means = []
+    for params in grid:
+        values = []
+        for fit_ds, val in splits:
+            predictor = fit(fit_ds, params)[0]
+            values.append(_objective(predictor(val.features), val.labels, config.task))
+        for fold, value in enumerate(values):
+            rows.append((method, fold, dict(params), metric, value))
+        means.append(float(np.mean(values)))
+    best = grid[min(range(len(grid)), key=lambda i: (means[i], i))]
+    predictor, chosen, artifacts, meta = fit(train, best)
+    return FittedModel(method, chosen, predictor, artifacts, meta)
 
 
 @dataclass
@@ -777,23 +737,17 @@ def _write_outputs(out_dir, config, rows, models, reports, stats) -> None:
 def cmd_run(config_path, seed=None, out=None) -> int:
     """Exit 0 on success, 1 on a runtime failure, 2 on a config problem."""
     try:
-        mapping = parse_config_file(config_path)
-    except OSError as exc:
+        text = Path(config_path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if seed is not None:
-        mapping["seed"] = str(seed)
-    if out is not None:
-        mapping["out.dir"] = str(out)
     try:
+        mapping = parse_config_text(text)
+        if seed is not None:
+            mapping["seed"] = str(seed)
+        if out is not None:
+            mapping["out.dir"] = str(out)
         config = ExperimentConfig.from_mapping(mapping)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
         result = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,7 +1,9 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from conftest import gauss_blobs
 
 from nnmetric import cli
 from nnmetric.dataset import CLASS, Dataset, load_csv, save_csv, synth_sin
@@ -275,6 +277,17 @@ class TestCmdOracle:
         assert (a.checked, a.failure) == (b.checked, b.failure)
 
 
+def three_class_csv(path, n_per, seed, n_last=None):
+    """Three 2-d Gaussian classes of n_per rows; class 3 keeps n_last rows."""
+    ds = gauss_blobs([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], n_per, 1.0, seed)
+    if n_last is not None:
+        keep = np.concatenate(
+            [np.flatnonzero(ds.labels != 3), np.flatnonzero(ds.labels == 3)[:n_last]]
+        )
+        ds = Dataset(features=ds.features[keep], labels=ds.labels[keep], kind=CLASS)
+    save_csv(path, ds)
+
+
 class TestCmdRun:
     def rotated_config(self, tmp_path, out_name, seed="3"):
         return write_config(
@@ -347,6 +360,62 @@ class TestCmdRun:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "gone.cfg")]) == 2
         assert "cannot read config" in capsys.readouterr().err
+
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"task = classify\n\xff\xfe\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_missing_data_file_exits_1(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": "euclidean", "data.source": "csv",
+             "data.path": str(tmp_path / "gone.csv")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "run failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "method, rule, n_fit",
+        [("euclidean", "knn", 15), ("hamming", "knn", 15), ("gerry_sym", "hnn", 22)],
+    )
+    def test_oversized_grid_k_exits_2(self, tmp_path, capsys, method, rule, n_fit):
+        """40 rows leave 30 for training: 15-row fit folds, or a 22-row fit
+        split for the learned metrics, which use grid.k under hnn too."""
+        data = tmp_path / "small.csv"
+        three_class_csv(data, 14, seed=0, n_last=12)
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": method, "predict.rule": rule,
+             "data.source": "csv", "data.path": str(data), "grid.k": "3, 40",
+             "train.epochs": "1", "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "grid.k" in err and method in err
+        assert f"{n_fit} training rows" in err and "k = 40" in err
+
+    @pytest.mark.parametrize(
+        "method, n_last, seed, message",
+        [
+            ("gw", None, 0, "needs exactly two classes; class 3"),
+            ("relieff", 2, 2, "at least 2 rows per class; class 3"),
+        ],
+    )
+    def test_data_unfit_for_method_exits_2(self, tmp_path, capsys, method, n_last, seed,
+                                          message):
+        data = tmp_path / "three.csv"
+        three_class_csv(data, 14, seed=seed, n_last=n_last)
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": method, "data.source": "csv",
+             "data.path": str(data), "seed": str(seed), "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: method: {method}" in err and message in err
+        assert re.search(r"\(numbered by first appearance\) has \d+ of the \d+ rows", err)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = self.rotated_config(tmp_path, "r1")
