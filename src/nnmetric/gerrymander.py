@@ -174,8 +174,7 @@ def targeted_inference_core(dists, labels, target: int, k: int, tau: int) -> np.
         raise InfeasibleTargetError(
             f"no size-{k} set lets class {target} win with tau={tau}"
         )
-    rank = {int(i): pos for pos, i in enumerate(order)}
-    return np.asarray(sorted(best_h, key=lambda i: rank[int(i)]), dtype=int)
+    return best_h[np.lexsort((best_h, dists[best_h]))]
 
 
 def loss_augmented_inference_core(dists, labels, y: int, k: int, loss_matrix):

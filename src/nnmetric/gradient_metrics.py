@@ -9,12 +9,16 @@ differences instead yields diagonal weights that rescale but cannot rotate.
 
 Density gating zeroes coordinates whose probe balls are empty, which keeps
 boundary noise out of the averages.  No optimization is involved anywhere.
+
+GW, EGOP and EJOP are reductions of one pass (``_gradient_pass``): per
+sample, one probe-distance matrix gives both the gates, which count the
+queried point, and the plug-in weights, which drop it.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,10 +81,13 @@ def kernel_class_probs(
     w = kernel_weights(spec, train.features, x)
     raw = np.zeros(train.n_classes)
     np.add.at(raw, np.asarray(train.labels, dtype=int) - 1, w)
-    scores = raw / temperature
-    scores -= scores.max()
-    e = np.exp(scores)
-    return e / e.sum()
+    return _softmax(raw / temperature)
+
+
+def _softmax(scores):
+    """Softmax along the last axis."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def density_gate(
@@ -134,107 +141,84 @@ def finite_diff_gradient(evaluator, x, t: float, mask=None) -> GradientEstimate:
     x = np.asarray(x, dtype=float)
     d = len(x)
     mask = np.ones(d, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    rows = {}
-    width = None
-    for i in range(d):
-        if not mask[i]:
-            continue
+    values = np.zeros(d)
+    for i in np.flatnonzero(mask):
         step = np.zeros(d)
         step[i] = t
         row = (np.asarray(evaluator(x + step), dtype=float)
                - np.asarray(evaluator(x - step), dtype=float)) / (2.0 * t)
-        rows[i] = row
-        width = row.shape
-    if width is None or width == ():
-        values = np.zeros(d)
-    else:
-        values = np.zeros((d,) + width)
-    for i, row in rows.items():
+        if row.ndim and values.ndim == 1:  # the first Jacobian row sets the width
+            values = np.zeros((d,) + row.shape)
         values[i] = row
     return GradientEstimate(values=values, mask=mask)
 
 
 @dataclass(frozen=True)
 class GradientMetricEstimate:
-    """Averaged gradient outer product with its eigendecomposition."""
+    """Averaged gradient outer product; its eigendecomposition on demand."""
 
     g: np.ndarray
     kind: str
-    eig: EigenDecomp = field(compare=False)
+
+    @property
+    def eig(self) -> EigenDecomp:
+        return sym_eig(self.g)
 
     def transform(self, rank_tol: float = 1e-9) -> np.ndarray:
         """Whitening map: distances under it square to the quadratic form g."""
         return whitening_transform(self.g, rank_tol=rank_tol)
 
 
-def _plugin_rows(train: Dataset, spec: KernelSpec, x, idx, active, t):
-    """Kernel weight rows for the 2m probes around sample ``idx``.
+def _gradient_pass(train: Dataset, spec: KernelSpec, t, kind, evaluator, values):
+    """Yield ``(mask, central differences)`` for each sample with an open gate.
 
-    Zeroing the queried point's column before normalizing reproduces
-    kernel weights on the dataset with that point removed, including the
-    uniform fallback over the remaining points.
+    One 2d x n probe-distance matrix per sample gives the density gates (as
+    :func:`gate_mask`) and, on the gated rows, the leave-one-out kernel
+    weights; ``values`` maps weight rows to plug-in values at the probes.
+    ``evaluator``, when given, is probed instead of the plug-in.
     """
-    m = len(active)
-    probes = np.repeat(np.asarray(x, dtype=float)[None, :], 2 * m, axis=0)
-    probes[np.arange(m), active] += t
-    probes[m + np.arange(m), active] -= t
+    if train.n < 2:
+        raise ValueError("need at least two points")
     feats = train.features
-    sq = np.maximum(
-        np.sum(feats**2, axis=1)[None, :]
-        - 2.0 * probes @ feats.T
-        + np.sum(probes**2, axis=1)[:, None],
-        0.0,
-    )
-    raw = spec(np.sqrt(sq) / spec.bandwidth)
-    raw[:, idx] = 0.0
-    totals = raw.sum(axis=1)
-    weights = np.empty_like(raw)
-    live = totals > 0
-    weights[live] = raw[live] / totals[live, None]
-    weights[~live] = 1.0 / (train.n - 1)
-    weights[~live, idx] = 0.0
-    return weights
-
-
-def _plugin_gradient(train: Dataset, spec: KernelSpec, t, idx, mask) -> np.ndarray:
-    """Leave-one-out central differences of the kernel regressor, batched."""
-    active = np.flatnonzero(mask)
-    weights = _plugin_rows(train, spec, train.features[idx], idx, active, t)
-    vals = weights @ np.asarray(train.labels, dtype=float)
-    m = len(active)
-    grad = np.zeros(train.d)
-    grad[active] = (vals[:m] - vals[m:]) / (2.0 * t)
-    return grad
-
-
-def _plugin_jacobian(train: Dataset, spec: KernelSpec, t, idx, mask, temperature):
-    """Leave-one-out central differences of the softmaxed class masses."""
-    active = np.flatnonzero(mask)
-    weights = _plugin_rows(train, spec, train.features[idx], idx, active, t)
-    onehot = np.zeros((train.n, train.n_classes))
-    onehot[np.arange(train.n), np.asarray(train.labels, dtype=int) - 1] = 1.0
-    scores = (weights @ onehot) / temperature
-    scores -= scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    probs = e / e.sum(axis=1, keepdims=True)
-    m = len(active)
-    jac = np.zeros((train.d, train.n_classes))
-    jac[active] = (probs[:m] - probs[m:]) / (2.0 * t)
-    return jac
-
-
-def _finish(g, kind, any_gate) -> GradientMetricEstimate:
+    n, d = feats.shape
+    h = spec.bandwidth
+    norms = np.sum(feats**2, axis=1)[None, :]
+    coords = np.arange(d)
+    any_gate = False
+    for idx in range(n):
+        x = feats[idx]
+        probes = np.repeat(x[None, :], 2 * d, axis=0)
+        probes[coords, coords] += t
+        probes[d + coords, coords] -= t
+        sq = norms - 2.0 * probes @ feats.T + np.sum(probes**2, axis=1)[:, None]
+        inside = np.any(sq <= h * h + 1e-12, axis=1)
+        mask = inside[:d] & inside[d:]
+        if not mask.any():
+            continue
+        any_gate = True
+        if evaluator is not None:
+            yield mask, finite_diff_gradient(evaluator, x, t, mask).values
+            continue
+        active = np.flatnonzero(mask)
+        rows = np.concatenate([active, d + active])
+        raw = spec(np.sqrt(np.maximum(sq[rows], 0.0)) / h)
+        raw[:, idx] = 0.0
+        # a probe with no other point in reach falls back to uniform weights
+        empty = raw.sum(axis=1) == 0.0
+        raw[empty] = np.arange(n) != idx
+        vals = values(raw / raw.sum(axis=1, keepdims=True))
+        m = len(active)
+        diffs = np.zeros((d,) + vals.shape[1:])
+        diffs[active] = (vals[:m] - vals[m:]) / (2.0 * t)
+        yield mask, diffs
     if not any_gate:
         warnings.warn(f"{kind}: every density gate failed; estimate is zero")
-    g = symmetrize(g)
-    return GradientMetricEstimate(g=g, kind=kind, eig=sym_eig(g))
 
 
 def estimate_egop(
     train: Dataset,
     spec: KernelSpec,
     t: float,
-    min_count: int = 1,
     evaluator=None,
 ) -> GradientMetricEstimate:
     """Average outer product of gated gradient estimates over the sample.
@@ -243,52 +227,27 @@ def estimate_egop(
     otherwise lean on the point itself).  ``evaluator`` overrides the
     plug-in entirely, for callers that already have a function to probe.
     """
-    if train.n < 2:
-        raise ValueError("need at least two points")
+    y = np.asarray(train.labels, dtype=float)
     g = np.zeros((train.d, train.d))
-    any_gate = False
-    for idx in range(train.n):
-        x = train.features[idx]
-        mask = gate_mask(train, x, t, spec.bandwidth, min_count)
-        if not mask.any():
-            continue
-        any_gate = True
-        if evaluator is None:
-            grad = _plugin_gradient(train, spec, t, idx, mask)
-        else:
-            grad = finite_diff_gradient(evaluator, x, t, mask).values
+    for _, grad in _gradient_pass(train, spec, t, "egop", evaluator, lambda w: w @ y):
         g += np.outer(grad, grad)
-    return _finish(g / train.n, "egop", any_gate)
+    return GradientMetricEstimate(g=symmetrize(g / train.n), kind="egop")
 
 
 def estimate_gw(
     train: Dataset,
     spec: KernelSpec,
     t: float,
-    min_count: int = 1,
     evaluator=None,
 ) -> np.ndarray:
     """Diagonal weights: mean absolute coordinate difference over gated
     samples.  Coordinates never gated come out zero."""
-    if train.n < 2:
-        raise ValueError("need at least two points")
+    y = np.asarray(train.labels, dtype=float)
     sums = np.zeros(train.d)
     counts = np.zeros(train.d)
-    any_gate = False
-    for idx in range(train.n):
-        x = train.features[idx]
-        mask = gate_mask(train, x, t, spec.bandwidth, min_count)
-        if not mask.any():
-            continue
-        any_gate = True
-        if evaluator is None:
-            grad = _plugin_gradient(train, spec, t, idx, mask)
-        else:
-            grad = finite_diff_gradient(evaluator, x, t, mask).values
+    for mask, grad in _gradient_pass(train, spec, t, "gw", evaluator, lambda w: w @ y):
         sums += np.abs(grad)
         counts += mask
-    if not any_gate:
-        warnings.warn("gw: every density gate failed; weights are zero")
     return sums / np.maximum(counts, 1.0)
 
 
@@ -297,7 +256,6 @@ def estimate_ejop(
     spec: KernelSpec,
     t: float,
     temperature: float = 1.0,
-    min_count: int = 1,
     evaluator=None,
 ) -> GradientMetricEstimate:
     """Average J J^T where J stacks central differences of the softmaxed
@@ -306,20 +264,13 @@ def estimate_ejop(
         raise ValueError("estimate_ejop needs a classed dataset")
     if train.n_classes < 2:
         raise ValueError("need at least two classes")
+    onehot = np.eye(train.n_classes)[np.asarray(train.labels, dtype=int) - 1]
     g = np.zeros((train.d, train.d))
-    any_gate = False
-    for idx in range(train.n):
-        x = train.features[idx]
-        mask = gate_mask(train, x, t, spec.bandwidth, min_count)
-        if not mask.any():
-            continue
-        any_gate = True
-        if evaluator is None:
-            jac = _plugin_jacobian(train, spec, t, idx, mask, temperature)
-        else:
-            jac = finite_diff_gradient(evaluator, x, t, mask).values
+    for _, jac in _gradient_pass(
+        train, spec, t, "ejop", evaluator, lambda w: _softmax((w @ onehot) / temperature)
+    ):
         g += jac @ jac.T
-    return _finish(g / train.n, "ejop", any_gate)
+    return GradientMetricEstimate(g=symmetrize(g / train.n), kind="ejop")
 
 
 def ejop_predict(train: Dataset, spec: KernelSpec, x, temperature: float = 1.0) -> int:

@@ -25,6 +25,7 @@ from .gerrymander import (
     GerryTrainConfig,
     InfeasibleTargetError,
     TrainResult,
+    _finite_order,
     _loo_distances,
     latent_sgd,
 )
@@ -125,8 +126,8 @@ def hstar_alternate_core(dists, targets, y: float, k: int, variant: RegLossVaria
     """
     targets = np.asarray(targets, dtype=float)
     dists = np.asarray(dists, dtype=float)
-    finite = np.flatnonzero(np.isfinite(dists))
-    if len(finite) < k:
+    near = _finite_order(dists)
+    if len(near) < k:
         raise InfeasibleTargetError(f"fewer than k={k} candidates")
     if variant.kind == "eps_insensitive":
         h = list(reg_inference_core(dists, targets, y, k, 0.0, "targeted"))
@@ -141,17 +142,17 @@ def hstar_alternate_core(dists, targets, y: float, k: int, variant: RegLossVaria
         if variant.kind == "eps_insensitive" and current <= variant.eps:
             return np.asarray(h, dtype=int)
         pos = _worst_member(np.asarray(h), targets, y)
-        outside = [i for i in finite if i not in h]
-        best_i, best_delta = None, current
-        for i in sorted(outside, key=lambda i: (dists[i], i)):
-            trial = h[:pos] + h[pos + 1 :] + [i]
-            trial_delta = delta_reg(y, trial, targets)
-            if trial_delta < best_delta - 1e-15:
-                best_i, best_delta = i, trial_delta
-                break  # nearest improving point wins
-        if best_i is None:
+        rest = h[:pos] + h[pos + 1 :]
+        outside = near[~np.isin(near, h)]
+        # row j holds the targets of rest + [outside[j]] in delta_reg's order, so
+        # its mean is bit for bit the one delta_reg would take
+        trials = np.empty((len(outside), k))
+        trials[:, :-1] = targets[rest]
+        trials[:, -1] = targets[outside]
+        improving = np.flatnonzero((y - trials.mean(axis=1)) ** 2 < current - 1e-15)
+        if not len(improving):
             break
-        h = h[:pos] + h[pos + 1 :] + [best_i]
+        h = rest + [outside[improving[0]]]  # nearest improving point wins
     final = delta_reg(y, h, targets)
     if variant.kind == "eps_insensitive" and final > variant.eps:
         raise InfeasibleTargetError(

@@ -39,6 +39,31 @@ def class_dataset(features, labels):
     )
 
 
+def partly_gated(kind=REAL):
+    """30 uniform points in the unit cube with t > h, so a probe ball never
+    holds its own sample: some samples pass every gate, some a few, some none.
+    Classed targets split the cube at x0 = 0.5."""
+    X = np.random.default_rng(6).uniform(size=(30, 3))
+    if kind == REAL:
+        train = real_dataset(X, np.sin(3.0 * X[:, 0]))
+    else:
+        train = class_dataset(X, 1 + (X[:, 0] > 0.5).astype(int))
+    return train, KernelSpec(bandwidth=0.35), 0.4
+
+
+def explicit_loo(train, spec, t, plug_in):
+    """(mask, central differences) per sample, from gate_mask and
+    finite_diff_gradient on the dataset without that sample."""
+    out = []
+    for idx in range(train.n):
+        x = train.features[idx]
+        mask = gate_mask(train, x, t, spec.bandwidth)
+        rest = train.subset(np.flatnonzero(np.arange(train.n) != idx))
+        values = finite_diff_gradient(lambda z: plug_in(rest, z), x, t, mask).values
+        out.append((mask, values))
+    return out
+
+
 def blobs2(seed, n_per=80, d=5):
     rng = np.random.default_rng(seed)
     feats, labels = [], []
@@ -159,6 +184,13 @@ class TestDensityGate:
         for i in range(3):
             assert mask[i] == density_gate(train, x, t=0.3, h=0.8, i=i, min_count=2)
 
+    def test_loo_fixture_has_closed_partial_and_open_gates(self):
+        train, spec, t = partly_gated()
+        masks = np.array([gate_mask(train, x, t, spec.bandwidth) for x in train.features])
+        assert (~masks.any(axis=1)).any()
+        assert (masks.any(axis=1) & ~masks.all(axis=1)).any()
+        assert masks.all(axis=1).any()
+
     def test_gate_rate_grows_with_sample_size(self):
         rng = np.random.default_rng(3)
         h, t = 0.08, 0.05
@@ -227,23 +259,12 @@ class TestEstimateEgop:
         assert np.abs(rotated.g - q.T @ base.g @ q).max() <= 1e-8
 
     def test_plugin_matches_explicit_leave_one_out(self):
-        rng = np.random.default_rng(6)
-        X = rng.uniform(size=(25, 3))
-        train = real_dataset(X, np.sin(3.0 * X[:, 0]))
-        spec = KernelSpec(bandwidth=0.5)
-        t = 0.1
+        train, spec, t = partly_gated()
         fast = estimate_egop(train, spec, t)
         slow = np.zeros((3, 3))
-        for idx in range(train.n):
-            x = train.features[idx]
-            mask = gate_mask(train, x, t, spec.bandwidth)
-            if not mask.any():
-                continue
-            keep = np.flatnonzero(np.arange(train.n) != idx)
-            rest = train.subset(keep)
-            grad = finite_diff_gradient(
-                lambda z: kernel_regress(rest, spec, z), x, t, mask
-            ).values
+        for _, grad in explicit_loo(
+            train, spec, t, lambda rest, z: kernel_regress(rest, spec, z)
+        ):
             slow += np.outer(grad, grad)
         np.testing.assert_allclose(fast.g, slow / train.n, atol=1e-12)
 
@@ -296,6 +317,18 @@ class TestEstimateGw:
         )
         np.testing.assert_allclose(w, [3.0, 0.0], atol=1e-12)
 
+    def test_plugin_matches_explicit_leave_one_out(self):
+        train, spec, t = partly_gated()
+        fast = estimate_gw(train, spec, t)
+        sums, counts = np.zeros(3), np.zeros(3)
+        for mask, grad in explicit_loo(
+            train, spec, t, lambda rest, z: kernel_regress(rest, spec, z)
+        ):
+            sums += np.abs(grad)
+            counts += mask
+        assert counts.min() > 0
+        np.testing.assert_allclose(fast, sums / counts, atol=1e-12)
+
     def test_nonnegative_always(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
@@ -341,21 +374,12 @@ class TestEstimateEjop:
         np.testing.assert_array_equal(est.g, np.zeros((3, 3)))
 
     def test_plugin_matches_explicit_leave_one_out(self):
-        train = blobs2(1, n_per=12, d=3)
-        spec = KernelSpec(bandwidth=2.0)
-        t = 0.3
+        train, spec, t = partly_gated(CLASS)
         fast = estimate_ejop(train, spec, t, temperature=0.5)
         slow = np.zeros((3, 3))
-        for idx in range(train.n):
-            x = train.features[idx]
-            mask = gate_mask(train, x, t, spec.bandwidth)
-            if not mask.any():
-                continue
-            keep = np.flatnonzero(np.arange(train.n) != idx)
-            rest = train.subset(keep)
-            jac = finite_diff_gradient(
-                lambda z: kernel_class_probs(rest, spec, z, 0.5), x, t, mask
-            ).values
+        for _, jac in explicit_loo(
+            train, spec, t, lambda rest, z: kernel_class_probs(rest, spec, z, 0.5)
+        ):
             slow += jac @ jac.T
         np.testing.assert_allclose(fast.g, slow / train.n, atol=1e-12)
 

@@ -15,6 +15,7 @@ from nnmetric.regression_ml import (
     delta_reg,
     delta_reg_ub,
     hstar_alternate,
+    hstar_alternate_core,
     metric_reg_predictions,
     reg_inference,
     reg_inference_core,
@@ -158,7 +159,62 @@ class TestSurrogate:
         assert reg_surrogate(metric, [0.2], 0.5, 2, 0.0, train) == pytest.approx(0.0)
 
 
+def swap_loop_hstar(dists, targets, y, k, variant):
+    """hstar_alternate_core with one delta_reg call per swap candidate, in
+    (distance, index) order: the reference for its vectorized swap scan."""
+    finite = [i for i in range(len(dists)) if np.isfinite(dists[i])]
+    if len(finite) < k:
+        raise InfeasibleTargetError("too few candidates")
+    if variant.kind == "eps_insensitive":
+        h = list(reg_inference_core(dists, targets, y, k, 0.0, "targeted"))
+    else:
+        gap_order = np.lexsort((dists, np.abs(targets - y)))
+        h = [i for i in gap_order if np.isfinite(dists[i])][:k]
+    for _ in range(5 * k):
+        current = delta_reg(y, h, targets)
+        if variant.kind == "eps_insensitive" and current <= variant.eps:
+            return h
+        sel = targets[h]
+        pos = int(np.argmax((sel - y) * np.sign(sel.mean() - y)))
+        for i in sorted((i for i in finite if i not in h), key=lambda i: (dists[i], i)):
+            trial = h[:pos] + h[pos + 1 :] + [i]
+            if delta_reg(y, trial, targets) < current - 1e-15:
+                h = trial
+                break
+        else:
+            break
+    if variant.kind == "eps_insensitive" and delta_reg(y, h, targets) > variant.eps:
+        raise InfeasibleTargetError("swap budget exhausted")
+    return sorted(h, key=lambda i: (dists[i], i))
+
+
 class TestAlternateHStar:
+    def test_matches_swap_loop_reference(self):
+        rng = np.random.default_rng(21)
+        swapped = 0
+        for trial in range(300):
+            n = int(rng.integers(3, 40))
+            k = int(rng.integers(1, min(n, 12) + 1))
+            # rounded values give distance and target ties
+            dists = np.round(rng.uniform(size=n), int(rng.integers(1, 4)))
+            dists[rng.choice(n, size=int(rng.integers(0, n - k + 1)), replace=False)] = np.inf
+            targets = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+            y = float(np.round(rng.normal(), 1))
+            kind = ("min_loss", "eps_insensitive")[trial % 2]
+            variant = RegLossVariant(kind=kind, gamma=1.0, eps=float(rng.choice([0.0, 0.05])))
+            try:
+                want = swap_loop_hstar(dists, targets, y, k, variant)
+            except InfeasibleTargetError:
+                with pytest.raises(InfeasibleTargetError):
+                    hstar_alternate_core(dists, targets, y, k, variant)
+                continue
+            got = hstar_alternate_core(dists, targets, y, k, variant).tolist()
+            assert got == [int(i) for i in want]
+            gap_order = np.lexsort((dists, np.abs(targets - y)))
+            start = [i for i in gap_order if np.isfinite(dists[i])][:k]
+            swapped += kind == "min_loss" and sorted(got) != sorted(start)
+        assert swapped > 10
+
     def test_eps_infinite_is_plain_topk(self):
         train = make_reg_dataset([[0.0], [1.0], [2.0], [3.0]], [9.0, 8.0, 7.0, 6.0])
         metric = MahalanobisMetric(w=np.eye(1))
