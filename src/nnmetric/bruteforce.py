@@ -102,3 +102,26 @@ def brute_reg_inference(dists, targets, y: float, k: int, gamma: float, directio
         if value > best_value:
             best_set, best_value = combo, value
     return np.asarray(best_set), best_value
+
+
+def brute_neighbor_predict(dists, labels, rule, mode: str):
+    """One query's kNN or radius prediction, from explicit (distance, index)
+    sorting and plain vote counts.
+
+    ``rule.kind`` "knn" takes the first ``rule.k`` points; "hnn" takes every
+    point within ``rule.radius``, or all points when that ball is empty.
+    A class vote goes to the most frequent label, ties to the tied label met
+    first in nearness order; a regression averages the selected targets.
+    """
+    order = sorted(range(len(dists)), key=lambda i: (float(dists[i]), i))
+    if rule.kind == "knn":
+        chosen = order[: rule.k]
+    else:
+        chosen = [i for i in order if dists[i] <= rule.radius] or order
+    if mode == "regress":
+        return sum(float(labels[i]) for i in chosen) / len(chosen)
+    counts = {}
+    for i in chosen:
+        counts[int(labels[i])] = counts.get(int(labels[i]), 0) + 1
+    top = max(counts.values())
+    return next(int(labels[i]) for i in chosen if counts[int(labels[i])] == top)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import CLASS, Dataset
 from .numerics import psd_project, sym_eig, symmetrize
-from .predictors import vote
+from .predictors import NeighborRule, predict_each, vote
 
 
 class InfeasibleTargetError(ValueError):
@@ -226,13 +226,19 @@ def loss_augmented_inference(metric, x, y: int, k: int, loss_matrix, train: Data
     return h
 
 
+def surrogate_core(dists, labels, y: int, k: int, loss_matrix):
+    """(surrogate, loss-augmented h-hat, tie-free targeted h*) on per-point
+    distances; excluded points carry infinite distance."""
+    h_hat, augmented = loss_augmented_inference_core(dists, labels, y, k, loss_matrix)
+    h_star = targeted_inference_core(dists, labels, int(y), k, tau=1)
+    return augmented + float(dists[h_star].sum()), h_hat, h_star
+
+
 def surrogate_loss(metric, x, y: int, k: int, loss_matrix, train: Dataset, exclude=None) -> float:
     """max_h [S + loss] - max_{h votes y} S; nonnegative, upper-bounds the
     task loss at the plain top-k neighbor set."""
     dists = _loo_distances(metric, x, train, exclude)
-    _, augmented = loss_augmented_inference_core(dists, train.labels, y, k, loss_matrix)
-    h_star = targeted_inference_core(dists, train.labels, int(y), k, tau=1)
-    return float(augmented + dists[h_star].sum())
+    return surrogate_core(dists, train.labels, y, k, loss_matrix)[0]
 
 
 def feature_map_psi(x, h, train: Dataset) -> np.ndarray:
@@ -455,21 +461,14 @@ def train_sgd(
     )
 
     def infer(i, dists):
-        y = int(train.labels[i])
-        h_hat, augmented = loss_augmented_inference_core(dists, train.labels, y, config.k, lam)
-        h_star = targeted_inference_core(dists, train.labels, y, config.k, tau=1)
-        return augmented + float(dists[h_star].sum()), h_hat, h_star
+        return surrogate_core(dists, train.labels, int(train.labels[i]), config.k, lam)
 
     return latent_sgd(train, config, variant, infer, audit_psd)
 
 
 def metric_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:
     """kNN class predictions under a learned metric (either variant)."""
-    from .predictors import NeighborRule, predict_from_distances
+    def distances(x):
+        return metric.distances(x, train.features)
 
-    rule = NeighborRule("knn", k=k)
-    out = []
-    for x in np.atleast_2d(queries):
-        dists = metric.distances(x, train.features)
-        out.append(predict_from_distances(dists, train, rule, "classify"))
-    return np.asarray(out, dtype=int)
+    return predict_each(distances, train, queries, NeighborRule("knn", k=k), "classify")

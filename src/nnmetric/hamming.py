@@ -25,12 +25,12 @@ from .dataset import CLASS, Dataset
 from .gerrymander import (
     InfeasibleTargetError,
     _learning_rate,
-    loss_augmented_inference_core,
     run_epochs,
-    targeted_inference_core,
+    surrogate_core,
     validate_loss_matrix,
     zero_one_loss,
 )
+from .predictors import NeighborRule, predict_each
 
 
 def sign_pm1(a) -> np.ndarray:
@@ -246,15 +246,12 @@ def train_hamming(
             dists = (config.c - codes_db @ q) / 2.0
             dists[i] = np.inf
             try:
-                h_hat, augmented = loss_augmented_inference_core(
+                surrogate, h_hat, h_star = surrogate_core(
                     dists, labels, int(labels[i]), config.k, lam
-                )
-                h_star = targeted_inference_core(
-                    dists, labels, int(labels[i]), config.k, tau=1
                 )
             except InfeasibleTargetError:
                 continue
-            losses.append(augmented + float(dists[h_star].sum()))
+            losses.append(surrogate)
             code_diff = codes_db[h_hat].sum(axis=0) - codes_db[h_star].sum(axis=0)
             grad_u += query_side_grad(u, x, code_diff, config.relaxation)
             grad_v += db_side_grad(v, feats[h_hat], q, config.relaxation)
@@ -292,20 +289,15 @@ def hamming_predictions(
     rank="hard" sorts by integer Hamming distance (mass ties broken by
     index); rank="asym" sorts by the calibrated soft distance instead.
     """
-    from .predictors import NeighborRule, predict_from_distances
-
     if rank not in ("hard", "asym"):
         raise ValueError(f"unknown rank mode {rank!r}")
     codes_db = encode(hasher.v, train.features)
     scales = calibrate_scales(train, hasher.u) if rank == "asym" else None
-    rule = NeighborRule("knn", k=k)
-    out = []
-    for x in np.atleast_2d(queries):
+
+    def distances(x):
         if rank == "hard":
-            q = binarize(hasher.u, x)
-            dists = (hasher.c - codes_db @ q) / 2.0
-        else:
-            soft = np.tanh(scales * (hasher.u @ x))
-            dists = np.sum((codes_db - soft) ** 2, axis=1) / 4.0
-        out.append(predict_from_distances(dists, train, rule, "classify"))
-    return np.asarray(out, dtype=int)
+            return (hasher.c - codes_db @ binarize(hasher.u, x)) / 2.0
+        soft = np.tanh(scales * (hasher.u @ x))
+        return np.sum((codes_db - soft) ** 2, axis=1) / 4.0
+
+    return predict_each(distances, train, queries, NeighborRule("knn", k=k), "classify")

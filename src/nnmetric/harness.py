@@ -14,9 +14,10 @@ and the run writes results.csv plus model artifacts.  Every random choice
 derives from the config seed, so rerunning a (config, seed) pair
 reproduces the report bytes exactly.
 
-The oracle suites compare the fast inference and gradient routines against
-the exhaustive references in :mod:`nnmetric.bruteforce` on randomized
-instances; a violation serializes the failing instance for replay.
+The oracle suites compare the fast inference, prediction and gradient
+routines against the exhaustive references in :mod:`nnmetric.bruteforce`
+on randomized instances; a violation serializes the failing instance for
+replay.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ from .gradient_metrics import (
 )
 from .hamming import (
     HammingTrainConfig,
+    asym_hamming_distance,
+    calibrate_scales,
     hamming_predictions,
     hamming_score,
     random_hasher,
@@ -1033,6 +1036,88 @@ def _suite_hamming(budget, rng):
     return budget, None
 
 
+def _suite_neighbors(budget, rng):
+    """Every public predictor against brute_neighbor_predict, on integer rows
+    with repeats: distances are exact, so ties are real and k often cuts one,
+    and a radius of 0.5 leaves the ball empty unless a row equals the query."""
+    for i in range(budget):
+        n, d = int(rng.integers(4, 15)), int(rng.integers(1, 4))
+        pool = rng.integers(-2, 3, size=(int(rng.integers(2, n + 1)), d))
+        feats = pool[rng.integers(0, len(pool), size=n)].astype(float)
+        queries = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), d)).astype(float)
+        n_classes = int(rng.integers(2, 5))
+        labels = np.concatenate([np.arange(1, n_classes + 1),
+                                 rng.integers(1, n_classes + 1, size=n - n_classes)])
+        classed = Dataset(features=feats, labels=labels[rng.permutation(n)], kind=CLASS)
+        real = Dataset(features=feats, labels=rng.integers(-5, 6, size=n).astype(float),
+                       kind=REAL)
+        k = int(rng.integers(1, n + 1))
+        knn = NeighborRule("knn", k=k)
+        hnn = NeighborRule("hnn", radius=float(rng.choice([0.5, 1.0, 1.5, 2.0])))
+        t, ell, u, v = rng.integers(-2, 3, size=(4, d, d)).astype(float)
+        transform = t if rng.integers(0, 2) else None
+        w = ell.T @ ell
+        hasher = random_hasher(d, int(rng.integers(2, 6)), seed=int(rng.integers(0, 2**31)))
+        codes = np.where(feats @ hasher.v.T >= 0.0, 1.0, -1.0)
+        scales = calibrate_scales(classed, hasher.u)
+        tx = feats if transform is None else feats @ transform.T
+
+        def euclid(x):
+            tq = x if transform is None else transform @ x
+            return np.array([np.sqrt(np.sum((row - tq) ** 2)) for row in tx])
+
+        def mahalanobis(x):
+            return np.array([(x - row) @ w @ (x - row) for row in feats])
+
+        def asymmetric(x):
+            return np.array([np.sum((u @ x - v @ row) ** 2) for row in feats])
+
+        def hard(x):
+            q = np.where(hasher.u @ x >= 0.0, 1.0, -1.0)
+            return np.array([np.sum(q != code) for code in codes], dtype=float)
+
+        def soft(x):
+            return np.array([asym_hamming_distance(hasher.u @ x, c, scales) for c in codes])
+
+        cases = [
+            ("predict_batch", classed, knn, "classify", euclid,
+             predict_batch(classed, transform, queries, knn, "classify")),
+            ("predict_batch", classed, hnn, "classify", euclid,
+             predict_batch(classed, transform, queries, hnn, "classify")),
+            ("predict_batch", real, knn, "regress", euclid,
+             predict_batch(real, transform, queries, knn, "regress")),
+            ("predict_batch", real, hnn, "regress", euclid,
+             predict_batch(real, transform, queries, hnn, "regress")),
+            ("metric_predictions", classed, knn, "classify", mahalanobis,
+             metric_predictions(MahalanobisMetric(w=w), classed, queries, k)),
+            ("metric_predictions", classed, knn, "classify", asymmetric,
+             metric_predictions(AsymmetricMetric(u=u, v=v), classed, queries, k)),
+            ("metric_reg_predictions", real, knn, "regress", mahalanobis,
+             metric_reg_predictions(MahalanobisMetric(w=w), real, queries, k)),
+            ("hamming_predictions", classed, knn, "classify", hard,
+             hamming_predictions(hasher, classed, queries, k, rank="hard")),
+            ("hamming_predictions", classed, knn, "classify", soft,
+             hamming_predictions(hasher, classed, queries, k, rank="asym")),
+        ]
+        for name, ds, rule, mode, distances, got in cases:
+            for x, pred in zip(queries, got):
+                dists = distances(x)
+                want = bruteforce.brute_neighbor_predict(dists, ds.labels, rule, mode)
+                if not abs(pred - want) <= 1e-12:
+                    return i + 1, {
+                        "check": name,
+                        "rule": rule.kind,
+                        "k": rule.k,
+                        "radius": rule.radius,
+                        "mode": mode,
+                        "dists": dists,
+                        "labels": ds.labels,
+                        "got": pred,
+                        "want": want,
+                    }
+    return budget, None
+
+
 # suite name -> (seed stream, implementation)
 ORACLE_SUITES = {
     "inference": (1, _suite_inference),
@@ -1041,6 +1126,7 @@ ORACLE_SUITES = {
     "psd": (4, _suite_psd),
     "gradients": (5, _suite_gradients),
     "hamming": (6, _suite_hamming),
+    "neighbors": (7, _suite_neighbors),
 }
 
 

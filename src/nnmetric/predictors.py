@@ -60,7 +60,7 @@ def _selected(dists, rule):
     if rule.kind == "knn":
         return order[: rule.k]
     in_ball = order[dists[order] <= rule.radius]
-    return in_ball  # may be empty; callers fall back to the global pool
+    return in_ball if len(in_ball) else order  # empty ball: global fallback
 
 
 def vote(labels_selected: np.ndarray, all_labels: np.ndarray) -> int:
@@ -86,8 +86,6 @@ def vote(labels_selected: np.ndarray, all_labels: np.ndarray) -> int:
 def predict_from_distances(dists, train: Dataset, rule: NeighborRule, mode: str):
     """Prediction given precomputed query-to-train distances."""
     sel = _selected(np.asarray(dists, dtype=float), rule)
-    if len(sel) == 0:
-        sel = neighbor_order(np.asarray(dists, dtype=float))  # empty ball: global fallback
     if mode == "classify":
         return vote(train.labels[sel], train.labels)
     if mode == "regress":
@@ -107,17 +105,22 @@ def neighbor_predict(train: Dataset, transform, query, rule: NeighborRule, mode:
     return predict_from_distances(dists, train, rule, mode)
 
 
+def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: str):
+    """The one per-query loop of every predictor: ``distances(x)`` gives one
+    query row's distances to the training rows."""
+    out = [predict_from_distances(distances(x), train, rule, mode) for x in np.atleast_2d(queries)]
+    return np.asarray(out, dtype=float if mode == "regress" else int)
+
+
 def predict_batch(train: Dataset, transform, queries, rule: NeighborRule, mode: str):
     tq = transform_features(np.atleast_2d(queries), transform)
     tx = transform_features(train.features, transform)
     sq_t = np.sum(tx**2, axis=1)
-    out = []
-    for row in tq:
-        d2 = np.maximum(sq_t - 2.0 * (tx @ row) + row @ row, 0.0)
-        out.append(predict_from_distances(np.sqrt(d2), train, rule, mode))
-    if mode == "regress":
-        return np.asarray(out, dtype=float)
-    return np.asarray(out, dtype=int)
+
+    def distances(row):
+        return np.sqrt(np.maximum(sq_t - 2.0 * (tx @ row) + row @ row, 0.0))
+
+    return predict_each(distances, train, tq, rule, mode)
 
 
 def evaluate(predictions, truth, task: str, loss_matrix=None, seed: int = 0, hyperparams=None) -> EvalReport:

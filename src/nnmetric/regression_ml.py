@@ -29,6 +29,7 @@ from .gerrymander import (
     _loo_distances,
     latent_sgd,
 )
+from .predictors import NeighborRule, predict_each
 
 
 def delta_reg(y: float, h, targets) -> float:
@@ -84,25 +85,26 @@ def reg_inference_core(dists, targets, y: float, k: int, gamma: float, direction
 
 def reg_inference(metric, x, y: float, k: int, gamma: float, direction: str,
                   train: Dataset, exclude=None):
-    dists = metric.distances(x, train.features)
-    if exclude is not None:
-        dists = dists.copy()
-        dists[exclude] = np.inf
+    dists = _loo_distances(metric, x, train, exclude)
     return reg_inference_core(dists, train.labels, y, k, gamma, direction)
+
+
+def reg_surrogate_core(dists, targets, y: float, k: int, gamma: float, h_star=None):
+    """(surrogate, loss-augmented h-hat, h*) on per-point distances; h*
+    defaults to the targeted top-k."""
+    h_hat = reg_inference_core(dists, targets, y, k, gamma, "loss_augmented")
+    if h_star is None:
+        h_star = reg_inference_core(dists, targets, y, k, gamma, "targeted")
+    up = -dists[h_hat].sum() + gamma * delta_reg_ub(y, h_hat, targets)
+    down = -dists[h_star].sum() - gamma * delta_reg_ub(y, h_star, targets)
+    return float(up - down), h_hat, h_star
 
 
 def reg_surrogate(metric, x, y: float, k: int, gamma: float, train: Dataset,
                   exclude=None) -> float:
     """[S + gamma Delta_hat](h-hat) - [S - gamma Delta_hat](h*); nonnegative."""
-    dists = metric.distances(x, train.features)
-    if exclude is not None:
-        dists = dists.copy()
-        dists[exclude] = np.inf
-    h_hat = reg_inference_core(dists, train.labels, y, k, gamma, "loss_augmented")
-    h_star = reg_inference_core(dists, train.labels, y, k, gamma, "targeted")
-    up = -dists[h_hat].sum() + gamma * delta_reg_ub(y, h_hat, train.labels)
-    down = -dists[h_star].sum() - gamma * delta_reg_ub(y, h_star, train.labels)
-    return float(up - down)
+    dists = _loo_distances(metric, x, train, exclude)
+    return reg_surrogate_core(dists, train.labels, y, k, gamma)[0]
 
 
 def _worst_member(h, targets, y):
@@ -204,25 +206,17 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, mode: str = "symmetric
 
     def infer(i, dists):
         y = float(targets[i])
-        h_hat = reg_inference_core(dists, targets, y, config.k, config.gamma, "loss_augmented")
-        if variant is None:
-            h_star = reg_inference_core(dists, targets, y, config.k, config.gamma, "targeted")
-        else:
+        h_star = None
+        if variant is not None:
             h_star = hstar_alternate_core(dists, targets, y, config.k, variant)
-        up = -dists[h_hat].sum() + config.gamma * delta_reg_ub(y, h_hat, targets)
-        down = -dists[h_star].sum() - config.gamma * delta_reg_ub(y, h_star, targets)
-        return float(up - down), h_hat, h_star
+        return reg_surrogate_core(dists, targets, y, config.k, config.gamma, h_star)
 
     return latent_sgd(train, config, mode, infer, audit_psd)
 
 
 def metric_reg_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:
     """kNN-mean regression predictions under a learned metric."""
-    from .predictors import NeighborRule, predict_from_distances
+    def distances(x):
+        return metric.distances(x, train.features)
 
-    rule = NeighborRule("knn", k=k)
-    out = []
-    for x in np.atleast_2d(queries):
-        dists = metric.distances(x, train.features)
-        out.append(predict_from_distances(dists, train, rule, "regress"))
-    return np.asarray(out, dtype=float)
+    return predict_each(distances, train, queries, NeighborRule("knn", k=k), "regress")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import gauss_blobs
 
-from nnmetric import cli
+from nnmetric import cli, predictors
 from nnmetric.dataset import CLASS, Dataset, load_csv, save_csv, synth_sin
 from nnmetric.harness import (
     ConfigError,
@@ -239,9 +239,28 @@ class TestCmdOracle:
         assert cli.main(["oracle", "--suite", "regbound", "--budget", "1000"]) == 0
         assert "1000 checks passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("suite", ["surrogate", "psd", "gradients", "hamming"])
+    @pytest.mark.parametrize("suite", ["surrogate", "psd", "gradients", "hamming", "neighbors"])
     def test_remaining_suites_pass(self, suite):
         assert cli.main(["oracle", "--suite", suite, "--budget", "60"]) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the mean of an empty ball
+    @pytest.mark.parametrize("broken", ["reversed_index_ties", "no_empty_ball_fallback"])
+    def test_neighbors_suite_fails_on_broken_selection(self, monkeypatch, broken):
+        if broken == "reversed_index_ties":
+            monkeypatch.setattr(
+                predictors, "neighbor_order", lambda d: np.lexsort((-np.arange(len(d)), d))
+            )
+        else:
+            def no_fallback(dists, rule):
+                order = predictors.neighbor_order(dists)
+                if rule.kind == "knn":
+                    return order[: rule.k]
+                return order[dists[order] <= rule.radius]
+
+            monkeypatch.setattr(predictors, "_selected", no_fallback)
+        outcome = run_oracle("neighbors", 200)
+        assert outcome.failure is not None
+        assert outcome.failure["got"] != outcome.failure["want"]
 
     def test_unknown_suite_exits_2(self, capsys):
         assert cli.main(["oracle", "--suite", "nope", "--budget", "5"]) == 2
@@ -416,6 +435,38 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert f"config error: method: {method}" in err and message in err
         assert re.search(r"\(numbered by first appearance\) has \d+ of the \d+ rows", err)
+
+    @pytest.mark.parametrize("case", ["class_only_in_test", "constant_column"])
+    def test_awkward_classify_data_runs_every_method(self, tmp_path, case):
+        """A third class whose one row lands in the test split (so no fit
+        split has it), or a constant feature column: every classify method
+        still exits 0 with a finite final row."""
+        methods = ["euclidean", "gw", "egop", "ejop", "relieff", "gerry_sym", "gerry_asym",
+                   "hamming"]
+        ds = gauss_blobs([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]], 20, 1.0, seed=4)
+        features, labels = ds.features, ds.labels
+        if case == "class_only_in_test":
+            _, test_idx = split_indices(ds.n, 0.25, 0)
+            labels = labels.copy()
+            labels[test_idx.max()] = 3  # rows before it hold classes 1 and 2
+        else:
+            features = features.copy()
+            features[:, 1] = 7.0
+        data = tmp_path / "data.csv"
+        save_csv(data, Dataset(features=features, labels=labels, kind=CLASS))
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": ", ".join(methods), "data.source": "csv",
+             "data.path": str(data), "data.test_fraction": "0.25", "grid.k": "3",
+             "grid.h": "2.0", "grid.t": "0.5", "train.epochs": "2", "hamming.bits": "4",
+             "seed": "0", "out.dir": str(tmp_path / "out")},
+        )
+        train, test = load_experiment_data(ExperimentConfig.from_file(config))
+        assert (3 in test.labels and 3 not in train.labels) == (case == "class_only_in_test")
+        assert cli.main(["run", "--config", str(config)]) == 0
+        finals = final_values(read_results(tmp_path / "out"))
+        assert set(finals) == set(methods)
+        assert all(np.isfinite(value) for value in finals.values())
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = self.rotated_config(tmp_path, "r1")

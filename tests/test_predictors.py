@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nnmetric.bruteforce import brute_neighbor_predict
 from nnmetric.dataset import Dataset
 from nnmetric.predictors import (
     NeighborRule,
@@ -100,3 +101,30 @@ class TestEvaluate:
     def test_zero_variance_flagged(self):
         with pytest.raises(ValueError, match="zero variance"):
             evaluate(np.array([1.0]), np.array([1.0]), "regress")
+
+
+class TestBruteNeighborPredict:
+    """The independent oracle on hand-checked instances."""
+
+    def test_tie_cut_by_index(self):
+        """k = 2 cuts the three-way tie at distance 1: indices 1 and 2 win."""
+        dists = [3.0, 1.0, 1.0, 1.0]
+        labels = [1, 2, 2, 1]
+        assert brute_neighbor_predict(dists, labels, NeighborRule("knn", k=2), "classify") == 2
+        assert brute_neighbor_predict(dists, labels, NeighborRule("knn", k=2), "regress") == 2.0
+
+    def test_vote_tie_goes_to_nearest_tied_label(self):
+        dists = [0.5, 0.1, 0.3, 0.2]
+        labels = [1, 3, 1, 3]
+        rule = NeighborRule("knn", k=4)
+        assert brute_neighbor_predict(dists, labels, rule, "classify") == 3
+
+    def test_empty_ball_falls_back_to_all_points(self):
+        dists = [2.0, 3.0, 4.0]
+        rule = NeighborRule("hnn", radius=1.0)
+        assert brute_neighbor_predict(dists, [1, 2, 2], rule, "classify") == 2
+        assert brute_neighbor_predict(dists, [1.0, 2.0, 6.0], rule, "regress") == 3.0
+
+    def test_ball_includes_its_boundary(self):
+        rule = NeighborRule("hnn", radius=1.0)
+        assert brute_neighbor_predict([1.0, 1.5, 0.0], [4.0, 9.0, 2.0], rule, "regress") == 3.0
