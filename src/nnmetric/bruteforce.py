@@ -1,10 +1,11 @@
-"""Exhaustive reference implementations.
+"""Exhaustive and slow reference implementations.
 
-Everything here enumerates candidate neighbor sets outright, so it is only
-usable at small n choose k, but it is obviously correct.  The fast greedy
-algorithms elsewhere in the package are validated against these routines by
-the test suite and by the ``oracle`` CLI command.  Keep these independent of
-the modules they check.
+The inference references enumerate candidate neighbor sets outright, so they
+are only usable at small n choose k, but they are obviously correct; the
+eigensolver reference is a plain cyclic Jacobi iteration.  The fast routines
+elsewhere in the package are validated against these by the test suite and
+by the ``oracle`` CLI command.  Keep these independent of the modules they
+check.
 """
 
 from __future__ import annotations
@@ -12,6 +13,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+# Jacobi sweep convergence target, relative to the Frobenius norm of the input.
+_JACOBI_TOL = 1e-12
+_MAX_SWEEPS = 100
 
 
 def vote_counts(labels_h, n_classes: int) -> np.ndarray:
@@ -125,3 +130,66 @@ def brute_neighbor_predict(dists, labels, rule, mode: str):
         counts[int(labels[i])] = counts.get(int(labels[i]), 0) + 1
     top = max(counts.values())
     return next(int(labels[i]) for i in chosen if counts[int(labels[i])] == top)
+
+
+def brute_sym_eig(a):
+    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+
+    The reference for :func:`nnmetric.numerics.sym_eig`, with the same
+    contract: the upper triangle of ``a`` is authoritative, and the result is
+    ``(vectors, values)`` with orthogonal columns, values sorted descending
+    and each column's largest-magnitude entry positive.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    work = np.triu(a) + np.triu(a, 1).T
+    if not np.all(np.isfinite(work)):
+        raise ValueError("brute_sym_eig requires finite entries")
+    d = work.shape[0]
+    vecs = np.eye(d)
+    norm = float(np.linalg.norm(work, "fro"))
+    if d > 1 and norm > 0.0:
+        target = _JACOBI_TOL * norm
+        for _ in range(_MAX_SWEEPS):
+            off = work.copy()
+            np.fill_diagonal(off, 0.0)
+            if np.linalg.norm(off, "fro") <= target:
+                break
+            for p in range(d - 1):
+                for q in range(p + 1, d):
+                    apq = work[p, q]
+                    if apq == 0.0:
+                        continue
+                    theta = (work[q, q] - work[p, p]) / (2.0 * apq)
+                    # tan of the smaller rotation angle zeroing work[p, q]
+                    t = 1.0 / (abs(theta) + np.hypot(1.0, theta))
+                    if theta < 0.0:
+                        t = -t
+                    c = 1.0 / np.hypot(1.0, t)
+                    s = t * c
+                    col_p = work[:, p].copy()
+                    col_q = work[:, q].copy()
+                    work[:, p] = c * col_p - s * col_q
+                    work[:, q] = s * col_p + c * col_q
+                    row_p = work[p, :].copy()
+                    row_q = work[q, :].copy()
+                    work[p, :] = c * row_p - s * row_q
+                    work[q, :] = s * row_p + c * row_q
+                    work[p, q] = 0.0
+                    work[q, p] = 0.0
+                    vcol_p = vecs[:, p].copy()
+                    vcol_q = vecs[:, q].copy()
+                    vecs[:, p] = c * vcol_p - s * vcol_q
+                    vecs[:, q] = s * vcol_p + c * vcol_q
+        else:
+            raise ArithmeticError("Jacobi iteration failed to converge")
+    values = np.diag(work).copy()
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    vecs = vecs[:, order]
+    for j in range(d):
+        lead = np.argmax(np.abs(vecs[:, j]))
+        if vecs[lead, j] < 0.0:
+            vecs[:, j] = -vecs[:, j]
+    return vecs, values

@@ -14,10 +14,10 @@ and the run writes results.csv plus model artifacts.  Every random choice
 derives from the config seed, so rerunning a (config, seed) pair
 reproduces the report bytes exactly.
 
-The oracle suites compare the fast inference, prediction and gradient
-routines against the exhaustive references in :mod:`nnmetric.bruteforce`
-on randomized instances; a violation serializes the failing instance for
-replay.
+The oracle suites compare the fast inference, prediction, gradient and
+eigendecomposition routines against the exhaustive references in
+:mod:`nnmetric.bruteforce` on randomized instances; a violation serializes
+the failing instance for replay.
 """
 
 from __future__ import annotations
@@ -921,7 +921,7 @@ def _suite_psd(budget, rng):
         raw = rng.normal(size=(d, d))
         sym = (raw + raw.T) / 2.0
         projected = psd_project(sym)
-        low = float(sym_eig(projected).values[-1])
+        low = float(bruteforce.brute_sym_eig(projected)[1][-1])
         if low < -1e-9:
             return checked + 1, {"check": "projection", "matrix": sym, "min_eig": low}
         checked += 1
@@ -935,10 +935,57 @@ def _suite_psd(budget, rng):
     train = Dataset(features=feats, labels=labels, kind=CLASS)
     gcfg = GerryTrainConfig(k=3, c=1.0, epochs=3, seed=int(rng.integers(0, 2**31)))
     result = train_sgd(train, gcfg, variant="symmetric", audit_psd=True)
-    low = min(result.psd_audit)
+    low = min(min(result.psd_audit), float(bruteforce.brute_sym_eig(result.metric.w)[1][-1]))
     if low < -1e-9:
         return checked + 1, {"check": "training_audit", "min_eig": low}
     return checked + 1, None
+
+
+def _suite_eig(budget, rng):
+    """sym_eig against the Jacobi brute_sym_eig at d from 1 to 50, drawn
+    log-uniformly as Jacobi's cost grows with d cubed.  Half the matrices are
+    Q diag(lam) Q^T with small integer lam, so eigenvalues repeat and a
+    cluster's eigenvectors are defined only up to a rotation; each cluster is
+    compared by the projector onto its span.  Jacobi stops once the
+    off-diagonal part is below 1e-12 |A|_F, which bounds its projector error
+    by about that over the gap to the other eigenvalues (Davis-Kahan)."""
+    for i in range(budget):
+        d = int(np.exp(rng.uniform(0.0, np.log(51.0))))
+        if rng.integers(0, 2):
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            a = (q * rng.integers(-3, 4, size=d)) @ q.T
+        else:
+            raw = rng.normal(size=(d, d)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            a = (raw + raw.T) / 2.0
+        vecs, values = sym_eig(a)
+        ref_vecs, want = bruteforce.brute_sym_eig(a)
+        scale = max(abs(want[0]), abs(want[-1]))
+        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(d)]
+        checks = [
+            ("descending", np.all(np.diff(values) <= 0.0)),
+            ("sign", np.all(lead > 0.0)),
+            ("orthogonal", np.abs(vecs.T @ vecs - np.eye(d)).max() <= 1e-12),
+            ("values", np.abs(values - want).max() <= 1e-12 * scale),
+        ]
+        cuts = np.flatnonzero(-np.diff(want) > 1e-8 * scale) + 1
+        for cluster in np.split(np.arange(d), cuts):
+            outside = np.delete(want, cluster)
+            gap = np.abs(outside[:, None] - want[cluster]).min() if outside.size else np.inf
+            got_p = vecs[:, cluster] @ vecs[:, cluster].T
+            want_p = ref_vecs[:, cluster] @ ref_vecs[:, cluster].T
+            tol = 1e-12 + 2e-12 * np.linalg.norm(a) / gap
+            checks.append(("projector", np.abs(got_p - want_p).max() <= tol))
+        for name, ok in checks:
+            if not ok:
+                return i + 1, {
+                    "check": name,
+                    "matrix": a,
+                    "got_values": values,
+                    "want_values": want,
+                    "got_vectors": vecs,
+                    "want_vectors": ref_vecs,
+                }
+    return budget, None
 
 
 def _suite_gradients(budget, rng):
@@ -1127,6 +1174,7 @@ ORACLE_SUITES = {
     "gradients": (5, _suite_gradients),
     "hamming": (6, _suite_hamming),
     "neighbors": (7, _suite_neighbors),
+    "eig": (8, _suite_eig),
 }
 
 

@@ -4,21 +4,18 @@ All routines work on plain float ndarrays.  Inputs meant to be symmetric are
 canonicalized with :func:`symmetrize` (upper triangle authoritative), so the
 decompositions below never see an asymmetric residue.
 
-The eigensolver is a cyclic Jacobi iteration.  At the dimensions used by the
-trainers and estimators in this package (tens, occasionally a few hundred)
-it is simple, numerically exact on symmetric input, and has no dependencies
-beyond numpy itself.
+The eigensolver is LAPACK's symmetric driver behind ``np.linalg.eigh``, with
+the output put in a fixed form (values descending, each vector's
+largest-magnitude entry positive).  Its slow independent oracle, a cyclic
+Jacobi iteration, is :func:`nnmetric.bruteforce.brute_sym_eig`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-# Sweep convergence target, relative to the Frobenius norm of the input.
-_JACOBI_TOL = 1e-12
-_MAX_SWEEPS = 100
 
 
 class EigenDecomp(NamedTuple):
@@ -28,17 +25,24 @@ class EigenDecomp(NamedTuple):
     values: np.ndarray
 
 
+@lru_cache(maxsize=64)
+def _strict_lower(d: int) -> np.ndarray:
+    mask = np.tri(d, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Return a copy of ``a`` with the upper triangle mirrored onto the lower."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    upper = np.triu(a)
-    return upper + np.triu(a, 1).T
+    # + 0.0 maps -0.0 to +0.0, as the sum of the two triangles always did
+    return np.where(_strict_lower(a.shape[0]), a.T, a) + 0.0
 
 
 def sym_eig(a: np.ndarray) -> EigenDecomp:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
     Parameters
     ----------
@@ -55,52 +59,13 @@ def sym_eig(a: np.ndarray) -> EigenDecomp:
     work = symmetrize(a)
     if not np.all(np.isfinite(work)):
         raise ValueError("sym_eig requires finite entries")
-    d = work.shape[0]
-    vecs = np.eye(d)
-    norm = float(np.linalg.norm(work, "fro"))
-    if d > 1 and norm > 0.0:
-        target = _JACOBI_TOL * norm
-        for _ in range(_MAX_SWEEPS):
-            off = work.copy()
-            np.fill_diagonal(off, 0.0)
-            if np.linalg.norm(off, "fro") <= target:
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    apq = work[p, q]
-                    if apq == 0.0:
-                        continue
-                    theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                    # tan of the smaller rotation angle zeroing work[p, q]
-                    t = 1.0 / (abs(theta) + np.hypot(1.0, theta))
-                    if theta < 0.0:
-                        t = -t
-                    c = 1.0 / np.hypot(1.0, t)
-                    s = t * c
-                    col_p = work[:, p].copy()
-                    col_q = work[:, q].copy()
-                    work[:, p] = c * col_p - s * col_q
-                    work[:, q] = s * col_p + c * col_q
-                    row_p = work[p, :].copy()
-                    row_q = work[q, :].copy()
-                    work[p, :] = c * row_p - s * row_q
-                    work[q, :] = s * row_p + c * row_q
-                    work[p, q] = 0.0
-                    work[q, p] = 0.0
-                    vcol_p = vecs[:, p].copy()
-                    vcol_q = vecs[:, q].copy()
-                    vecs[:, p] = c * vcol_p - s * vcol_q
-                    vecs[:, q] = s * vcol_p + c * vcol_q
-        else:
-            raise ArithmeticError("Jacobi iteration failed to converge")
-    values = np.diag(work).copy()
+    values, vecs = np.linalg.eigh(work)
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vecs = vecs[:, order]
-    for j in range(d):
-        lead = np.argmax(np.abs(vecs[:, j]))
-        if vecs[lead, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    lead = np.argmax(np.abs(vecs), axis=0)
+    flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
+    vecs[:, flip] = -vecs[:, flip]
     return EigenDecomp(vectors=vecs, values=values)
 
 

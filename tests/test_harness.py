@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from conftest import gauss_blobs
 
-from nnmetric import cli, predictors
+from nnmetric import cli, harness, predictors
 from nnmetric.dataset import CLASS, Dataset, load_csv, save_csv, synth_sin
 from nnmetric.harness import (
     ConfigError,
@@ -18,6 +18,7 @@ from nnmetric.harness import (
     run_oracle,
     split_indices,
 )
+from nnmetric.numerics import EigenDecomp, sym_eig, symmetrize
 
 
 def write_config(tmp_path, mapping, name="exp.cfg"):
@@ -239,7 +240,9 @@ class TestCmdOracle:
         assert cli.main(["oracle", "--suite", "regbound", "--budget", "1000"]) == 0
         assert "1000 checks passed" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("suite", ["surrogate", "psd", "gradients", "hamming", "neighbors"])
+    @pytest.mark.parametrize(
+        "suite", ["surrogate", "psd", "gradients", "hamming", "neighbors", "eig"]
+    )
     def test_remaining_suites_pass(self, suite):
         assert cli.main(["oracle", "--suite", suite, "--budget", "60"]) == 0
 
@@ -261,6 +264,25 @@ class TestCmdOracle:
         outcome = run_oracle("neighbors", 200)
         assert outcome.failure is not None
         assert outcome.failure["got"] != outcome.failure["want"]
+
+    @pytest.mark.parametrize(
+        "broken,check", [("ascending", "descending"), ("no_sign_flip", "sign")]
+    )
+    def test_eig_suite_fails_on_broken_sym_eig(self, monkeypatch, broken, check):
+        if broken == "ascending":
+            def mutant(a):
+                vecs, values = sym_eig(a)
+                return EigenDecomp(vectors=vecs[:, ::-1], values=values[::-1])
+        else:
+            def mutant(a):
+                values, vecs = np.linalg.eigh(symmetrize(a))
+                order = np.argsort(-values, kind="stable")
+                return EigenDecomp(vectors=vecs[:, order], values=values[order])
+
+        monkeypatch.setattr(harness, "sym_eig", mutant)
+        outcome = run_oracle("eig", 200)
+        assert outcome.failure is not None
+        assert outcome.failure["check"] == check
 
     def test_unknown_suite_exits_2(self, capsys):
         assert cli.main(["oracle", "--suite", "nope", "--budget", "5"]) == 2

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnmetric.bruteforce import brute_sym_eig
 from nnmetric.numerics import (
     load_matrix_csv,
     psd_project,
@@ -39,13 +40,33 @@ class TestSymEig:
             assert np.abs(recon - a).max() <= bound
 
     def test_matches_reference_eigenvalues(self):
-        """Jacobi eigenvalues agree with numpy's LAPACK route."""
+        """Eigenvalues agree with numpy's eigvalsh and with the Jacobi oracle."""
         rng = np.random.default_rng(7)
         for d in (1, 2, 3, 8, 15):
             a = random_symmetric(rng, d, scale=2.0)
             _, values = sym_eig(a)
             ref = np.linalg.eigvalsh(a)[::-1]
             np.testing.assert_allclose(values, ref, atol=1e-10 * max(1, d))
+            _, jacobi = brute_sym_eig(a)
+            np.testing.assert_allclose(values, jacobi, atol=1e-10 * max(1, d))
+
+    def test_repeated_eigenvalues_match_oracle_projectors(self):
+        """Q diag(2,2,2,-1,0) Q^T: each eigenvalue cluster spans the same
+        subspace as the Jacobi oracle's, though its basis is arbitrary."""
+        rng = np.random.default_rng(13)
+        q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        a = (q * np.array([2.0, 2.0, 2.0, -1.0, 0.0])) @ q.T
+        vecs, values = sym_eig(a)
+        ref_vecs, ref_values = brute_sym_eig(a)
+        np.testing.assert_allclose(values, [2.0, 2.0, 2.0, 0.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(values, ref_values, atol=1e-12)
+        # descending positions of each cluster -> the columns of q spanning it
+        for cluster, span in (([0, 1, 2], [0, 1, 2]), ([3], [4]), ([4], [3])):
+            exact = q[:, span] @ q[:, span].T
+            got = vecs[:, cluster] @ vecs[:, cluster].T
+            ref = ref_vecs[:, cluster] @ ref_vecs[:, cluster].T
+            np.testing.assert_allclose(got, ref, atol=1e-12)
+            np.testing.assert_allclose(got, exact, atol=1e-12)
 
     def test_orthogonal_and_descending(self):
         rng = np.random.default_rng(3)
@@ -72,6 +93,41 @@ class TestSymEig:
         bad = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(ValueError):
             sym_eig(bad)
+
+
+class TestSymmetrize:
+    def test_bytes_match_triangle_sum(self):
+        """Same bytes as triu(a) + triu(a, 1).T, with -0.0, NaN and inf entries."""
+        rng = np.random.default_rng(21)
+        for _ in range(1000):
+            d = int(rng.integers(1, 21))
+            a = rng.standard_normal((d, d))
+            pick = rng.random((d, d))
+            a[pick < 0.1] = -0.0
+            a[(pick >= 0.1) & (pick < 0.15)] = np.nan
+            a[(pick >= 0.15) & (pick < 0.2)] = np.inf
+            a[(pick >= 0.2) & (pick < 0.25)] = -np.inf
+            assert symmetrize(a).tobytes() == (np.triu(a) + np.triu(a, 1).T).tobytes()
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetrize(np.zeros((2, 3)))
+
+
+class TestBruteSymEig:
+    def test_diagonal_and_contract(self):
+        vecs, values = brute_sym_eig(np.diag([1.0, 3.0, -2.0]))
+        np.testing.assert_array_equal(values, [3.0, 1.0, -2.0])
+        np.testing.assert_array_equal(vecs, np.eye(3)[:, [1, 0, 2]])
+
+    def test_upper_triangle_authoritative(self):
+        a = np.array([[2.0, 1.0], [-7.0, 2.0]])
+        _, values = brute_sym_eig(a)
+        np.testing.assert_allclose(values, [3.0, 1.0], atol=1e-14)
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError):
+            brute_sym_eig(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 class TestPsdProject:
