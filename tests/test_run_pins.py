@@ -4,6 +4,8 @@
 model CSV of one ``run_experiment`` call, recorded before the per-method
 tuning code was folded into one tune-and-refit loop.  Any change to the
 grids, the splits, the scoring, the pick rule or the refit moves these.
+``regress_hnn`` was re-recorded when ``numerics.sym_eig`` moved from a Jacobi
+iteration to LAPACK ``eigh``: one EGOP radius string moved in its last digits.
 """
 
 import csv

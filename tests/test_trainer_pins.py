@@ -4,6 +4,9 @@
 trace and ``epochs_run`` of one training run, recorded before the three
 trainers were folded onto one SGD loop.  Any change to the update order, the
 learning-rate schedule, the batching or the stop rule moves these numbers.
+The four symmetric cases (``sgd_sym``, ``sgd_sym_batch5``, ``reg_upper_bound``,
+``reg_min_loss``) were re-recorded when ``numerics.sym_eig`` moved from a
+Jacobi iteration to LAPACK ``eigh``, which moves W in its last digits.
 """
 
 import json
