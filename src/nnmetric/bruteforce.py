@@ -2,10 +2,12 @@
 
 The inference references enumerate candidate neighbor sets outright, so they
 are only usable at small n choose k, but they are obviously correct; the
-eigensolver reference is a plain cyclic Jacobi iteration.  The fast routines
-elsewhere in the package are validated against these by the test suite and
-by the ``oracle`` CLI command.  Keep these independent of the modules they
-check.
+eigensolver reference is a plain cyclic Jacobi iteration, and the gradient
+pass reference probes a plug-in refit on the sample without each point.  The
+fast routines elsewhere in the package are validated against these by the
+test suite and by the ``oracle`` CLI command.  Keep these independent of the
+code they check: the pass reference uses only the per-point gate and
+finite-difference helpers of ``gradient_metrics``, which the pass does not.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from .gradient_metrics import finite_diff_gradient, gate_mask
 
 # Jacobi sweep convergence target, relative to the Frobenius norm of the input.
 _JACOBI_TOL = 1e-12
@@ -130,6 +134,20 @@ def brute_neighbor_predict(dists, labels, rule, mode: str):
         counts[int(labels[i])] = counts.get(int(labels[i]), 0) + 1
     top = max(counts.values())
     return next(int(labels[i]) for i in chosen if counts[int(labels[i])] == top)
+
+
+def explicit_loo(train, spec, t, plug_in):
+    """(mask, central differences) per sample: the density gate from
+    ``gate_mask`` and ``finite_diff_gradient`` of ``plug_in(rest, z)``, where
+    ``rest`` is the dataset without that sample."""
+    out = []
+    for idx in range(train.n):
+        x = train.features[idx]
+        mask = gate_mask(train, x, t, spec.bandwidth)
+        rest = train.subset(np.flatnonzero(np.arange(train.n) != idx))
+        values = finite_diff_gradient(lambda z: plug_in(rest, z), x, t, mask).values
+        out.append((mask, values))
+    return out
 
 
 def brute_sym_eig(a):

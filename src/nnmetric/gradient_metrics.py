@@ -10,9 +10,14 @@ differences instead yields diagonal weights that rescale but cannot rotate.
 Density gating zeroes coordinates whose probe balls are empty, which keeps
 boundary noise out of the averages.  No optimization is involved anywhere.
 
-GW, EGOP and EJOP are reductions of one pass (``_gradient_pass``): per
-sample, one probe-distance matrix gives both the gates, which count the
-queried point, and the plug-in weights, which drop it.
+GW, EGOP and EJOP are reductions of one pass (:func:`gradient_pass`): per
+sample, one probe-distance matrix gives both the gates and the plug-in
+weights.  The weights drop the queried point; the gates count it.  The
+queried point lies at distance t from each of its own probes, so when
+t <= h every probe ball holds it and no gate ever closes: the gate only
+acts for t > h.  Counting it keeps every estimate as it was when the gate
+was introduced; a gate that skipped it would close on isolated samples at
+any t and change the estimates.
 """
 
 from __future__ import annotations
@@ -41,11 +46,11 @@ class KernelSpec:
         if self.shape not in _KERNEL_SHAPES:
             raise ValueError(f"unknown kernel shape {self.shape!r}")
 
-    def __call__(self, u):
+    def __call__(self, u, out=None):
         u = np.asarray(u, dtype=float)
-        if self.shape == "triangle":
-            return np.maximum(0.0, 1.0 - u)
-        return np.maximum(0.0, 1.0 - u**2)
+        if self.shape == "epanechnikov":
+            u = np.square(u, out=out)
+        return np.maximum(0.0, np.subtract(1.0, u, out=out), out=out)
 
 
 def kernel_weights(spec: KernelSpec, features, x) -> np.ndarray:
@@ -169,13 +174,31 @@ class GradientMetricEstimate:
         return whitening_transform(self.g, rank_tol=rank_tol)
 
 
-def _gradient_pass(train: Dataset, spec: KernelSpec, t, kind, evaluator, values):
+def _loo_weights(spec: KernelSpec, sq, own: int):
+    """Kernel weights of squared probe distances, in place, with the queried
+    column ``own`` zeroed; a row with no other point in reach falls back to
+    uniform weights over the other points.  Rows are normalized."""
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    np.divide(sq, spec.bandwidth, out=sq)
+    spec(sq, out=sq)
+    sq[:, own] = 0.0
+    total = sq.sum(axis=1)
+    empty = total == 0.0
+    if empty.any():
+        sq[empty] = np.arange(sq.shape[1]) != own
+        total = sq.sum(axis=1)
+    return np.divide(sq, total[:, None], out=sq)
+
+
+def _gradient_pass(train: Dataset, spec: KernelSpec, t, evaluator, values):
     """Yield ``(mask, central differences)`` for each sample with an open gate.
 
-    One 2d x n probe-distance matrix per sample gives the density gates (as
-    :func:`gate_mask`) and, on the gated rows, the leave-one-out kernel
-    weights; ``values`` maps weight rows to plug-in values at the probes.
-    ``evaluator``, when given, is probed instead of the plug-in.
+    One 2d x n probe-distance matrix per sample, written into one reused
+    buffer, gives the density gates (as :func:`gate_mask`) and, on the gated
+    rows, the leave-one-out kernel weights; ``values`` maps weight rows to
+    plug-in values at the probes.  ``evaluator``, when given, is probed
+    instead of the plug-in.
     """
     if train.n < 2:
         raise ValueError("need at least two points")
@@ -183,15 +206,23 @@ def _gradient_pass(train: Dataset, spec: KernelSpec, t, kind, evaluator, values)
     n, d = feats.shape
     h = spec.bandwidth
     norms = np.sum(feats**2, axis=1)[None, :]
-    coords = np.arange(d)
+    offsets = np.zeros((2 * d, d))
+    offsets[np.arange(d), np.arange(d)] = t
+    offsets[d + np.arange(d), np.arange(d)] = -t
+    probes = np.empty((2 * d, d))
+    doubled = np.empty((2 * d, d))
+    sq = np.empty((2 * d, n))
+    nearest = np.empty(2 * d)
     any_gate = False
     for idx in range(n):
         x = feats[idx]
-        probes = np.repeat(x[None, :], 2 * d, axis=0)
-        probes[coords, coords] += t
-        probes[d + coords, coords] -= t
-        sq = norms - 2.0 * probes @ feats.T + np.sum(probes**2, axis=1)[:, None]
-        inside = np.any(sq <= h * h + 1e-12, axis=1)
+        np.add(x, offsets, out=probes)
+        np.multiply(probes, 2.0, out=doubled)
+        np.matmul(doubled, feats.T, out=sq)
+        np.subtract(norms, sq, out=sq)
+        sq += np.sum(probes**2, axis=1)[:, None]
+        # features are finite, so "some point within h" is "the nearest is"
+        inside = np.min(sq, axis=1, out=nearest) <= h * h + 1e-12
         mask = inside[:d] & inside[d:]
         if not mask.any():
             continue
@@ -200,19 +231,84 @@ def _gradient_pass(train: Dataset, spec: KernelSpec, t, kind, evaluator, values)
             yield mask, finite_diff_gradient(evaluator, x, t, mask).values
             continue
         active = np.flatnonzero(mask)
-        rows = np.concatenate([active, d + active])
-        raw = spec(np.sqrt(np.maximum(sq[rows], 0.0)) / h)
-        raw[:, idx] = 0.0
-        # a probe with no other point in reach falls back to uniform weights
-        empty = raw.sum(axis=1) == 0.0
-        raw[empty] = np.arange(n) != idx
-        vals = values(raw / raw.sum(axis=1, keepdims=True))
         m = len(active)
+        rows = sq if m == d else sq[np.concatenate([active, d + active])]
+        vals = values(_loo_weights(spec, rows, idx))
         diffs = np.zeros((d,) + vals.shape[1:])
         diffs[active] = (vals[:m] - vals[m:]) / (2.0 * t)
         yield mask, diffs
     if not any_gate:
-        warnings.warn(f"{kind}: every density gate failed; estimate is zero")
+        warnings.warn(
+            f"every density gate failed on {n} rows at h = {h:g}, t = {t:g}; estimate is zero"
+        )
+
+
+@dataclass(frozen=True)
+class GradientPass:
+    """What GW, EGOP and EJOP reduce from one pass over ``n`` samples.
+
+    ``outer`` sums the gradient outer products (``J J^T`` for the class-mass
+    Jacobian), ``abs_sums`` the absolute central differences (real surface
+    only, zero otherwise) and ``counts`` the samples whose gate opened each
+    coordinate.  ``temperature`` is None on the real surface.
+    """
+
+    n: int
+    h: float
+    t: float
+    temperature: float | None
+    outer: np.ndarray
+    abs_sums: np.ndarray
+    counts: np.ndarray
+
+
+def gradient_pass(
+    train: Dataset, spec: KernelSpec, t: float, temperature=None, evaluator=None
+) -> GradientPass:
+    """One pass over the sample, in sample order.
+
+    With ``temperature`` None it probes the kernel regression of the labels,
+    the surface GW and EGOP share; otherwise the class mass softmaxed at that
+    temperature, the surface of EJOP.  ``evaluator`` overrides the plug-in.
+    """
+    d = train.d
+    outer, abs_sums, counts = np.zeros((d, d)), np.zeros(d), np.zeros(d)
+    if temperature is None:
+        y = np.asarray(train.labels, dtype=float)
+        for mask, grad in _gradient_pass(train, spec, t, evaluator, lambda w: w @ y):
+            counts += mask
+            abs_sums += np.abs(grad)
+            outer += np.outer(grad, grad)
+    else:
+        _check_class_surface(train, temperature)
+        onehot = np.eye(train.n_classes)[np.asarray(train.labels, dtype=int) - 1]
+        for mask, jac in _gradient_pass(
+            train, spec, t, evaluator, lambda w: _softmax((w @ onehot) / temperature)
+        ):
+            counts += mask
+            outer += jac @ jac.T
+    return GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)
+
+
+def _check_class_surface(train: Dataset, temperature) -> None:
+    if train.kind != CLASS:
+        raise ValueError("estimate_ejop needs a classed dataset")
+    if train.n_classes < 2:
+        raise ValueError("need at least two classes")
+    if not temperature > 0:
+        raise ValueError("temperature must be positive")
+
+
+def _pass_for(train, spec, t, temperature, evaluator, passed) -> GradientPass:
+    """``passed`` when it was run on this sample, h, t and temperature;
+    a fresh pass when it is None."""
+    if passed is None:
+        return gradient_pass(train, spec, t, temperature, evaluator)
+    if (passed.n, passed.h, passed.t, passed.temperature) != (
+        train.n, spec.bandwidth, t, temperature
+    ):
+        raise ValueError("the given pass was run with other data or parameters")
+    return passed
 
 
 def estimate_egop(
@@ -220,18 +316,18 @@ def estimate_egop(
     spec: KernelSpec,
     t: float,
     evaluator=None,
+    passed: GradientPass | None = None,
 ) -> GradientMetricEstimate:
     """Average outer product of gated gradient estimates over the sample.
 
     The plug-in regressor drops the queried point (its probes would
     otherwise lean on the point itself).  ``evaluator`` overrides the
     plug-in entirely, for callers that already have a function to probe.
+    ``passed`` is a :func:`gradient_pass` of the same arguments to reduce
+    instead of running one.
     """
-    y = np.asarray(train.labels, dtype=float)
-    g = np.zeros((train.d, train.d))
-    for _, grad in _gradient_pass(train, spec, t, "egop", evaluator, lambda w: w @ y):
-        g += np.outer(grad, grad)
-    return GradientMetricEstimate(g=symmetrize(g / train.n), kind="egop")
+    passed = _pass_for(train, spec, t, None, evaluator, passed)
+    return GradientMetricEstimate(g=symmetrize(passed.outer / train.n), kind="egop")
 
 
 def estimate_gw(
@@ -239,16 +335,13 @@ def estimate_gw(
     spec: KernelSpec,
     t: float,
     evaluator=None,
+    passed: GradientPass | None = None,
 ) -> np.ndarray:
     """Diagonal weights: mean absolute coordinate difference over gated
-    samples.  Coordinates never gated come out zero."""
-    y = np.asarray(train.labels, dtype=float)
-    sums = np.zeros(train.d)
-    counts = np.zeros(train.d)
-    for mask, grad in _gradient_pass(train, spec, t, "gw", evaluator, lambda w: w @ y):
-        sums += np.abs(grad)
-        counts += mask
-    return sums / np.maximum(counts, 1.0)
+    samples.  Coordinates never gated come out zero.  ``passed`` as in
+    :func:`estimate_egop`."""
+    passed = _pass_for(train, spec, t, None, evaluator, passed)
+    return passed.abs_sums / np.maximum(passed.counts, 1.0)
 
 
 def estimate_ejop(
@@ -257,20 +350,13 @@ def estimate_ejop(
     t: float,
     temperature: float = 1.0,
     evaluator=None,
+    passed: GradientPass | None = None,
 ) -> GradientMetricEstimate:
     """Average J J^T where J stacks central differences of the softmaxed
-    class-mass vector, one row per input coordinate."""
-    if train.kind != CLASS:
-        raise ValueError("estimate_ejop needs a classed dataset")
-    if train.n_classes < 2:
-        raise ValueError("need at least two classes")
-    onehot = np.eye(train.n_classes)[np.asarray(train.labels, dtype=int) - 1]
-    g = np.zeros((train.d, train.d))
-    for _, jac in _gradient_pass(
-        train, spec, t, "ejop", evaluator, lambda w: _softmax((w @ onehot) / temperature)
-    ):
-        g += jac @ jac.T
-    return GradientMetricEstimate(g=symmetrize(g / train.n), kind="ejop")
+    class-mass vector, one row per input coordinate.  ``passed`` as in
+    :func:`estimate_egop`."""
+    passed = _pass_for(train, spec, t, temperature, evaluator, passed)
+    return GradientMetricEstimate(g=symmetrize(passed.outer / train.n), kind="ejop")
 
 
 def ejop_predict(train: Dataset, spec: KernelSpec, x, temperature: float = 1.0) -> int:

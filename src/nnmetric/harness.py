@@ -9,13 +9,15 @@ tune on ``cv.folds`` folds; ``gerry_sym``, ``gerry_asym`` and ``gerry_reg``
 tune on one seeded 75/25 split.  Every ``grid.k`` value must be below the
 row count of the smallest fit split.  ``predict.rule = hnn`` applies to the
 transform methods only; the learned methods always predict by kNN with
-their tuned k.  Each model is evaluated once on the held-out test split,
-and the run writes results.csv plus model artifacts.  Every random choice
-derives from the config seed, so rerunning a (config, seed) pair
-reproduces the report bytes exactly.
+their tuned k.  GW, EGOP and EJOP are estimated once per (fit split, h, t)
+in a run, GW and EGOP from one shared gradient pass, and every other grid
+value of that split reuses the estimate.  Each model is evaluated once on
+the held-out test split, and the run writes results.csv plus model
+artifacts.  Every random choice derives from the config seed, so rerunning
+a (config, seed) pair reproduces the report bytes exactly.
 
-The oracle suites compare the fast inference, prediction, gradient and
-eigendecomposition routines against the exhaustive references in
+The oracle suites compare the fast inference, prediction, gradient,
+estimator and eigendecomposition routines against the exhaustive references in
 :mod:`nnmetric.bruteforce` on randomized instances; a violation serializes
 the failing instance for replay.
 """
@@ -23,8 +25,10 @@ the failing instance for replay.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import sys
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,6 +66,9 @@ from .gradient_metrics import (
     estimate_egop,
     estimate_ejop,
     estimate_gw,
+    gradient_pass,
+    kernel_class_probs,
+    kernel_regress,
     relieff_weights,
 )
 from .hamming import (
@@ -449,8 +456,32 @@ def _relieff_weights_for(ds: Dataset, seed: int, method: str) -> np.ndarray:
     return relieff_weights(ds, k_hits=k_hits, seed=seed)
 
 
-def _fit_transform(method: str, ds: Dataset, params: dict, config: ExperimentConfig):
-    """Returns (transform matrix or None, raw estimate to save or None)."""
+def _content_key(ds: Dataset) -> str:
+    """Digest of a dataset's features and labels (values, dtypes, shapes)."""
+    digest = hashlib.blake2b(digest_size=16)
+    for array in (ds.features, ds.labels):
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _memoised(memo: dict, key, compute):
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _fit_transform(
+    method: str, ds: Dataset, params: dict, config: ExperimentConfig, memo: dict
+):
+    """Returns (transform matrix or None, raw estimate to save or None).
+
+    ``memo`` lives for one run.  It holds one gradient pass per (fit-split
+    content, h, t, and the EJOP temperature), shared by GW and EGOP because
+    they probe the same real surface, and one result per method and pass,
+    which the ``grid.k`` and hnn quantile axes reuse.
+    """
     if method == "euclidean":
         return None, None
     if method == "relieff":
@@ -458,14 +489,26 @@ def _fit_transform(method: str, ds: Dataset, params: dict, config: ExperimentCon
         return np.diag(np.sqrt(weights)), weights[None, :]
     spec = KernelSpec(bandwidth=float(params["h"]))
     t = float(params["t"])
-    if method == "gw":
-        weights = estimate_gw(_indicator_dataset(ds, method), spec, t)
-        return np.diag(np.sqrt(weights)), weights[None, :]
-    if method == "egop":
-        est = estimate_egop(_indicator_dataset(ds, method), spec, t)
+    if method == "ejop":
+        surface, temperature = ds, config.temperature
     else:
-        est = estimate_ejop(ds, spec, t, temperature=config.temperature)
-    return est.transform(), est.g
+        surface, temperature = _indicator_dataset(ds, method), None
+    key = (_content_key(surface), spec.bandwidth, t, temperature)
+
+    def estimate():
+        passed = _memoised(
+            memo, ("pass", *key), lambda: gradient_pass(surface, spec, t, temperature)
+        )
+        if method == "gw":
+            weights = estimate_gw(surface, spec, t, passed=passed)
+            return np.diag(np.sqrt(weights)), weights[None, :]
+        if method == "egop":
+            est = estimate_egop(surface, spec, t, passed=passed)
+        else:
+            est = estimate_ejop(surface, spec, t, temperature=temperature, passed=passed)
+        return est.transform(), est.g
+
+    return _memoised(memo, (method, *key), estimate)
 
 
 def _kfold_splits(train: Dataset, config: ExperimentConfig):
@@ -496,7 +539,7 @@ def _tune_split(train: Dataset, config: ExperimentConfig):
 # call time, so perfbench/tracer.py can patch them on this module.
 
 
-def _transform_family(method, train, config):
+def _transform_family(method, train, config, memo):
     if config.rule == "knn":
         grid = [{"k": k} for k in config.grid_k]
     else:
@@ -505,7 +548,7 @@ def _transform_family(method, train, config):
         grid = [{"h": h, "t": t, **r} for h in config.grid_h for t in config.grid_t for r in grid]
 
     def fit(ds, params):
-        transform, estimate = _fit_transform(method, ds, params, config)
+        transform, estimate = _fit_transform(method, ds, params, config, memo)
         rule, extra = _make_rule(config, params, transform_features(ds.features, transform))
         artifacts = {"transform": transform if transform is not None else np.eye(ds.d)}
         meta = {}
@@ -607,22 +650,24 @@ def _hamming_family(method, train, config):
     return grid, _kfold_splits(train, config), fit
 
 
-def _fit_method(method, train, config, rows) -> FittedModel:
+def _fit_method(method, train, config, rows, memo) -> FittedModel:
     """Tune one method's grid on its (fit, val) splits, then refit on train.
 
     Every grid point is trained on each fit split and scored on its val
     split; one row per (point, split) goes to ``rows``.  The point with the
-    lowest mean score wins, ties going to the earlier point.
+    lowest mean score wins, ties going to the earlier point.  ``memo`` is
+    the run's estimator memo (see :func:`_fit_transform`).
     """
     if method in _TRANSFORM_METHODS:
-        family = _transform_family
-    elif method in ("gerry_sym", "gerry_asym"):
-        family = _gerry_family
-    elif method == "gerry_reg":
-        family = _gerry_reg_family
+        grid, splits, fit = _transform_family(method, train, config, memo)
     else:
-        family = _hamming_family
-    grid, splits, fit = family(method, train, config)
+        if method in ("gerry_sym", "gerry_asym"):
+            family = _gerry_family
+        elif method == "gerry_reg":
+            family = _gerry_reg_family
+        else:
+            family = _hamming_family
+        grid, splits, fit = family(method, train, config)
     n_fit = min(fit_ds.n for fit_ds, _ in splits)
     for params in grid:
         if params.get("k", 0) >= n_fit:
@@ -664,8 +709,9 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     rows = []
     models = {}
     reports = {}
+    memo = {}
     for method in config.methods:
-        model = _fit_method(method, train, config, rows)
+        model = _fit_method(method, train, config, rows, memo)
         preds = model.predict(test.features)
         report = evaluate(
             preds, test.labels, config.task, seed=config.seed, hyperparams=model.params
@@ -1165,6 +1211,57 @@ def _suite_neighbors(budget, rng):
     return budget, None
 
 
+def _suite_estimators(budget, rng):
+    """GW, EGOP and EJOP as the harness fits them (one memo per instance, so
+    EGOP reduces the pass GW ran) against bruteforce.explicit_loo.  Odd
+    instances draw t < h, where every gate is open; even ones t > h, where
+    gates close for some samples or coordinates, or for all of them."""
+    for i in range(budget):
+        n_classes = int(rng.integers(2, 4))
+        n, d = int(rng.integers(2 * n_classes, 13)), int(rng.integers(1, 4))
+        feats = rng.uniform(size=(n, d))
+        labels = np.concatenate([np.arange(1, n_classes + 1)] * 2
+                                + [rng.integers(1, n_classes + 1, size=n - 2 * n_classes)])
+        classed = Dataset(features=feats, labels=labels[rng.permutation(n)], kind=CLASS)
+        real = Dataset(features=feats, labels=rng.normal(size=n), kind=REAL)
+        h = float(rng.uniform(0.2, 0.6))
+        t = h * float(rng.uniform(0.2, 0.9) if i % 2 else rng.uniform(1.1, 2.0))
+        temperature = float(rng.choice([0.5, 1.0, 2.0]))
+        spec = KernelSpec(bandwidth=h)
+        params = {"h": h, "t": t}
+        config = ExperimentConfig(task="classify", methods=("ejop",), temperature=temperature)
+        memo = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # every gate may fail on purpose
+            got = {method: _fit_transform(method, ds, params, config, memo)[1]
+                   for method, ds in (("gw", real), ("egop", real), ("ejop", classed))}
+        loo = bruteforce.explicit_loo(real, spec, t, lambda rest, z: kernel_regress(rest, spec, z))
+        jac = bruteforce.explicit_loo(
+            classed, spec, t, lambda rest, z: kernel_class_probs(rest, spec, z, temperature)
+        )
+        counts = sum(mask for mask, _ in loo)
+        want = {
+            "gw": sum(np.abs(g) for _, g in loo) / np.maximum(counts, 1.0),
+            "egop": sum(np.outer(g, g) for _, g in loo) / n,
+            # a sample with every gate closed yields a zero gradient, not a Jacobian
+            "ejop": sum(j.reshape(d, -1) @ j.reshape(d, -1).T for _, j in jac) / n,
+        }
+        for method in want:
+            value, ref = np.asarray(got[method]).reshape(want[method].shape), want[method]
+            if not np.abs(value - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max()):
+                return i + 1, {
+                    "check": method,
+                    "features": feats,
+                    "labels": (real if method != "ejop" else classed).labels,
+                    "h": h,
+                    "t": t,
+                    "temperature": temperature,
+                    "got": value,
+                    "want": ref,
+                }
+    return budget, None
+
+
 # suite name -> (seed stream, implementation)
 ORACLE_SUITES = {
     "inference": (1, _suite_inference),
@@ -1175,6 +1272,7 @@ ORACLE_SUITES = {
     "hamming": (6, _suite_hamming),
     "neighbors": (7, _suite_neighbors),
     "eig": (8, _suite_eig),
+    "estimators": (9, _suite_estimators),
 }
 
 

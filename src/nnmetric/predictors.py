@@ -56,11 +56,23 @@ def neighbor_order(dists: np.ndarray) -> np.ndarray:
 
 
 def _selected(dists, rule):
-    order = neighbor_order(dists)
+    """The selected indices in :func:`neighbor_order`: the first k, or the
+    radius ball (every point when the ball is empty).  Only the points
+    within the cut distance are sorted."""
     if rule.kind == "knn":
-        return order[: rule.k]
-    in_ball = order[dists[order] <= rule.radius]
-    return in_ball if len(in_ball) else order  # empty ball: global fallback
+        if rule.k >= len(dists):
+            return neighbor_order(dists)
+        cut = np.partition(dists, rule.k - 1)[rule.k - 1]
+    else:
+        cut = rule.radius
+    near = np.flatnonzero(dists <= cut)
+    if rule.kind == "hnn":
+        if not len(near):
+            return neighbor_order(dists)  # empty ball: global fallback
+        return near[neighbor_order(dists[near])]
+    if len(near) < rule.k:  # a NaN distance reached the k-th place
+        return neighbor_order(dists)[: rule.k]
+    return near[neighbor_order(dists[near])][: rule.k]
 
 
 def vote(labels_selected: np.ndarray, all_labels: np.ndarray) -> int:

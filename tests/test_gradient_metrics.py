@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnmetric.bruteforce import explicit_loo
 from nnmetric.dataset import CLASS, REAL, Dataset, random_rotation, synth_sin
 from nnmetric import gradient_metrics as gm
 from nnmetric.gradient_metrics import (
@@ -17,6 +18,7 @@ from nnmetric.gradient_metrics import (
     estimate_gw,
     finite_diff_gradient,
     gate_mask,
+    gradient_pass,
     kernel_class_probs,
     kernel_regress,
     relieff_weights,
@@ -49,19 +51,6 @@ def partly_gated(kind=REAL):
     else:
         train = class_dataset(X, 1 + (X[:, 0] > 0.5).astype(int))
     return train, KernelSpec(bandwidth=0.35), 0.4
-
-
-def explicit_loo(train, spec, t, plug_in):
-    """(mask, central differences) per sample, from gate_mask and
-    finite_diff_gradient on the dataset without that sample."""
-    out = []
-    for idx in range(train.n):
-        x = train.features[idx]
-        mask = gate_mask(train, x, t, spec.bandwidth)
-        rest = train.subset(np.flatnonzero(np.arange(train.n) != idx))
-        values = finite_diff_gradient(lambda z: plug_in(rest, z), x, t, mask).values
-        out.append((mask, values))
-    return out
 
 
 def blobs2(seed, n_per=80, d=5):
@@ -191,6 +180,20 @@ class TestDensityGate:
         assert (masks.any(axis=1) & ~masks.all(axis=1)).any()
         assert masks.all(axis=1).any()
 
+    @settings(deadline=None, max_examples=30)
+    @given(st.integers(0, 10_000))
+    def test_gates_never_close_when_t_below_h(self, seed):
+        """The gate counts the queried point, which sits at distance t from
+        its own probes, so with t < h every coordinate of every sample opens
+        (this is why the bench grids report gate_pass_ratio 1.0)."""
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 20)), int(rng.integers(1, 5))
+        train = real_dataset(rng.uniform(size=(n, d)) * 10.0, rng.normal(size=n))
+        h = float(rng.uniform(0.01, 2.0))
+        t = h * float(rng.uniform(0.01, 0.99))
+        assert all(gate_mask(train, x, t, h).all() for x in train.features)
+        np.testing.assert_array_equal(gradient_pass(train, KernelSpec(h), t).counts, n)
+
     def test_gate_rate_grows_with_sample_size(self):
         rng = np.random.default_rng(3)
         h, t = 0.08, 0.05
@@ -280,9 +283,18 @@ class TestEstimateEgop:
         with pytest.raises(ValueError):
             estimate_egop(real_dataset([[0.0]], [1.0]), KernelSpec(bandwidth=1.0), 0.1)
 
+    def test_epanechnikov_plugin_matches_explicit_leave_one_out(self):
+        train, _, t = partly_gated()
+        spec = KernelSpec(bandwidth=0.35, shape="epanechnikov")
+        fast = estimate_egop(train, spec, t)
+        slow = sum(np.outer(grad, grad) for _, grad in explicit_loo(
+            train, spec, t, lambda rest, z: kernel_regress(rest, spec, z)
+        ))
+        np.testing.assert_allclose(fast.g, slow / train.n, atol=1e-12)
+
     def test_all_gates_false_warns_and_zeroes(self):
         train = real_dataset([[0.0, 0.0], [100.0, 100.0]], [0.0, 1.0])
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning, match=r"on 2 rows at h = 0\.01, t = 5;"):
             est = estimate_egop(train, KernelSpec(bandwidth=0.01), t=5.0)
         np.testing.assert_array_equal(est.g, np.zeros((2, 2)))
 
@@ -438,6 +450,37 @@ class TestReliefF:
         w1 = relieff_weights(train, k_hits=3, n_probes=25, seed=5)
         w2 = relieff_weights(train, k_hits=3, n_probes=25, seed=5)
         np.testing.assert_array_equal(w1, w2)
+
+
+class TestGradientPass:
+    def test_gw_and_egop_reduce_one_pass(self):
+        train, spec, t = partly_gated()
+        passed = gradient_pass(train, spec, t)
+        np.testing.assert_array_equal(
+            estimate_gw(train, spec, t, passed=passed), estimate_gw(train, spec, t)
+        )
+        np.testing.assert_array_equal(
+            estimate_egop(train, spec, t, passed=passed).g, estimate_egop(train, spec, t).g
+        )
+
+    def test_ejop_reduces_its_own_pass(self):
+        train, spec, t = partly_gated(CLASS)
+        passed = gradient_pass(train, spec, t, temperature=0.5)
+        np.testing.assert_array_equal(
+            estimate_ejop(train, spec, t, temperature=0.5, passed=passed).g,
+            estimate_ejop(train, spec, t, temperature=0.5).g,
+        )
+
+    def test_rejects_a_pass_of_other_arguments(self):
+        train, spec, t = partly_gated()
+        passed = gradient_pass(train, spec, t)
+        with pytest.raises(ValueError, match="other data or parameters"):
+            estimate_egop(train, spec, t / 2.0, passed=passed)
+        with pytest.raises(ValueError, match="other data or parameters"):
+            estimate_gw(train, KernelSpec(bandwidth=0.5), t, passed=passed)
+        classed, _, _ = partly_gated(CLASS)
+        with pytest.raises(ValueError, match="other data or parameters"):
+            estimate_ejop(classed, spec, t, passed=passed)
 
 
 class TestConsistencyTrend:

@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from conftest import gauss_blobs
 
-from nnmetric import cli, harness, predictors
+from nnmetric import bruteforce, cli, harness, predictors
+from nnmetric import gradient_metrics as gm
 from nnmetric.dataset import CLASS, Dataset, load_csv, save_csv, synth_sin
 from nnmetric.harness import (
     ConfigError,
@@ -241,7 +246,7 @@ class TestCmdOracle:
         assert "1000 checks passed" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "suite", ["surrogate", "psd", "gradients", "hamming", "neighbors", "eig"]
+        "suite", ["surrogate", "psd", "gradients", "hamming", "neighbors", "eig", "estimators"]
     )
     def test_remaining_suites_pass(self, suite):
         assert cli.main(["oracle", "--suite", suite, "--budget", "60"]) == 0
@@ -264,6 +269,32 @@ class TestCmdOracle:
         outcome = run_oracle("neighbors", 200)
         assert outcome.failure is not None
         assert outcome.failure["got"] != outcome.failure["want"]
+
+    def test_estimators_suite_fails_when_queried_point_keeps_weight(self, monkeypatch):
+        def keeps_own(spec, sq, own):
+            raw = spec(np.sqrt(np.maximum(sq, 0.0)) / spec.bandwidth)
+            raw[raw.sum(axis=1) == 0.0] = 1.0
+            return raw / raw.sum(axis=1, keepdims=True)
+
+        monkeypatch.setattr(gm, "_loo_weights", keeps_own)
+        outcome = run_oracle("estimators", 200)
+        assert outcome.failure is not None
+        assert outcome.failure["check"] in ("gw", "egop", "ejop")
+
+    def test_estimators_suite_draws_closed_partial_and_open_gates(self, monkeypatch):
+        masks = []
+        original = bruteforce.explicit_loo
+
+        def recording(train, spec, t, plug_in):
+            out = original(train, spec, t, plug_in)
+            masks.extend(mask for mask, _ in out)
+            return out
+
+        monkeypatch.setattr(bruteforce, "explicit_loo", recording)
+        assert run_oracle("estimators", 60).failure is None
+        opened = np.array([mask.sum() / mask.size for mask in masks])
+        assert (opened == 0.0).any() and (opened == 1.0).any()
+        assert ((opened > 0.0) & (opened < 1.0)).any()
 
     @pytest.mark.parametrize(
         "broken,check", [("ascending", "descending"), ("no_sign_flip", "sign")]
@@ -509,6 +540,85 @@ class TestCmdRun:
         assert resolved["seed"] == 8
         rows = read_results(tmp_path / "s2")
         assert all(row["seed"] == "8" for row in rows)
+
+
+def estimator_config(tmp_path, name, seed, **extra):
+    mapping = {
+        "task": "regress", "method": "gw, egop", "data.source": "synth", "data.n": "80",
+        "data.d": "3", "data.c1": "2.0", "data.decay": "0.5", "cv.folds": "2",
+        "grid.k": "3, 5", "grid.h": "1.0, 2.0", "grid.t": "0.5", "seed": str(seed),
+        "out.dir": str(tmp_path / name), **extra,
+    }
+    return write_config(tmp_path, mapping, name=f"{name}.cfg")
+
+
+def output_bytes(out_dir):
+    files = [out_dir / "results.csv", *sorted(out_dir.glob("models/*/*.csv"))]
+    return {str(path.relative_to(out_dir)): path.read_bytes() for path in files}
+
+
+class TestEstimatorMemo:
+    def test_one_pass_per_split_h_and_t(self, tmp_path, monkeypatch):
+        """GW and EGOP share each pass, and the two k values reuse it: the
+        2 folds x 2 h of tuning plus the refit (h) of each method."""
+        passes, egop_calls = [], []
+        pass_fn, egop_fn = harness.gradient_pass, harness.estimate_egop
+
+        def counted_pass(train, spec, t, temperature=None):
+            passes.append((harness._content_key(train), spec.bandwidth, t, temperature))
+            return pass_fn(train, spec, t, temperature)
+
+        def counted_egop(train, spec, t, **kwargs):
+            egop_calls.append(1)
+            return egop_fn(train, spec, t, **kwargs)
+
+        monkeypatch.setattr(harness, "gradient_pass", counted_pass)
+        monkeypatch.setattr(harness, "estimate_egop", counted_egop)
+        result = run_experiment(ExperimentConfig.from_file(estimator_config(tmp_path, "m", 2)))
+        refits = {result.models[m].params["h"] for m in ("gw", "egop")}
+        assert len(passes) == len(set(passes)) == 4 + len(refits)
+        assert len(egop_calls) == 4 + 1
+
+    def test_runs_in_one_process_match_fresh_runs(self, tmp_path):
+        """A run after another run on other data writes what a run in a
+        fresh interpreter writes, so no estimate outlives its run."""
+        first = estimator_config(tmp_path, "first", 1)
+        second = estimator_config(tmp_path, "second", 2)
+        assert cli.main(["run", "--config", str(first)]) == 0
+        assert cli.main(["run", "--config", str(second)]) == 0
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(os.path.dirname(harness.__file__)), env.get("PYTHONPATH", "")]
+        )
+        subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "nnmetric.cli", "run", "--config",
+             str(second), "--out", str(tmp_path / "fresh")],
+            env=env, capture_output=True, timeout=300, check=True,
+        )
+        assert output_bytes(tmp_path / "second") == output_bytes(tmp_path / "fresh")
+        assert output_bytes(tmp_path / "first")["results.csv"] != output_bytes(
+            tmp_path / "second")["results.csv"]
+
+    def test_every_gate_closed_runs_and_warns_once_per_pass(self, tmp_path):
+        """h = 0.01 with t = 5 closes every gate: GW and EGOP estimate zero,
+        the run still exits 0 with finite results, and each of the 3 passes
+        (2 folds and the refit) warns once, naming h and t."""
+        config = estimator_config(
+            tmp_path, "gated", 0, **{"method": "euclidean, gw, egop", "grid.h": "0.01",
+                                     "grid.t": "5.0"}
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["run", "--config", str(config)]) == 0
+        messages = [str(w.message) for w in caught if "density gate" in str(w.message)]
+        assert len(messages) == 3
+        assert all("at h = 0.01, t = 5;" in message for message in messages)
+        rows = read_results(tmp_path / "gated")
+        assert all(np.isfinite(float(row["value"])) for row in rows)
+        assert set(final_values(rows)) == {"euclidean", "gw", "egop"}
+        weights = np.loadtxt(tmp_path / "gated" / "models" / "gw" / "estimate.csv",
+                             delimiter=",")
+        assert not weights.any()
 
 
 class TestTrainTestHygiene:

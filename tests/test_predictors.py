@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nnmetric import predictors
 from nnmetric.bruteforce import brute_neighbor_predict
 from nnmetric.dataset import Dataset
 from nnmetric.predictors import (
     NeighborRule,
     evaluate,
+    neighbor_order,
     neighbor_predict,
     predict_batch,
     vote,
@@ -73,6 +77,40 @@ class TestNeighborPredict:
     def test_vote_remaining_tie_smallest_label(self):
         assert vote(np.array([2, 1]), np.array([1, 2])) == 2  # nearest wins
         assert vote(np.array([1, 2]), np.array([1, 2])) == 1
+
+
+class TestSelected:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(st.integers(0, 4), min_size=1, max_size=25).map(
+            lambda ints: np.asarray(ints, dtype=float)
+        ),
+        st.integers(1, 30),
+        st.sampled_from([0.5, 1.0, 2.5]),
+    )
+    def test_matches_full_stable_sort(self, dists, k, radius):
+        """Integer distances repeat, so k often cuts a run of exact ties;
+        the partition-then-sort selection still returns the first k of the
+        full (distance, index) order, and the radius ball in that order."""
+        np.testing.assert_array_equal(
+            predictors._selected(dists, NeighborRule("knn", k=k)), neighbor_order(dists)[:k]
+        )
+        order = neighbor_order(dists)
+        ball = order[dists[order] <= radius]
+        np.testing.assert_array_equal(
+            predictors._selected(dists, NeighborRule("hnn", radius=radius)),
+            ball if len(ball) else order,
+        )
+
+    def test_tie_cut_keeps_lowest_indices(self):
+        dists = np.array([2.0, 1.0, 2.0, 0.0, 2.0, 2.0])
+        got = predictors._selected(dists, NeighborRule("knn", k=4))
+        np.testing.assert_array_equal(got, [3, 1, 0, 2])
+
+    def test_nan_at_the_cut_falls_back_to_full_order(self):
+        dists = np.array([np.nan, 1.0, np.nan])
+        got = predictors._selected(dists, NeighborRule("knn", k=2))
+        np.testing.assert_array_equal(got, neighbor_order(dists)[:2])
 
 
 class TestEvaluate:
