@@ -130,10 +130,11 @@ def targeted_inference_core(dists, labels, target: int, k: int, tau: int) -> np.
     """Argmax of the score over size-k sets voting for ``target``.
 
     Enumerates the number m of target-class members, from the minimum that
-    can win up to k.  For each m the best set takes the m nearest target
-    points plus the nearest others, each non-target class capped at m - tau
-    members; greedy filling under per-class caps is exact because caps form
-    a partition matroid.
+    can win up to k.  tau=1 forbids vote ties (the h* term); tau=0 lets the
+    target share the maximum count (inside loss-augmented inference).  For
+    each m the best set takes the m nearest target points plus the nearest
+    others, each non-target class capped at m - tau members; greedy filling
+    under per-class caps is exact because caps form a partition matroid.
 
     Works on per-point distances, so any metric whose set score is additive
     over members can reuse it.  Excluded points carry infinite distance.
@@ -201,44 +202,16 @@ def loss_augmented_inference_core(dists, labels, y: int, k: int, loss_matrix):
     return best_h, best_value
 
 
-def _loo_distances(metric, x, train, exclude):
-    dists = metric.distances(x, train.features)
-    if exclude is not None:
-        dists = dists.copy()
-        dists[exclude] = np.inf
-    return dists
-
-
-def targeted_inference(metric, x, target: int, k: int, tau: int, train: Dataset, exclude=None):
-    """Highest-scoring h of size k whose vote goes to ``target``.
-
-    tau=1 forbids vote ties (used for the h* term); tau=0 allows the target
-    to share the maximum count (used inside loss-augmented inference).
-    """
-    dists = _loo_distances(metric, x, train, exclude)
-    return targeted_inference_core(dists, train.labels, target, k, tau)
-
-
-def loss_augmented_inference(metric, x, y: int, k: int, loss_matrix, train: Dataset, exclude=None):
-    """The "worst offending" h: argmax of score plus task loss."""
-    dists = _loo_distances(metric, x, train, exclude)
-    h, _ = loss_augmented_inference_core(dists, train.labels, y, k, loss_matrix)
-    return h
-
-
 def surrogate_core(dists, labels, y: int, k: int, loss_matrix):
     """(surrogate, loss-augmented h-hat, tie-free targeted h*) on per-point
-    distances; excluded points carry infinite distance."""
+    distances; excluded points carry infinite distance.
+
+    The surrogate max_h [S + loss] - max_{h votes y} S is nonnegative and
+    upper-bounds the task loss at the plain top-k neighbor set.
+    """
     h_hat, augmented = loss_augmented_inference_core(dists, labels, y, k, loss_matrix)
     h_star = targeted_inference_core(dists, labels, int(y), k, tau=1)
     return augmented + float(dists[h_star].sum()), h_hat, h_star
-
-
-def surrogate_loss(metric, x, y: int, k: int, loss_matrix, train: Dataset, exclude=None) -> float:
-    """max_h [S + loss] - max_{h votes y} S; nonnegative, upper-bounds the
-    task loss at the plain top-k neighbor set."""
-    dists = _loo_distances(metric, x, train, exclude)
-    return surrogate_core(dists, train.labels, y, k, loss_matrix)[0]
 
 
 def feature_map_psi(x, h, train: Dataset) -> np.ndarray:

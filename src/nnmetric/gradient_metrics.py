@@ -95,15 +95,9 @@ def _softmax(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def density_gate(
-    train: Dataset, x, t: float, h: float, i: int, min_count: int = 1
-) -> bool:
-    """Both probe balls B(x +- t e_i, h) hold at least ``min_count`` points."""
-    return bool(gate_mask(train, x, t, h, min_count)[i])
-
-
-def gate_mask(train: Dataset, x, t: float, h: float, min_count: int = 1) -> np.ndarray:
-    """Per-coordinate density gates, vectorized over both probe signs."""
+def gate_mask(train: Dataset, x, t: float, h: float) -> np.ndarray:
+    """Per-coordinate density gates: both probe balls B(x +- t e_i, h) hold
+    a point."""
     x = np.asarray(x, dtype=float)
     feats = train.features
     d = len(x)
@@ -116,8 +110,8 @@ def gate_mask(train: Dataset, x, t: float, h: float, min_count: int = 1) -> np.n
         - 2.0 * probes @ feats.T
         + np.sum(probes**2, axis=1)[:, None]
     )
-    counts = np.sum(sq <= h * h + 1e-12, axis=1)
-    return (counts[:d] >= min_count) & (counts[d:] >= min_count)
+    inside = np.any(sq <= h * h + 1e-12, axis=1)
+    return inside[:d] & inside[d:]
 
 
 @dataclass(frozen=True)
@@ -357,11 +351,6 @@ def estimate_ejop(
     :func:`estimate_egop`."""
     passed = _pass_for(train, spec, t, temperature, evaluator, passed)
     return GradientMetricEstimate(g=symmetrize(passed.outer / train.n), kind="ejop")
-
-
-def ejop_predict(train: Dataset, spec: KernelSpec, x, temperature: float = 1.0) -> int:
-    """Class with the largest kernel mass at ``x``."""
-    return int(np.argmax(kernel_class_probs(train, spec, x, temperature)) + 1)
 
 
 def relieff_weights(

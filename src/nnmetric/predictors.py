@@ -105,18 +105,6 @@ def predict_from_distances(dists, train: Dataset, rule: NeighborRule, mode: str)
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def neighbor_predict(train: Dataset, transform, query, rule: NeighborRule, mode: str):
-    """Predict the label (classify) or mean target (regress) for one query.
-
-    ``transform`` is a matrix T applied to both sides, so distances are
-    ``|T x - T x_i|``; pass None for the identity.
-    """
-    tq = transform_features(np.atleast_2d(query), transform)[0]
-    tx = transform_features(train.features, transform)
-    dists = np.linalg.norm(tx - tq, axis=1)
-    return predict_from_distances(dists, train, rule, mode)
-
-
 def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: str):
     """The one per-query loop of every predictor: ``distances(x)`` gives one
     query row's distances to the training rows."""

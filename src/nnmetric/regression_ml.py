@@ -26,7 +26,6 @@ from .gerrymander import (
     InfeasibleTargetError,
     TrainResult,
     _finite_order,
-    _loo_distances,
     latent_sgd,
 )
 from .predictors import NeighborRule, predict_each
@@ -42,23 +41,6 @@ def delta_reg_ub(y: float, h, targets) -> float:
     """Mean squared target gap; upper-bounds delta_reg on every h."""
     sel = np.asarray(targets, dtype=float)[np.asarray(h, dtype=int)]
     return float(np.mean((y - sel) ** 2))
-
-
-@dataclass(frozen=True)
-class RegLossVariant:
-    """Which h* definition the trainer solves for."""
-
-    kind: str
-    gamma: float
-    eps: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("upper_bound", "eps_insensitive", "min_loss"):
-            raise ValueError(f"unknown variant kind {self.kind!r}")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
 
 
 def reg_point_scores(dists, targets, y: float, k: int, gamma: float, direction: str):
@@ -83,12 +65,6 @@ def reg_inference_core(dists, targets, y: float, k: int, gamma: float, direction
     return h
 
 
-def reg_inference(metric, x, y: float, k: int, gamma: float, direction: str,
-                  train: Dataset, exclude=None):
-    dists = _loo_distances(metric, x, train, exclude)
-    return reg_inference_core(dists, train.labels, y, k, gamma, direction)
-
-
 def reg_surrogate_core(dists, targets, y: float, k: int, gamma: float, h_star=None):
     """(surrogate, loss-augmented h-hat, h*) on per-point distances; h*
     defaults to the targeted top-k."""
@@ -100,13 +76,6 @@ def reg_surrogate_core(dists, targets, y: float, k: int, gamma: float, h_star=No
     return float(up - down), h_hat, h_star
 
 
-def reg_surrogate(metric, x, y: float, k: int, gamma: float, train: Dataset,
-                  exclude=None) -> float:
-    """[S + gamma Delta_hat](h-hat) - [S - gamma Delta_hat](h*); nonnegative."""
-    dists = _loo_distances(metric, x, train, exclude)
-    return reg_surrogate_core(dists, train.labels, y, k, gamma)[0]
-
-
 def _worst_member(h, targets, y):
     """The member pulling the selected mean away from y the hardest."""
     sel = targets[h]
@@ -116,7 +85,7 @@ def _worst_member(h, targets, y):
     return pos
 
 
-def hstar_alternate_core(dists, targets, y: float, k: int, variant: RegLossVariant):
+def hstar_alternate(dists, targets, y: float, k: int, kind: str, eps: float):
     """Heuristic zero-loss sets for the two alternate h* notions.
 
     eps_insensitive: start at the plain top-k, repeatedly swap the member
@@ -131,17 +100,17 @@ def hstar_alternate_core(dists, targets, y: float, k: int, variant: RegLossVaria
     near = _finite_order(dists)
     if len(near) < k:
         raise InfeasibleTargetError(f"fewer than k={k} candidates")
-    if variant.kind == "eps_insensitive":
+    if kind == "eps_insensitive":
         h = list(reg_inference_core(dists, targets, y, k, 0.0, "targeted"))
-    elif variant.kind == "min_loss":
+    elif kind == "min_loss":
         gap_order = np.lexsort((dists, np.abs(targets - y)))
         h = [i for i in gap_order if np.isfinite(dists[i])][:k]
     else:
-        return reg_inference_core(dists, targets, y, k, variant.gamma, "targeted")
+        raise ValueError(f"unknown h* rule {kind!r}")
     budget = 5 * k
     for _ in range(budget):
         current = delta_reg(y, h, targets)
-        if variant.kind == "eps_insensitive" and current <= variant.eps:
+        if kind == "eps_insensitive" and current <= eps:
             return np.asarray(h, dtype=int)
         pos = _worst_member(np.asarray(h), targets, y)
         rest = h[:pos] + h[pos + 1 :]
@@ -156,18 +125,11 @@ def hstar_alternate_core(dists, targets, y: float, k: int, variant: RegLossVaria
             break
         h = rest + [outside[improving[0]]]  # nearest improving point wins
     final = delta_reg(y, h, targets)
-    if variant.kind == "eps_insensitive" and final > variant.eps:
+    if kind == "eps_insensitive" and final > eps:
         raise InfeasibleTargetError(
-            f"no subset with loss <= {variant.eps} found within {budget} swaps"
+            f"no subset with loss <= {eps} found within {budget} swaps"
         )
     return np.asarray(sorted(h, key=lambda i: (dists[i], i)), dtype=int)
-
-
-def hstar_alternate(metric, x, y: float, k: int, variant: RegLossVariant,
-                    train: Dataset, exclude=None):
-    """:func:`hstar_alternate_core` on the distances from x under metric."""
-    dists = _loo_distances(metric, x, train, exclude)
-    return hstar_alternate_core(dists, train.labels, y, k, variant)
 
 
 @dataclass(frozen=True)
@@ -185,6 +147,8 @@ class RegTrainConfig(GerryTrainConfig):
             raise ValueError("gamma must be nonnegative")
         if self.hstar not in ("upper_bound", "eps_insensitive", "min_loss"):
             raise ValueError(f"unknown hstar variant {self.hstar!r}")
+        if self.eps < 0:
+            raise ValueError("eps must be nonnegative")
 
 
 def train_reg_sgd(train: Dataset, config: RegTrainConfig, mode: str = "symmetric",
@@ -192,23 +156,19 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, mode: str = "symmetric
     """SGD on the separable regression surrogate; updates as in
     :func:`nnmetric.gerrymander.latent_sgd`.
 
-    h-hat is the loss-augmented top-k; h* comes from the configured variant.
+    h-hat is the loss-augmented top-k.  h* is the targeted top-k under
+    ``hstar = upper_bound``, else :func:`hstar_alternate` with that rule.
     eps-infeasible samples are skipped and counted.
     """
     if train.kind != REAL:
         raise ValueError("train_reg_sgd needs real targets")
-    variant = None
-    if config.hstar != "upper_bound":
-        variant = RegLossVariant(
-            kind=config.hstar, gamma=max(config.gamma, 1e-12), eps=config.eps
-        )
     targets = np.asarray(train.labels, dtype=float)
 
     def infer(i, dists):
         y = float(targets[i])
         h_star = None
-        if variant is not None:
-            h_star = hstar_alternate_core(dists, targets, y, config.k, variant)
+        if config.hstar != "upper_bound":
+            h_star = hstar_alternate(dists, targets, y, config.k, config.hstar, config.eps)
         return reg_surrogate_core(dists, targets, y, config.k, config.gamma, h_star)
 
     return latent_sgd(train, config, mode, infer, audit_psd)

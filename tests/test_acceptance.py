@@ -24,12 +24,12 @@ from nnmetric.gerrymander import (
     MahalanobisMetric,
     asym_score_grads,
     feature_map_psi,
-    loss_augmented_inference,
+    loss_augmented_inference_core,
     metric_predictions,
     n_star,
     score,
-    surrogate_loss,
-    targeted_inference,
+    surrogate_core,
+    targeted_inference_core,
     tied_task_loss,
     train_sgd,
     zero_one_loss,
@@ -52,7 +52,7 @@ from nnmetric.hamming import (
 from nnmetric.harness import cmd_run
 from nnmetric.numerics import sym_eig
 from nnmetric.predictors import NeighborRule, predict_batch, transform_features
-from nnmetric.regression_ml import delta_reg, delta_reg_ub, reg_inference
+from nnmetric.regression_ml import delta_reg, delta_reg_ub, reg_inference_core
 
 
 def random_vote_instance(rng):
@@ -97,14 +97,14 @@ def test_criterion_01_inference_matches_bruteforce():
         for tau in (0, 1):
             brute = brute_targeted(dists, labels, target, k, tau)
             try:
-                h = targeted_inference(metric, x, target, k, tau, train)
+                h = targeted_inference_core(dists, train.labels, target, k, tau)
             except InfeasibleTargetError:
                 assert brute is None
                 continue
             assert brute is not None
             worst = max(worst, abs(-dists[h].sum() - brute[1]))
         y = int(rng.integers(1, r + 1))
-        h = loss_augmented_inference(metric, x, y, k, lam, train)
+        h, _ = loss_augmented_inference_core(dists, train.labels, y, k, lam)
         value = -dists[h].sum() + tied_task_loss(y, h, labels, lam)
         worst = max(worst, abs(value - brute_loss_augmented(dists, labels, y, k, lam)[1]))
     print(f"criterion 1: 200 instances, worst objective gap {worst:.3e}")
@@ -120,11 +120,11 @@ def test_criterion_02_surrogate_bounds_task_loss():
         train, metric, x, k, r = random_vote_instance(rng)
         y = int(rng.integers(1, r + 1))
         lam = zero_one_loss(r)
+        dists = metric.distances(x, train.features)
         try:
-            value = surrogate_loss(metric, x, y, k, lam, train)
+            value = surrogate_core(dists, train.labels, y, k, lam)[0]
         except InfeasibleTargetError:
             continue
-        dists = metric.distances(x, train.features)
         top_k, _ = brute_unconstrained(dists, k)
         floor = tied_task_loss(y, top_k, train.labels.astype(int), lam)
         assert value >= -1e-9
@@ -233,7 +233,7 @@ def test_criterion_07_regression_bound_and_exact_inference():
         direction = ("targeted", "loss_augmented")[int(rng.integers(2))]
         sign = -1.0 if direction == "targeted" else 1.0
         dists = metric.distances(x, train.features)
-        h = reg_inference(metric, x, y, k, gamma, direction, train)
+        h = reg_inference_core(dists, train.labels, y, k, gamma, direction)
         value = -dists[h].sum() + sign * gamma * delta_reg_ub(y, h, train.labels)
         brute = brute_reg_inference(dists, train.labels, y, k, gamma, direction)
         worst = max(worst, abs(value - brute[1]))

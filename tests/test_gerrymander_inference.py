@@ -20,7 +20,7 @@ from nnmetric.gerrymander import (
     loss_augmented_inference_core,
     n_star,
     score,
-    surrogate_loss,
+    surrogate_core,
     targeted_inference_core,
     task_loss,
     tied_task_loss,
@@ -283,7 +283,8 @@ class TestSurrogate:
     def test_single_class_pool_is_zero(self):
         train = make_class_dataset([[0.0], [1.0], [2.0]], [1, 1, 1])
         metric = MahalanobisMetric(w=np.eye(1))
-        value = surrogate_loss(metric, [0.1], 1, 2, zero_one_loss(1), train)
+        dists = metric.distances([0.1], train.features)
+        value, _, _ = surrogate_core(dists, train.labels, 1, 2, zero_one_loss(1))
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_four_points(self):
@@ -292,7 +293,8 @@ class TestSurrogate:
         # query 0, y=1, k=2: distances 1, 4, 16, 25.  The only strictly
         # 1-voting pair is {x1, x4} scoring -26; the offender is {x1, x2},
         # a tie whose worst winner is class 2, scoring -5 + 1
-        value = surrogate_loss(metric, [0.0], 1, 2, zero_one_loss(2), train)
+        dists = metric.distances([0.0], train.features)
+        value, _, _ = surrogate_core(dists, train.labels, 1, 2, zero_one_loss(2))
         assert value == pytest.approx((-5.0 + 1.0) - (-26.0))
 
     def test_nonnegative_and_bounds_task_loss(self):
@@ -306,10 +308,8 @@ class TestSurrogate:
             lam = zero_one_loss(r) * (1.0 + rng.random((r, r)))
             np.fill_diagonal(lam, 0.0)
             y = int(rng.choice(labels))
-            train = make_class_dataset(features, labels)
-            metric = MahalanobisMetric(w=w)
             try:
-                value = surrogate_loss(metric, x, y, k, lam, train)
+                value, _, _ = surrogate_core(dists, labels, y, k, lam)
             except InfeasibleTargetError:
                 continue
             assert value >= -1e-9

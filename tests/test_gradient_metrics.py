@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from nnmetric.bruteforce import explicit_loo
 from nnmetric.dataset import CLASS, REAL, Dataset, random_rotation, synth_sin
-from nnmetric import gradient_metrics as gm
 from nnmetric.gradient_metrics import (
     GradientEstimate,
     KernelSpec,
-    density_gate,
     estimate_egop,
     estimate_ejop,
     estimate_gw,
@@ -158,20 +156,12 @@ class TestDensityGate:
     def test_dense_cluster_gates_true(self):
         rng = np.random.default_rng(1)
         train = real_dataset(rng.normal(scale=0.1, size=(30, 2)), np.zeros(30))
-        assert density_gate(train, [0.0, 0.0], t=0.05, h=0.5, i=0)
-        assert density_gate(train, [0.0, 0.0], t=0.05, h=0.5, i=1)
+        assert gate_mask(train, [0.0, 0.0], t=0.05, h=0.5)[0]
+        assert gate_mask(train, [0.0, 0.0], t=0.05, h=0.5)[1]
 
     def test_isolated_point_gates_false(self):
         train = real_dataset([[0.0, 0.0]], [0.0])
-        assert not density_gate(train, [10.0, 10.0], t=0.1, h=0.5, i=0)
-
-    def test_mask_agrees_with_scalar_gate(self):
-        rng = np.random.default_rng(2)
-        train = real_dataset(rng.normal(size=(15, 3)), np.zeros(15))
-        x = rng.normal(size=3)
-        mask = gate_mask(train, x, t=0.3, h=0.8, min_count=2)
-        for i in range(3):
-            assert mask[i] == density_gate(train, x, t=0.3, h=0.8, i=i, min_count=2)
+        assert not gate_mask(train, [10.0, 10.0], t=0.1, h=0.5)[0]
 
     def test_loo_fixture_has_closed_partial_and_open_gates(self):
         train, spec, t = partly_gated()
@@ -411,16 +401,6 @@ class TestEstimateEjop:
         eg = estimate_egop(surface, spec, t=0.8)
         cos = abs(float(ej.eig.vectors[:, 0] @ eg.eig.vectors[:, 0]))
         assert np.degrees(np.arccos(min(1.0, cos))) < 10.0
-
-    def test_predict_recovers_blob_class(self):
-        train = blobs2(2, n_per=40, d=4)
-        spec = KernelSpec(bandwidth=2.0)
-        q1 = np.zeros(4)
-        q1[:2] = [1.5, 0.8]
-        q2 = np.zeros(4)
-        q2[:2] = [-1.5, -0.8]
-        assert gm.ejop_predict(train, spec, q1) == 1
-        assert gm.ejop_predict(train, spec, q2) == 2
 
 
 class TestReliefF:

@@ -552,6 +552,17 @@ def estimator_config(tmp_path, name, seed, **extra):
     return write_config(tmp_path, mapping, name=f"{name}.cfg")
 
 
+def cli_env():
+    """The environment of a child ``python -m nnmetric.cli``: this package
+    first on the path, the default warning filters."""
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(harness.__file__)), env.get("PYTHONPATH", "")]
+    )
+    return env
+
+
 def output_bytes(out_dir):
     files = [out_dir / "results.csv", *sorted(out_dir.glob("models/*/*.csv"))]
     return {str(path.relative_to(out_dir)): path.read_bytes() for path in files}
@@ -586,14 +597,10 @@ class TestEstimatorMemo:
         second = estimator_config(tmp_path, "second", 2)
         assert cli.main(["run", "--config", str(first)]) == 0
         assert cli.main(["run", "--config", str(second)]) == 0
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(os.path.dirname(harness.__file__)), env.get("PYTHONPATH", "")]
-        )
         subprocess.run(
             [sys.executable, "-W", "ignore", "-m", "nnmetric.cli", "run", "--config",
              str(second), "--out", str(tmp_path / "fresh")],
-            env=env, capture_output=True, timeout=300, check=True,
+            env=cli_env(), capture_output=True, timeout=300, check=True,
         )
         assert output_bytes(tmp_path / "second") == output_bytes(tmp_path / "fresh")
         assert output_bytes(tmp_path / "first")["results.csv"] != output_bytes(
@@ -619,6 +626,21 @@ class TestEstimatorMemo:
         weights = np.loadtxt(tmp_path / "gated" / "models" / "gw" / "estimate.csv",
                              delimiter=",")
         assert not weights.any()
+
+    def test_cli_prints_one_line_per_all_gated_pass(self, tmp_path):
+        """Under Python's default filter a text is printed once per process;
+        two of GW's 3 all-gated passes (the 30-row folds) warn with the same
+        text, and ``nnmetric run`` still prints all 3."""
+        config = estimator_config(
+            tmp_path, "gated", 0, **{"method": "gw", "grid.h": "0.01", "grid.t": "5.0"}
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "nnmetric.cli", "run", "--config", str(config)],
+            env=cli_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = [line for line in done.stderr.splitlines() if "every density gate failed" in line]
+        assert len(lines) == 3, done.stderr
 
 
 class TestTrainTestHygiene:

@@ -10,7 +10,6 @@ from nnmetric.predictors import (
     NeighborRule,
     evaluate,
     neighbor_order,
-    neighbor_predict,
     predict_batch,
     vote,
 )
@@ -24,19 +23,23 @@ def realds(features, targets):
     return Dataset(np.asarray(features, dtype=float), np.asarray(targets, dtype=float), "real")
 
 
+def predict_one(train, transform, query, rule, mode):
+    return predict_batch(train, transform, [query], rule, mode)[0]
+
+
 class TestNeighborPredict:
     def test_one_nn(self):
         train = classed([[0.0], [10.0]], [1, 2])
-        assert neighbor_predict(train, None, [1.0], NeighborRule("knn", k=1), "classify") == 1
+        assert predict_one(train, None, [1.0], NeighborRule("knn", k=1), "classify") == 1
 
     def test_tie_broken_by_nearest(self):
         """A 1-1 vote goes to the class of the nearer selected neighbor."""
         train = classed([[1.0], [-2.0]], [1, 2])
-        assert neighbor_predict(train, None, [0.0], NeighborRule("knn", k=2), "classify") == 1
+        assert predict_one(train, None, [0.0], NeighborRule("knn", k=2), "classify") == 1
 
     def test_regression_mean(self):
         train = realds([[0.0], [1.0], [2.0], [50.0]], [1.0, 2.0, 3.0, 99.0])
-        pred = neighbor_predict(train, None, [1.0], NeighborRule("knn", k=3), "regress")
+        pred = predict_one(train, None, [1.0], NeighborRule("knn", k=3), "regress")
         assert pred == pytest.approx(2.0)
 
     def test_matches_bruteforce_under_transform(self):
@@ -49,21 +52,21 @@ class TestNeighborPredict:
             q = rng.standard_normal(d)
             dists = np.linalg.norm(train.features @ t.T - t @ q, axis=1)
             brute_label = train.labels[np.argsort(dists, kind="stable")[0]]
-            got = neighbor_predict(train, t, q, NeighborRule("knn", k=1), "classify")
+            got = predict_one(train, t, q, NeighborRule("knn", k=1), "classify")
             assert got == brute_label
 
     def test_hnn_fallback_to_global(self):
         train = classed([[0.0], [1.0], [2.0]], [2, 2, 1])
         rule = NeighborRule("hnn", radius=1e-6)
         # query far outside every ball: global majority
-        assert neighbor_predict(train, None, [100.0], rule, "classify") == 2
+        assert predict_one(train, None, [100.0], rule, "classify") == 2
         train_r = realds([[0.0], [1.0]], [4.0, 8.0])
-        assert neighbor_predict(train_r, None, [100.0], rule, "regress") == pytest.approx(6.0)
+        assert predict_one(train_r, None, [100.0], rule, "regress") == pytest.approx(6.0)
 
     def test_hnn_in_ball(self):
         train = realds([[0.0], [0.5], [5.0]], [1.0, 3.0, 100.0])
         rule = NeighborRule("hnn", radius=1.0)
-        assert neighbor_predict(train, None, [0.25], rule, "regress") == pytest.approx(2.0)
+        assert predict_one(train, None, [0.25], rule, "regress") == pytest.approx(2.0)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
@@ -71,7 +74,8 @@ class TestNeighborPredict:
         queries = rng.standard_normal((8, 3))
         rule = NeighborRule("knn", k=4)
         batch = predict_batch(train, None, queries, rule, "regress")
-        singles = [neighbor_predict(train, None, q, rule, "regress") for q in queries]
+        dists = [np.linalg.norm(train.features - q, axis=1) for q in queries]
+        singles = [brute_neighbor_predict(d, train.labels, rule, "regress") for d in dists]
         np.testing.assert_allclose(batch, singles, atol=1e-9)
 
     def test_vote_remaining_tie_smallest_label(self):

@@ -10,16 +10,13 @@ from nnmetric.dataset import REAL, Dataset, synth_sin
 from nnmetric.gerrymander import InfeasibleTargetError, MahalanobisMetric
 from nnmetric.predictors import NeighborRule, evaluate, predict_batch
 from nnmetric.regression_ml import (
-    RegLossVariant,
     RegTrainConfig,
     delta_reg,
     delta_reg_ub,
     hstar_alternate,
-    hstar_alternate_core,
     metric_reg_predictions,
-    reg_inference,
     reg_inference_core,
-    reg_surrogate,
+    reg_surrogate_core,
     train_reg_sgd,
 )
 
@@ -131,10 +128,12 @@ class TestRegInference:
                 gaps.append(delta_reg_ub(y, h, targets))
             assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
 
-    def test_metric_wrapper_leave_one_out(self):
+    def test_leave_one_out_under_a_metric(self):
+        # the trainer's leave-one-out: the query's own row at infinite distance
         train = make_reg_dataset([[0.0], [0.1], [5.0]], [1.0, 2.0, 3.0])
-        metric = MahalanobisMetric(w=np.eye(1))
-        h = reg_inference(metric, [0.0], 1.0, 2, 0.0, "targeted", train, exclude=0)
+        dists = MahalanobisMetric(w=np.eye(1)).distances([0.0], train.features)
+        dists[0] = np.inf
+        h = reg_inference_core(dists, train.labels, 1.0, 2, 0.0, "targeted")
         assert 0 not in h.tolist()
 
 
@@ -146,33 +145,32 @@ class TestSurrogate:
             n = int(rng.integers(4, 10))
             train = make_reg_dataset(rng.normal(size=(n, d)), rng.normal(size=n))
             a = rng.normal(size=(d, d))
-            metric = MahalanobisMetric(w=a.T @ a)
-            value = reg_surrogate(
-                metric, rng.normal(size=d), float(rng.normal()), 2,
-                float(rng.uniform(0, 5)), train,
+            dists = MahalanobisMetric(w=a.T @ a).distances(rng.normal(size=d), train.features)
+            value, _, _ = reg_surrogate_core(
+                dists, train.labels, float(rng.normal()), 2, float(rng.uniform(0, 5))
             )
             assert value >= -1e-9
 
     def test_zero_when_gamma_zero(self):
         train = make_reg_dataset([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
-        metric = MahalanobisMetric(w=np.eye(1))
-        assert reg_surrogate(metric, [0.2], 0.5, 2, 0.0, train) == pytest.approx(0.0)
+        dists = MahalanobisMetric(w=np.eye(1)).distances([0.2], train.features)
+        assert reg_surrogate_core(dists, train.labels, 0.5, 2, 0.0)[0] == pytest.approx(0.0)
 
 
-def swap_loop_hstar(dists, targets, y, k, variant):
-    """hstar_alternate_core with one delta_reg call per swap candidate, in
+def swap_loop_hstar(dists, targets, y, k, kind, eps):
+    """hstar_alternate with one delta_reg call per swap candidate, in
     (distance, index) order: the reference for its vectorized swap scan."""
     finite = [i for i in range(len(dists)) if np.isfinite(dists[i])]
     if len(finite) < k:
         raise InfeasibleTargetError("too few candidates")
-    if variant.kind == "eps_insensitive":
+    if kind == "eps_insensitive":
         h = list(reg_inference_core(dists, targets, y, k, 0.0, "targeted"))
     else:
         gap_order = np.lexsort((dists, np.abs(targets - y)))
         h = [i for i in gap_order if np.isfinite(dists[i])][:k]
     for _ in range(5 * k):
         current = delta_reg(y, h, targets)
-        if variant.kind == "eps_insensitive" and current <= variant.eps:
+        if kind == "eps_insensitive" and current <= eps:
             return h
         sel = targets[h]
         pos = int(np.argmax((sel - y) * np.sign(sel.mean() - y)))
@@ -183,7 +181,7 @@ def swap_loop_hstar(dists, targets, y, k, variant):
                 break
         else:
             break
-    if variant.kind == "eps_insensitive" and delta_reg(y, h, targets) > variant.eps:
+    if kind == "eps_insensitive" and delta_reg(y, h, targets) > eps:
         raise InfeasibleTargetError("swap budget exhausted")
     return sorted(h, key=lambda i: (dists[i], i))
 
@@ -201,14 +199,14 @@ class TestAlternateHStar:
             targets = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
             y = float(np.round(rng.normal(), 1))
             kind = ("min_loss", "eps_insensitive")[trial % 2]
-            variant = RegLossVariant(kind=kind, gamma=1.0, eps=float(rng.choice([0.0, 0.05])))
+            eps = float(rng.choice([0.0, 0.05]))
             try:
-                want = swap_loop_hstar(dists, targets, y, k, variant)
+                want = swap_loop_hstar(dists, targets, y, k, kind, eps)
             except InfeasibleTargetError:
                 with pytest.raises(InfeasibleTargetError):
-                    hstar_alternate_core(dists, targets, y, k, variant)
+                    hstar_alternate(dists, targets, y, k, kind, eps)
                 continue
-            got = hstar_alternate_core(dists, targets, y, k, variant).tolist()
+            got = hstar_alternate(dists, targets, y, k, kind, eps).tolist()
             assert got == [int(i) for i in want]
             gap_order = np.lexsort((dists, np.abs(targets - y)))
             start = [i for i in gap_order if np.isfinite(dists[i])][:k]
@@ -217,18 +215,16 @@ class TestAlternateHStar:
 
     def test_eps_infinite_is_plain_topk(self):
         train = make_reg_dataset([[0.0], [1.0], [2.0], [3.0]], [9.0, 8.0, 7.0, 6.0])
-        metric = MahalanobisMetric(w=np.eye(1))
-        variant = RegLossVariant(kind="eps_insensitive", gamma=1.0, eps=np.inf)
-        h = hstar_alternate(metric, [0.0], 0.0, 2, variant, train)
+        dists = MahalanobisMetric(w=np.eye(1)).distances([0.0], train.features)
+        h = hstar_alternate(dists, train.labels, 0.0, 2, "eps_insensitive", np.inf)
         assert sorted(h.tolist()) == [0, 1]
 
     def test_min_loss_picks_nearest_targets(self):
         train = make_reg_dataset(
             [[0.0], [1.0], [2.0], [3.0]], [0.9, 1.1, 5.0, 6.0]
         )
-        metric = MahalanobisMetric(w=np.eye(1))
-        variant = RegLossVariant(kind="min_loss", gamma=1.0)
-        h = hstar_alternate(metric, [2.0], 1.0, 2, variant, train)
+        dists = MahalanobisMetric(w=np.eye(1)).distances([2.0], train.features)
+        h = hstar_alternate(dists, train.labels, 1.0, 2, "min_loss", 0.0)
         assert sorted(h.tolist()) == [0, 1]
 
     def test_eps_swaps_reach_zero_loss_subset(self):
@@ -237,25 +233,23 @@ class TestAlternateHStar:
         train = make_reg_dataset(
             [[0.0], [0.1], [0.2], [0.3]], [5.0, 5.0, 1.0, -1.0]
         )
-        metric = MahalanobisMetric(w=np.eye(1))
-        variant = RegLossVariant(kind="eps_insensitive", gamma=1.0, eps=1e-9)
-        h = hstar_alternate(metric, [0.0], 0.0, 2, variant, train)
+        dists = MahalanobisMetric(w=np.eye(1)).distances([0.0], train.features)
+        h = hstar_alternate(dists, train.labels, 0.0, 2, "eps_insensitive", 1e-9)
         assert delta_reg(0.0, h, train.labels) <= 1e-9
 
     def test_eps_infeasible_raises(self):
         train = make_reg_dataset([[0.0], [1.0], [2.0]], [10.0, 10.0, 10.0])
-        metric = MahalanobisMetric(w=np.eye(1))
-        variant = RegLossVariant(kind="eps_insensitive", gamma=1.0, eps=0.5)
+        dists = MahalanobisMetric(w=np.eye(1)).distances([0.0], train.features)
         with pytest.raises(InfeasibleTargetError):
-            hstar_alternate(metric, [0.0], 0.0, 2, variant, train)
+            hstar_alternate(dists, train.labels, 0.0, 2, "eps_insensitive", 0.5)
 
     def test_variant_validation(self):
         with pytest.raises(ValueError):
-            RegLossVariant(kind="exact", gamma=1.0)
+            RegTrainConfig(k=1, hstar="exact")
         with pytest.raises(ValueError):
-            RegLossVariant(kind="min_loss", gamma=0.0)
+            RegTrainConfig(k=1, hstar="eps_insensitive", eps=-1.0)
         with pytest.raises(ValueError):
-            RegLossVariant(kind="eps_insensitive", gamma=1.0, eps=-1.0)
+            hstar_alternate(np.ones(3), np.zeros(3), 0.0, 2, "upper_bound", 0.0)
 
 
 class TestTrainer:
