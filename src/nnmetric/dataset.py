@@ -8,7 +8,6 @@ Class labels may be arbitrary strings; they are re-indexed to contiguous ids
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,9 +94,6 @@ class NormStats:
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=float) - self.mean) / self.std
 
-    def unapply(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=float) * self.std + self.mean
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -109,24 +105,6 @@ class SplitSpec:
 
     def fold_indices(self, fold: int):
         return np.flatnonzero(self.assignment == fold)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": int(self.seed),
-                "n_folds": int(self.n_folds),
-                "assignment": [int(a) for a in self.assignment],
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "SplitSpec":
-        obj = json.loads(text)
-        return SplitSpec(
-            n_folds=obj["n_folds"],
-            seed=obj["seed"],
-            assignment=np.asarray(obj["assignment"], dtype=int),
-        )
 
 
 def load_csv(path, label_column: str, label_kind: str) -> Dataset:

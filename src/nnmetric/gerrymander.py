@@ -243,9 +243,11 @@ class GerryTrainConfig:
 
     lr is "inv_t" (eta(t) = 1/t, t counted per applied sample update) or a
     constant float.  init is "zeros", "identity", or "diag" with init_weights
-    giving the diagonal.  Training stops when the epoch-mean surrogate fails
-    to decrease by stop_rel_tol relative, or after ``epochs``; stop_rel_tol
-    None always runs every epoch.
+    giving the diagonal.  Under "inv_t" the first applied update of the
+    symmetric variant scales W0 by 1 - eta(1) = 0, so its init only steers
+    the inference that precedes that update.  Training stops when the
+    epoch-mean surrogate fails to decrease by stop_rel_tol relative, or after
+    ``epochs``; stop_rel_tol None always runs every epoch.
     """
 
     k: int
@@ -255,7 +257,6 @@ class GerryTrainConfig:
     init: str = "zeros"
     init_weights: np.ndarray | None = None
     seed: int = 0
-    batch_size: int = 1
     stop_rel_tol: float | None = 1e-4
 
     def __post_init__(self):
@@ -263,8 +264,6 @@ class GerryTrainConfig:
             raise ValueError("k must be >= 1")
         if not self.c > 0:
             raise ValueError("C must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 class TraceRow(NamedTuple):
@@ -315,23 +314,24 @@ def _should_stop(prev_mean, mean, rel_tol) -> bool:
     return (prev_mean - mean) < rel_tol * abs(prev_mean)
 
 
-def run_epochs(n: int, config, rng, run_batch) -> list:
+def run_epochs(n: int, config, rng, step) -> list:
     """The epoch loop shared by every trainer; returns the trace.
 
-    Each epoch visits a fresh ``rng.permutation(n)`` in batches of
-    ``config.batch_size``.  ``run_batch(batch)`` applies the batch's updates
-    and returns the surrogate of each sample it did not skip; the rest count
-    as skipped.  An epoch whose samples were all skipped has a NaN mean.
-    Training stops after ``config.epochs`` or when the epoch-mean surrogate
-    fails to decrease by ``config.stop_rel_tol`` relative (or is not finite).
+    Each epoch calls ``step(i)`` for each index of a fresh
+    ``rng.permutation(n)``.  ``step`` applies sample i's update and returns
+    its surrogate, or None when it skips the sample.  An epoch whose samples
+    were all skipped has a NaN mean.  Training stops after ``config.epochs``
+    or when the epoch-mean surrogate fails to decrease by
+    ``config.stop_rel_tol`` relative (or is not finite).
     """
     trace: list[TraceRow] = []
     prev_mean = None
     for epoch in range(config.epochs):
-        order = rng.permutation(n)
         losses = []
-        for start in range(0, n, config.batch_size):
-            losses += run_batch(order[start : start + config.batch_size])
+        for i in rng.permutation(n):
+            loss = step(i)
+            if loss is not None:
+                losses.append(loss)
         mean_loss = float(np.mean(losses)) if losses else float("nan")
         trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=n - len(losses)))
         if _should_stop(prev_mean, mean_loss, config.stop_rel_tol):
@@ -352,9 +352,6 @@ def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
     - Psi(x, h-star)), then projection onto the PSD cone.  Asymmetric variant:
     descent on U and V with the score partials (scaled by C) plus the joint
     Frobenius penalty gradients; PSD holds by construction.
-
-    Mini-batches run inference for all members at the batch-start metric,
-    then apply the updates sequentially in sample order.
     """
     if variant not in ("symmetric", "asymmetric"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -374,41 +371,34 @@ def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
     psd_audit: list[float] = []
     t = 0
 
-    def run_batch(batch):
+    def step(i):
         nonlocal metric, t
-        losses, updates = [], []
-        for i in batch:
-            dists = metric.distances(train.features[i], train.features)
-            dists[i] = np.inf
-            try:
-                surrogate, h_hat, h_star = infer(i, dists)
-            except InfeasibleTargetError:
-                continue
-            losses.append(surrogate)
-            updates.append((i, h_hat, h_star))
-        for i, h_hat, h_star in updates:
-            t += 1
-            x = train.features[i]
-            if variant == "symmetric":
-                eta = _learning_rate(config.lr, t)
-                delta = feature_map_psi(x, h_hat, train) - feature_map_psi(
-                    x, h_star, train
-                )
-                w = psd_project((1.0 - eta) * metric.w - config.c * delta)
-                metric = MahalanobisMetric(w=w)
-                if audit_psd:
-                    psd_audit.append(float(sym_eig(w).values[-1]))
-            else:
-                eta = _learning_rate(config.lr, t, offset=_ASYM_LR_OFFSET)
-                gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
-                gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
-                reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
-                u = metric.u - eta * (config.c * (gu_hat - gu_star) + reg_u)
-                v = metric.v - eta * (config.c * (gv_hat - gv_star) + reg_v)
-                metric = AsymmetricMetric(u=u, v=v)
-        return losses
+        x = train.features[i]
+        dists = metric.distances(x, train.features)
+        dists[i] = np.inf
+        try:
+            surrogate, h_hat, h_star = infer(i, dists)
+        except InfeasibleTargetError:
+            return None
+        t += 1
+        if variant == "symmetric":
+            eta = _learning_rate(config.lr, t)
+            delta = feature_map_psi(x, h_hat, train) - feature_map_psi(x, h_star, train)
+            w = psd_project((1.0 - eta) * metric.w - config.c * delta)
+            metric = MahalanobisMetric(w=w)
+            if audit_psd:
+                psd_audit.append(float(sym_eig(w).values[-1]))
+        else:
+            eta = _learning_rate(config.lr, t, offset=_ASYM_LR_OFFSET)
+            gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
+            gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
+            reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
+            u = metric.u - eta * (config.c * (gu_hat - gu_star) + reg_u)
+            v = metric.v - eta * (config.c * (gv_hat - gv_star) + reg_v)
+            metric = AsymmetricMetric(u=u, v=v)
+        return surrogate
 
-    trace = run_epochs(train.n, config, rng, run_batch)
+    trace = run_epochs(train.n, config, rng, step)
     return TrainResult(metric=metric, trace=trace, epochs_run=len(trace), psd_audit=psd_audit)
 
 

@@ -30,26 +30,20 @@ import numpy as np
 from .dataset import CLASS, Dataset
 from .numerics import EigenDecomp, sym_eig, symmetrize, whitening_transform
 
-_KERNEL_SHAPES = ("triangle", "epanechnikov")
-
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Bandwidth plus a kernel shape vanishing at 1 and positive below it."""
+    """Bandwidth of the triangle kernel max(0, 1 - u), which vanishes at 1
+    and is positive below it."""
 
     bandwidth: float
-    shape: str = "triangle"
 
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-        if self.shape not in _KERNEL_SHAPES:
-            raise ValueError(f"unknown kernel shape {self.shape!r}")
 
     def __call__(self, u, out=None):
         u = np.asarray(u, dtype=float)
-        if self.shape == "epanechnikov":
-            u = np.square(u, out=out)
         return np.maximum(0.0, np.subtract(1.0, u, out=out), out=out)
 
 

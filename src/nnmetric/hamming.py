@@ -6,9 +6,9 @@ summed member codes, which equals sum over members of (c - 2 D); per-point
 additivity lets the classification inference routines run unchanged on
 Hamming distances.
 
-Gradients relax the differentiated sign through f (identity or tanh) while
-the other side stays binarized.  Each step adds a zero-mean code penalty,
-applies momentum, and renormalizes the hash matrices to unit Frobenius norm.
+Gradients relax the differentiated sign through tanh while the other side
+stays binarized.  Each step adds a zero-mean code penalty, applies momentum,
+and renormalizes the hash matrices to unit Frobenius norm.
 
 Retrieval can rank by hard Hamming distance or, since short codes tie
 constantly, by the soft distance |code - tanh(s * Ux)|^2 / 4 with s
@@ -24,13 +24,16 @@ import numpy as np
 from .dataset import CLASS, Dataset
 from .gerrymander import (
     InfeasibleTargetError,
-    _learning_rate,
     run_epochs,
     surrogate_core,
     validate_loss_matrix,
     zero_one_loss,
 )
 from .predictors import NeighborRule, predict_each
+
+# weight of the zero-mean code penalty, and the momentum of every step
+_PENALTY = 0.1
+_MOMENTUM = 0.9
 
 
 def sign_pm1(a) -> np.ndarray:
@@ -51,13 +54,10 @@ def encode(m, features) -> np.ndarray:
 class HammingHasher:
     u: np.ndarray
     v: np.ndarray
-    relaxation: str = "tanh"
 
     def __post_init__(self):
         if self.u.shape != self.v.shape:
             raise ValueError("U and V must share a shape")
-        if self.relaxation not in ("identity", "tanh"):
-            raise ValueError(f"unknown relaxation {self.relaxation!r}")
 
     @property
     def c(self) -> int:
@@ -122,63 +122,45 @@ def calibrate_scales(train: Dataset, u, target: float = 0.4, tol: float = 1e-2):
     return np.full(c, (lo + hi) / 2.0)
 
 
-def _f(z, relaxation):
-    return np.tanh(z) if relaxation == "tanh" else np.asarray(z, dtype=float)
+def _tanh_prime(z):
+    return 1.0 - np.tanh(z) ** 2
 
 
-def _f_prime(z, relaxation):
-    if relaxation == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    return np.ones_like(np.asarray(z, dtype=float))
-
-
-def query_side_grad(u, x, other_code_sum_diff, relaxation) -> np.ndarray:
-    """[f'(Ux) o (sum of h-hat codes - sum of h* codes)] x^T."""
+def query_side_grad(u, x, other_code_sum_diff) -> np.ndarray:
+    """[tanh'(Ux) o (sum of h-hat codes - sum of h* codes)] x^T."""
     x = np.asarray(x, dtype=float)
-    return np.outer(_f_prime(u @ x, relaxation) * other_code_sum_diff, x)
+    return np.outer(_tanh_prime(u @ x) * other_code_sum_diff, x)
 
 
-def db_side_grad(v, members, query_code, relaxation) -> np.ndarray:
-    """sum over members of (query_code o f'(V x_j)) x_j^T."""
+def db_side_grad(v, members, query_code) -> np.ndarray:
+    """sum over members of (query_code o tanh'(V x_j)) x_j^T."""
     xs = np.atleast_2d(np.asarray(members, dtype=float))
     proj = xs @ v.T
-    return (_f_prime(proj, relaxation) * query_code).T @ xs
+    return (_tanh_prime(proj) * query_code).T @ xs
 
 
-def zero_mean_grad(m, features, relaxation) -> np.ndarray:
-    """Gradient of 1/2 |mean_x f(Mx)|^2, the relaxed zero-mean code penalty."""
+def zero_mean_grad(m, features) -> np.ndarray:
+    """Gradient of 1/2 |mean_x tanh(Mx)|^2, the relaxed zero-mean code penalty."""
     feats = np.asarray(features, dtype=float)
     proj = feats @ m.T
-    mu = _f(proj, relaxation).mean(axis=0)
-    return (_f_prime(proj, relaxation) * mu).T @ feats / feats.shape[0]
+    mu = np.tanh(proj).mean(axis=0)
+    return (_tanh_prime(proj) * mu).T @ feats / feats.shape[0]
 
 
 @dataclass(frozen=True)
 class HammingTrainConfig:
-    """Knobs for the hash trainer; trailing normalization keeps |U|_F = 1."""
+    """Knobs for the hash trainer: c bits, k neighbors; epochs and
+    stop_rel_tol as in :class:`nnmetric.gerrymander.GerryTrainConfig`."""
 
     c: int
     k: int
     epochs: int = 20
-    lr: object = "inv_t"
-    relaxation: str = "tanh"
-    penalty: float = 0.1
-    momentum: float = 0.9
     seed: int = 0
-    batch_size: int = 1
     stop_rel_tol: float | None = 1e-4
 
     def __post_init__(self):
         if self.c < 1 or self.k < 1:
             raise ValueError("c and k must be >= 1")
-        if self.relaxation not in ("identity", "tanh"):
-            raise ValueError(f"unknown relaxation {self.relaxation!r}")
-        if self.penalty < 0:
-            raise ValueError("penalty must be nonnegative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass
@@ -193,13 +175,13 @@ def _normalize(m) -> np.ndarray:
     return m / norm if norm > 0 else m
 
 
-def random_hasher(d: int, c: int, seed: int, relaxation: str = "tanh") -> HammingHasher:
+def random_hasher(d: int, c: int, seed: int) -> HammingHasher:
     """Unit-norm Gaussian projections; the untrained baseline and the
     trainer's initialization."""
     rng = np.random.default_rng(seed)
     u = _normalize(rng.normal(size=(c, d)))
     v = _normalize(rng.normal(size=(c, d)))
-    return HammingHasher(u=u, v=v, relaxation=relaxation)
+    return HammingHasher(u=u, v=v)
 
 
 def train_hamming(
@@ -208,13 +190,14 @@ def train_hamming(
     mode: str = "asymmetric",
     loss_matrix=None,
 ) -> HammingTrainResult:
-    """Mini-batch SGD with momentum on the Hamming-space vote surrogate.
+    """SGD with momentum on the Hamming-space vote surrogate.
 
-    Inference runs on hard codes frozen at the batch start; gradients follow
-    the relaxed-sign formulas, then the zero-mean penalty is added, momentum
-    applied, and U, V (or the shared W) renormalized.  Samples with no
-    feasible target set are skipped and counted.  Epochs, batching and
-    stopping follow :func:`nnmetric.gerrymander.run_epochs`.
+    Per sample, inference runs on the hard codes of the current hashes;
+    gradients follow the relaxed-sign formulas, then the zero-mean penalty is
+    added, momentum applied with eta(t) = 1/t, and U, V (or the shared W)
+    renormalized.  Samples with no feasible target set are skipped and
+    counted.  Epochs and stopping follow
+    :func:`nnmetric.gerrymander.run_epochs`.
     """
     if train.kind != CLASS:
         raise ValueError("train_hamming needs a classed dataset")
@@ -234,51 +217,40 @@ def train_hamming(
     labels = train.labels
     t = 0
 
-    def run_batch(batch):
+    def step(i):
         nonlocal u, v, vel_u, vel_v, t
         codes_db = encode(v, feats)
-        grad_u = np.zeros_like(u)
-        grad_v = np.zeros_like(v)
-        losses = []
-        for i in batch:
-            x = feats[i]
-            q = binarize(u, x)
-            dists = (config.c - codes_db @ q) / 2.0
-            dists[i] = np.inf
-            try:
-                surrogate, h_hat, h_star = surrogate_core(
-                    dists, labels, int(labels[i]), config.k, lam
-                )
-            except InfeasibleTargetError:
-                continue
-            losses.append(surrogate)
-            code_diff = codes_db[h_hat].sum(axis=0) - codes_db[h_star].sum(axis=0)
-            grad_u += query_side_grad(u, x, code_diff, config.relaxation)
-            grad_v += db_side_grad(v, feats[h_hat], q, config.relaxation)
-            grad_v -= db_side_grad(v, feats[h_star], q, config.relaxation)
-        if not losses:
-            return losses
-        t += 1
-        eta = _learning_rate(config.lr, t)
-        if mode == "symmetric":
-            grad = grad_u + grad_v + config.penalty * zero_mean_grad(
-                u, feats, config.relaxation
+        x = feats[i]
+        q = binarize(u, x)
+        dists = (config.c - codes_db @ q) / 2.0
+        dists[i] = np.inf
+        try:
+            surrogate, h_hat, h_star = surrogate_core(
+                dists, labels, int(labels[i]), config.k, lam
             )
-            vel_u = config.momentum * vel_u + grad
+        except InfeasibleTargetError:
+            return None
+        code_diff = codes_db[h_hat].sum(axis=0) - codes_db[h_star].sum(axis=0)
+        grad_u = query_side_grad(u, x, code_diff)
+        grad_v = db_side_grad(v, feats[h_hat], q) - db_side_grad(v, feats[h_star], q)
+        t += 1
+        eta = 1.0 / t
+        if mode == "symmetric":
+            grad = grad_u + grad_v + _PENALTY * zero_mean_grad(u, feats)
+            vel_u = _MOMENTUM * vel_u + grad
             u = _normalize(u - eta * vel_u)
             v = u
         else:
-            grad_u += config.penalty * zero_mean_grad(u, feats, config.relaxation)
-            grad_v += config.penalty * zero_mean_grad(v, feats, config.relaxation)
-            vel_u = config.momentum * vel_u + grad_u
-            vel_v = config.momentum * vel_v + grad_v
+            grad_u += _PENALTY * zero_mean_grad(u, feats)
+            grad_v += _PENALTY * zero_mean_grad(v, feats)
+            vel_u = _MOMENTUM * vel_u + grad_u
+            vel_v = _MOMENTUM * vel_v + grad_v
             u = _normalize(u - eta * vel_u)
             v = _normalize(v - eta * vel_v)
-        return losses
+        return surrogate
 
-    trace = run_epochs(train.n, config, rng, run_batch)
-    hasher = HammingHasher(u=u, v=v, relaxation=config.relaxation)
-    return HammingTrainResult(hasher=hasher, trace=trace, epochs_run=len(trace))
+    trace = run_epochs(train.n, config, rng, step)
+    return HammingTrainResult(hasher=HammingHasher(u=u, v=v), trace=trace, epochs_run=len(trace))
 
 
 def hamming_predictions(

@@ -351,12 +351,17 @@ def config_json(config: ExperimentConfig) -> str:
     return _json_text(obj)
 
 
+def _holdout(n: int, fraction: float, stream: int, seed: int):
+    """(kept, held out) row indices of one seeded permutation, each in row
+    order; round(n * fraction) rows, clipped to [1, n - 2], are held out."""
+    perm = np.random.default_rng([stream, seed]).permutation(n)
+    n_out = min(max(int(round(n * fraction)), 1), n - 2)
+    return np.sort(perm[n_out:]), np.sort(perm[:n_out])
+
+
 def split_indices(n: int, test_fraction: float, seed: int):
     """Seeded train/test split; both index arrays come back in row order."""
-    rng = np.random.default_rng([_SPLIT_STREAM, seed])
-    perm = rng.permutation(n)
-    n_test = min(max(int(round(n * test_fraction)), 1), n - 2)
-    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+    return _holdout(n, test_fraction, _SPLIT_STREAM, seed)
 
 
 def load_experiment_data(config: ExperimentConfig):
@@ -443,7 +448,9 @@ def _indicator_dataset(ds: Dataset, method: str) -> Dataset:
     )
 
 
-def _relieff_weights_for(ds: Dataset, seed: int, method: str) -> np.ndarray:
+def _relieff_weights_for(ds: Dataset, seed: int, method: str, memo: dict) -> np.ndarray:
+    """ReliefF weights of a fit split, computed once per (split content,
+    k_hits, seed) in the run's ``memo`` and shared by every method."""
     counts = np.bincount(np.asarray(ds.labels, dtype=int))[1:]
     if counts.min() < 2:
         cls = 1 + int(np.argmin(counts))
@@ -453,7 +460,11 @@ def _relieff_weights_for(ds: Dataset, seed: int, method: str) -> np.ndarray:
             f"of the {ds.n} rows of a fit split"
         )
     k_hits = min(5, int(counts.min()) - 1)
-    return relieff_weights(ds, k_hits=k_hits, seed=seed)
+    return _memoised(
+        memo,
+        ("relieff", _content_key(ds), k_hits, seed),
+        lambda: relieff_weights(ds, k_hits=k_hits, seed=seed),
+    )
 
 
 def _content_key(ds: Dataset) -> str:
@@ -480,12 +491,13 @@ def _fit_transform(
     ``memo`` lives for one run.  It holds one gradient pass per (fit-split
     content, h, t, and the EJOP temperature), shared by GW and EGOP because
     they probe the same real surface, and one result per method and pass,
-    which the ``grid.k`` and hnn quantile axes reuse.
+    which the ``grid.k`` and hnn quantile axes reuse.  ReliefF weights are
+    kept per fit-split content too (see :func:`_relieff_weights_for`).
     """
     if method == "euclidean":
         return None, None
     if method == "relieff":
-        weights = _relieff_weights_for(ds, config.seed, method)
+        weights = _relieff_weights_for(ds, config.seed, method, memo)
         return np.diag(np.sqrt(weights)), weights[None, :]
     spec = KernelSpec(bandwidth=float(params["h"]))
     t = float(params["t"])
@@ -525,12 +537,8 @@ def _kfold_splits(train: Dataset, config: ExperimentConfig):
 
 def _tune_split(train: Dataset, config: ExperimentConfig):
     """One seeded 75/25 (fit, val) pair of the training rows for tuning C and friends."""
-    rng = np.random.default_rng([_TUNE_STREAM, config.seed])
-    perm = rng.permutation(train.n)
-    n_val = min(max(int(round(train.n * 0.25)), 1), train.n - 2)
-    fit = train.subset(np.sort(perm[n_val:]), name="tune_fit")
-    val = train.subset(np.sort(perm[:n_val]), name="tune_val")
-    return [(fit, val)]
+    fit_idx, val_idx = _holdout(train.n, 0.25, _TUNE_STREAM, config.seed)
+    return [(train.subset(fit_idx, name="tune_fit"), train.subset(val_idx, name="tune_val"))]
 
 
 # Each family below returns (grid, splits, fit) for _fit_method, where
@@ -571,7 +579,7 @@ def _transform_family(method, train, config, memo):
     return grid, _kfold_splits(train, config), fit
 
 
-def _gerry_family(method, train, config):
+def _gerry_family(method, train, config, memo):
     variant = "symmetric" if method == "gerry_sym" else "asymmetric"
     splits = _tune_split(train, config)
     inits = [config.init]
@@ -589,7 +597,7 @@ def _gerry_family(method, train, config):
     def fit(ds, params):
         init = {"init": "zeros"}
         if params["init"] == "relieff":
-            weights = _relieff_weights_for(ds, config.seed, method)
+            weights = _relieff_weights_for(ds, config.seed, method, memo)
             init = {"init": "diag", "init_weights": weights}
         gcfg = GerryTrainConfig(
             k=params["k"], c=params["c"], epochs=config.epochs, seed=config.seed, **init
@@ -608,7 +616,7 @@ def _gerry_family(method, train, config):
     return grid, splits, fit
 
 
-def _gerry_reg_family(method, train, config):
+def _gerry_reg_family(method, train, config, memo):
     eps_axis = config.grid_eps if config.hstar == "eps_insensitive" else (0.0,)
     grid = [
         {"k": k, "gamma": g, "c": c, "eps": e}
@@ -632,7 +640,7 @@ def _gerry_reg_family(method, train, config):
     return grid, _tune_split(train, config), fit
 
 
-def _hamming_family(method, train, config):
+def _hamming_family(method, train, config, memo):
     grid = [{"k": k} for k in config.grid_k]
 
     def fit(ds, params):
@@ -656,18 +664,18 @@ def _fit_method(method, train, config, rows, memo) -> FittedModel:
     Every grid point is trained on each fit split and scored on its val
     split; one row per (point, split) goes to ``rows``.  The point with the
     lowest mean score wins, ties going to the earlier point.  ``memo`` is
-    the run's estimator memo (see :func:`_fit_transform`).
+    the run's memo of estimates and ReliefF weights (see
+    :func:`_fit_transform`).
     """
     if method in _TRANSFORM_METHODS:
-        grid, splits, fit = _transform_family(method, train, config, memo)
+        family = _transform_family
+    elif method in ("gerry_sym", "gerry_asym"):
+        family = _gerry_family
+    elif method == "gerry_reg":
+        family = _gerry_reg_family
     else:
-        if method in ("gerry_sym", "gerry_asym"):
-            family = _gerry_family
-        elif method == "gerry_reg":
-            family = _gerry_reg_family
-        else:
-            family = _hamming_family
-        grid, splits, fit = family(method, train, config)
+        family = _hamming_family
+    grid, splits, fit = family(method, train, config, memo)
     n_fit = min(fit_ds.n for fit_ds, _ in splits)
     for params in grid:
         if params.get("k", 0) >= n_fit:
@@ -713,9 +721,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     for method in config.methods:
         model = _fit_method(method, train, config, rows, memo)
         preds = model.predict(test.features)
-        report = evaluate(
-            preds, test.labels, config.task, seed=config.seed, hyperparams=model.params
-        )
+        report = evaluate(preds, test.labels, config.task)
         rows.append((method, -1, dict(model.params), report.metric_name, report.value))
         models[method] = model
         reports[method] = report
@@ -900,6 +906,8 @@ def _suite_inference(budget, rng):
 
 
 def _suite_surrogate(budget, rng):
+    """Draws with no feasible h* are skipped and not counted as checked."""
+    compared = 0
     for i in range(budget):
         feats, labels, metric, x, k, n_classes = _random_vote_instance(rng, n_max=16)
         lam = zero_one_loss(n_classes)
@@ -909,6 +917,7 @@ def _suite_surrogate(budget, rng):
             value = surrogate_core(dists, labels, y, k, lam)[0]
         except InfeasibleTargetError:
             continue  # no h* for this draw; the trainer skips these too
+        compared += 1
         top_k = np.argsort(dists, kind="stable")[:k]
         bound = tied_task_loss(y, top_k, labels, lam)
         if value < -1e-9 or value < bound - 1e-9:
@@ -921,7 +930,7 @@ def _suite_surrogate(budget, rng):
                 "surrogate": value,
                 "task_loss": bound,
             }
-    return budget, None
+    return compared, None
 
 
 def _suite_regbound(budget, rng):

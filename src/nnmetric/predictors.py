@@ -8,7 +8,7 @@ classes, and any remaining tie by the smallest label id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,6 @@ class EvalReport:
     metric_name: str
     value: float
     n_test: int
-    hyperparams: dict = field(default_factory=dict)
-    seed: int = 0
 
 
 def transform_features(features: np.ndarray, transform) -> np.ndarray:
@@ -123,7 +121,7 @@ def predict_batch(train: Dataset, transform, queries, rule: NeighborRule, mode: 
     return predict_each(distances, train, tq, rule, mode)
 
 
-def evaluate(predictions, truth, task: str, loss_matrix=None, seed: int = 0, hyperparams=None) -> EvalReport:
+def evaluate(predictions, truth, task: str, loss_matrix=None) -> EvalReport:
     """Score predictions: mean 0/1 (or loss-matrix) error, or nMSE.
 
     nMSE is the mean squared error divided by the population variance of the
@@ -150,10 +148,4 @@ def evaluate(predictions, truth, task: str, loss_matrix=None, seed: int = 0, hyp
         name = "nmse"
     else:
         raise ValueError(f"unknown task {task!r}")
-    return EvalReport(
-        metric_name=name,
-        value=value,
-        n_test=len(truth),
-        hyperparams=dict(hyperparams or {}),
-        seed=seed,
-    )
+    return EvalReport(metric_name=name, value=value, n_test=len(truth))

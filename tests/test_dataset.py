@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from nnmetric.dataset import (
     Dataset,
     DatasetFormatError,
-    SplitSpec,
     kfold,
     load_csv,
     random_rotation,
@@ -107,16 +106,6 @@ class TestZscore:
         with pytest.raises(ValueError, match="dimension mismatch"):
             zscore_fit_apply(train, [other])
 
-    @given(st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip(self, seed):
-        """Un-normalizing normalized train features reproduces the originals."""
-        rng = np.random.default_rng(seed)
-        feats = rng.standard_normal((5, 3)) * rng.uniform(0.1, 10) + rng.uniform(-5, 5)
-        train = Dataset(feats, np.zeros(5), "real")
-        stats, (norm,) = zscore_fit_apply(train)
-        np.testing.assert_allclose(stats.unapply(norm.features), feats, rtol=1e-10, atol=1e-10)
-
 
 class TestKfold:
     def test_even_split(self):
@@ -150,12 +139,6 @@ class TestKfold:
         np.testing.assert_array_equal(all_idx, np.arange(n))
         sizes = [len(spec.fold_indices(f)) for f in range(n_folds)]
         assert max(sizes) - min(sizes) <= 1
-
-    def test_json_roundtrip(self):
-        spec = kfold(7, 3, seed=9)
-        back = SplitSpec.from_json(spec.to_json())
-        np.testing.assert_array_equal(back.assignment, spec.assignment)
-        assert (back.n_folds, back.seed) == (3, 9)
 
 
 class TestSynthSin:

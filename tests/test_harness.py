@@ -251,6 +251,13 @@ class TestCmdOracle:
     def test_remaining_suites_pass(self, suite):
         assert cli.main(["oracle", "--suite", suite, "--budget", "60"]) == 0
 
+    def test_surrogate_suite_counts_only_compared_draws(self):
+        """Draws with no feasible h* are skipped, not counted as checks:
+        at seed 0, 58 of 500 draws have none."""
+        outcome = run_oracle("surrogate", 500)
+        assert outcome.failure is None
+        assert outcome.checked == 442
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the mean of an empty ball
     @pytest.mark.parametrize("broken", ["reversed_index_ties", "no_empty_ball_fallback"])
     def test_neighbors_suite_fails_on_broken_selection(self, monkeypatch, broken):

@@ -3,10 +3,10 @@
 ``data/trainer_pins.json`` holds, per case, the final matrices, the epoch
 trace and ``epochs_run`` of one training run, recorded before the three
 trainers were folded onto one SGD loop.  Any change to the update order, the
-learning-rate schedule, the batching or the stop rule moves these numbers.
-The four symmetric cases (``sgd_sym``, ``sgd_sym_batch5``, ``reg_upper_bound``,
-``reg_min_loss``) were re-recorded when ``numerics.sym_eig`` moved from a
-Jacobi iteration to LAPACK ``eigh``, which moves W in its last digits.
+learning-rate schedule or the stop rule moves these numbers.  The three
+symmetric cases (``sgd_sym``, ``reg_upper_bound``, ``reg_min_loss``) were
+re-recorded when ``numerics.sym_eig`` moved from a Jacobi iteration to LAPACK
+``eigh``, which moves W in its last digits.
 """
 
 import json
@@ -37,9 +37,6 @@ def real():
 CASES = {
     "sgd_sym": lambda: train_sgd(
         classed(), GerryTrainConfig(k=3, epochs=6, seed=1), audit_psd=True
-    ),
-    "sgd_sym_batch5": lambda: train_sgd(
-        classed(), GerryTrainConfig(k=3, epochs=6, seed=2, batch_size=5)
     ),
     "sgd_asym_diag": lambda: train_sgd(
         classed(),
