@@ -126,7 +126,27 @@ def _finite_order(dists):
     return order[np.isfinite(dists[order])]
 
 
-def targeted_inference_core(dists, labels, target: int, k: int, tau: int) -> np.ndarray:
+class _Candidates(NamedTuple):
+    order: np.ndarray  # the k nearest finite points of each class, nearest first
+    labels: np.ndarray
+    rank: np.ndarray  # each point's rank among the finite points of its class
+    n_finite: int
+    classes: np.ndarray  # the classes with a finite point, ascending
+
+
+def _candidates(dists, labels, k: int) -> _Candidates:
+    order = _finite_order(dists)
+    labs = labels[order]
+    counts = np.bincount(labs)
+    by_class = np.argsort(labs, kind="stable")
+    rank = np.empty(len(order), dtype=int)
+    rank[by_class] = np.arange(len(order)) - (np.cumsum(counts) - counts)[labs[by_class]]
+    keep = rank < k
+    return _Candidates(order[keep], labs[keep], rank[keep], len(order), np.flatnonzero(counts))
+
+
+def targeted_inference_core(dists, labels, target: int, k: int, tau: int,
+                            cands: _Candidates | None = None) -> np.ndarray:
     """Argmax of the score over size-k sets voting for ``target``.
 
     Enumerates the number m of target-class members, from the minimum that
@@ -135,39 +155,34 @@ def targeted_inference_core(dists, labels, target: int, k: int, tau: int) -> np.
     each m the best set takes the m nearest target points plus the nearest
     others, each non-target class capped at m - tau members; greedy filling
     under per-class caps is exact because caps form a partition matroid.
+    As m and every cap are at most k, no set uses a point outside the k
+    nearest of its class, so only those are candidates.  ``cands`` is that
+    list as :func:`_candidates` builds it from ``dists``; one list serves
+    every target and tau of a sample, and it is built here when omitted.
 
     Works on per-point distances, so any metric whose set score is additive
     over members can reuse it.  Excluded points carry infinite distance.
     Returns indices sorted nearest-first.
     """
-    labels = np.asarray(labels, dtype=int)
     dists = np.asarray(dists, dtype=float)
-    order = _finite_order(dists)
-    if len(order) < k:
-        raise InfeasibleTargetError(f"only {len(order)} candidates for k={k}")
-    pool_classes = np.unique(labels[order])
-    need = n_star(len(pool_classes), k, ties_forbidden=bool(tau))
-    target_sorted = order[labels[order] == target]
+    if cands is None:
+        cands = _candidates(dists, np.asarray(labels, dtype=int), k)
+    if cands.n_finite < k:
+        raise InfeasibleTargetError(f"only {cands.n_finite} candidates for k={k}")
+    need = n_star(len(cands.classes), k, ties_forbidden=bool(tau))
+    is_target = cands.labels == target
+    target_sorted = cands.order[is_target]
     if len(target_sorted) < need:
         raise InfeasibleTargetError(
             f"class {target} has {len(target_sorted)} candidates, needs {need}"
         )
-    others = order[labels[order] != target]
-    other_labels = labels[others]
+    others, other_rank = cands.order[~is_target], cands.rank[~is_target]
     best_h, best_total = None, np.inf
     for m in range(need, min(k, len(target_sorted)) + 1):
-        cap = m - tau
-        fill = []
-        counts = np.zeros(int(labels.max()) + 1, dtype=int)
-        for i, lab in zip(others, other_labels):
-            if len(fill) == k - m:
-                break
-            if counts[lab] < cap:
-                fill.append(i)
-                counts[lab] += 1
+        fill = others[other_rank < m - tau][: k - m]
         if len(fill) < k - m:
             continue
-        h = np.concatenate([target_sorted[:m], fill]).astype(int)
+        h = np.concatenate([target_sorted[:m], fill])
         total = float(dists[h].sum())
         if total < best_total:
             best_h, best_total = h, total
@@ -178,20 +193,24 @@ def targeted_inference_core(dists, labels, target: int, k: int, tau: int) -> np.
     return best_h[np.lexsort((best_h, dists[best_h]))]
 
 
-def loss_augmented_inference_core(dists, labels, y: int, k: int, loss_matrix):
+def loss_augmented_inference_core(dists, labels, y: int, k: int, loss_matrix,
+                                  cands: _Candidates | None = None):
     """Argmax of score + loss of the worst vote winner, by class reduction.
 
     For each feasible class r, the best r-winning set (ties allowed) is found
     by targeted inference; the class maximizing score + loss(y, r) wins.
-    Ties between classes go to the smallest id.
+    Ties between classes go to the smallest id.  ``cands`` is as in
+    :func:`targeted_inference_core`.
     """
     labels = np.asarray(labels, dtype=int)
     dists = np.asarray(dists, dtype=float)
     lam = np.asarray(loss_matrix, dtype=float)
+    if cands is None:
+        cands = _candidates(dists, labels, k)
     best_h, best_value = None, -np.inf
-    for r in np.unique(labels[np.isfinite(dists)]):
+    for r in cands.classes:
         try:
-            h = targeted_inference_core(dists, labels, int(r), k, tau=0)
+            h = targeted_inference_core(dists, labels, int(r), k, tau=0, cands=cands)
         except InfeasibleTargetError:
             continue
         value = -float(dists[h].sum()) + float(lam[int(y) - 1, int(r) - 1])
@@ -209,8 +228,11 @@ def surrogate_core(dists, labels, y: int, k: int, loss_matrix):
     The surrogate max_h [S + loss] - max_{h votes y} S is nonnegative and
     upper-bounds the task loss at the plain top-k neighbor set.
     """
-    h_hat, augmented = loss_augmented_inference_core(dists, labels, y, k, loss_matrix)
-    h_star = targeted_inference_core(dists, labels, int(y), k, tau=1)
+    dists = np.asarray(dists, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    cands = _candidates(dists, labels, k)
+    h_hat, augmented = loss_augmented_inference_core(dists, labels, y, k, loss_matrix, cands)
+    h_star = targeted_inference_core(dists, labels, int(y), k, tau=1, cands=cands)
     return augmented + float(dists[h_star].sum()), h_hat, h_star
 
 

@@ -56,11 +56,15 @@ def reg_point_scores(dists, targets, y: float, k: int, gamma: float, direction: 
 
 
 def reg_inference_core(dists, targets, y: float, k: int, gamma: float, direction: str):
-    """Top-k by per-point score; exact since the objective is additive."""
-    scores = reg_point_scores(dists, targets, y, k, gamma, direction)
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    h = order[:k]
-    if not np.isfinite(scores[h]).all():
+    """Top-k by per-point score; exact since the objective is additive.
+
+    Only the points scoring at least the k-th best, ties included, are
+    sorted (by descending score, then index)."""
+    neg = -reg_point_scores(dists, targets, y, k, gamma, direction)
+    kth = np.partition(neg, k - 1)[k - 1] if k <= len(neg) else np.inf
+    cut = np.flatnonzero(neg <= kth)
+    h = cut[np.lexsort((cut, neg[cut]))][:k]
+    if len(h) < k or not np.isfinite(neg[h]).all():
         raise InfeasibleTargetError(f"fewer than k={k} candidates")
     return h
 

@@ -15,6 +15,7 @@ from nnmetric.bruteforce import (
 from nnmetric.dataset import CLASS, Dataset
 from nnmetric.gerrymander import (
     AsymmetricMetric,
+    _candidates,
     InfeasibleTargetError,
     MahalanobisMetric,
     loss_augmented_inference_core,
@@ -332,6 +333,115 @@ class TestSurrogate:
                     y, labels[list(combo)], lam
                 )
                 assert value >= other - 1e-9
+
+
+def loo_instance(rng):
+    """Leave-one-out distances as a trainer sees them: the queried point and
+    sometimes others at inf, integer distances with many ties (as Hamming
+    distances have) in half the draws, and sometimes a class whose only
+    member is the queried point."""
+    n = int(rng.integers(5, 11))
+    r = int(rng.integers(2, 5))
+    labels = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, size=n - r)])
+    labels = labels[rng.permutation(n)].astype(int)
+    i = int(rng.integers(0, n))
+    if rng.random() < 0.3:  # the queried point is its class's only member
+        lone = labels[i]
+        labels[labels == lone] = lone % r + 1
+        labels[i] = lone
+    if rng.random() < 0.5:
+        dists = rng.integers(0, 4, size=n).astype(float)
+    else:
+        dists = rng.random(n)
+    dists[rng.choice(n, size=int(rng.integers(0, 3)), replace=False)] = np.inf
+    dists[i] = np.inf
+    k = int(rng.integers(1, min(5, n - 1) + 1))
+    return dists, labels, int(labels[i]), k, r
+
+
+def loop_targeted(dists, labels, target, k, tau):
+    """Reference targeted inference: the per-m greedy fill as a plain loop
+    over the whole finite pool, each non-target class capped at m - tau."""
+    order = [i for i in np.argsort(dists, kind="stable") if np.isfinite(dists[i])]
+    if len(order) < k:
+        return None
+    need = n_star(len({labels[i] for i in order}), k, ties_forbidden=bool(tau))
+    target_sorted = [i for i in order if labels[i] == target]
+    best_h, best_total = None, np.inf
+    for m in range(need, min(k, len(target_sorted)) + 1):
+        fill, counts = [], {}
+        for i in order:
+            if len(fill) < k - m and labels[i] != target and counts.get(labels[i], 0) < m - tau:
+                fill.append(i)
+                counts[labels[i]] = counts.get(labels[i], 0) + 1
+        if len(fill) == k - m:
+            h = np.array(target_sorted[:m] + fill, dtype=int)
+            if float(dists[h].sum()) < best_total:
+                best_h, best_total = h, float(dists[h].sum())
+    return None if best_h is None else best_h[np.lexsort((best_h, dists[best_h]))]
+
+
+class TestLeaveOneOutInstances:
+    """Cases the ``inference`` oracle stream never draws: excluded points,
+    integer ties, a class present only at the excluded point."""
+
+    def test_cores_match_brute_force(self):
+        rng = np.random.default_rng(71)
+        start = time.monotonic()
+        for _ in range(150):
+            dists, labels, y, k, r = loo_instance(rng)
+            lam = zero_one_loss(r) * (1.0 + rng.random((r, r)))
+            np.fill_diagonal(lam, 0.0)
+            for target in range(1, r + 1):
+                for tau in (0, 1):
+                    expected = brute_targeted(dists, labels, target, k, tau)
+                    try:
+                        h = targeted_inference_core(dists, labels, target, k, tau)
+                    except InfeasibleTargetError:
+                        assert expected is None
+                        continue
+                    assert expected is not None
+                    assert -float(dists[h].sum()) == pytest.approx(expected[1], abs=1e-9)
+            augmented = brute_loss_augmented(dists, labels, y, k, lam)
+            if augmented is None:  # fewer than k finite distances
+                with pytest.raises(InfeasibleTargetError):
+                    surrogate_core(dists, labels, y, k, lam)
+                continue
+            _, value = loss_augmented_inference_core(dists, labels, y, k, lam)
+            assert value == pytest.approx(augmented[1], abs=1e-9)
+            star = brute_targeted(dists, labels, y, k, 1)
+            try:
+                surrogate, _, _ = surrogate_core(dists, labels, y, k, lam)
+            except InfeasibleTargetError:
+                assert star is None
+                continue
+            assert surrogate == pytest.approx(augmented[1] - star[1], abs=1e-9)
+        assert time.monotonic() - start < 60.0
+
+    def test_passed_candidates_give_the_loop_sets(self):
+        rng = np.random.default_rng(73)
+        for _ in range(300):
+            dists, labels, y, k, r = loo_instance(rng)
+            cands = _candidates(dists, labels, k)
+            assert np.all(cands.rank < k)
+            for target in range(1, r + 1):
+                for tau in (0, 1):
+                    want = loop_targeted(dists, labels, target, k, tau)
+                    try:
+                        built = targeted_inference_core(dists, labels, target, k, tau)
+                    except InfeasibleTargetError:
+                        assert want is None
+                        with pytest.raises(InfeasibleTargetError):
+                            targeted_inference_core(dists, labels, target, k, tau, cands)
+                        continue
+                    passed = targeted_inference_core(dists, labels, target, k, tau, cands)
+                    assert np.array_equal(built, want) and np.array_equal(passed, want)
+            lam = zero_one_loss(r)
+            if cands.n_finite < k:
+                continue
+            h_built, v_built = loss_augmented_inference_core(dists, labels, y, k, lam)
+            h_passed, v_passed = loss_augmented_inference_core(dists, labels, y, k, lam, cands)
+            assert np.array_equal(h_built, h_passed) and v_built == v_passed
 
 
 class TestBruteForceInternals:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import gauss_blobs
 
-from nnmetric import bruteforce, cli, harness, predictors
+from nnmetric import bruteforce, cli, gerrymander, harness, predictors
 from nnmetric import gradient_metrics as gm
 from nnmetric.dataset import CLASS, Dataset, load_csv, save_csv, synth_sin
 from nnmetric.harness import (
@@ -321,6 +321,22 @@ class TestCmdOracle:
         outcome = run_oracle("eig", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] == check
+
+    @pytest.mark.parametrize("broken", ["k_minus_1_per_class", "cap_off_by_one"])
+    def test_inference_suite_fails_on_broken_candidates(self, monkeypatch, broken):
+        original = gerrymander._candidates
+        if broken == "k_minus_1_per_class":
+            def mutant(dists, labels, k):
+                return original(dists, labels, k - 1)
+        else:
+            def mutant(dists, labels, k):
+                cands = original(dists, labels, k)
+                return cands._replace(rank=cands.rank + 1)
+
+        monkeypatch.setattr(gerrymander, "_candidates", mutant)
+        outcome = run_oracle("inference", 200)
+        assert outcome.failure is not None
+        assert outcome.failure["check"] in ("targeted", "loss_augmented")
 
     def test_unknown_suite_exits_2(self, capsys):
         assert cli.main(["oracle", "--suite", "nope", "--budget", "5"]) == 2
