@@ -191,11 +191,12 @@ def _parse_real(path, cell, row_num, col_name):
     return value
 
 
-def save_csv(path, ds: Dataset, label_column: str = "label") -> None:
-    """Write a dataset as CSV; floats serialized via repr so the file
-    round-trips through :func:`load_csv` exactly."""
+def save_csv(path, ds: Dataset) -> None:
+    """Write a dataset as CSV with columns x1..xd and ``label``; floats
+    serialized via repr so the file round-trips through :func:`load_csv`
+    exactly."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        cols = [f"x{i + 1}" for i in range(ds.d)] + [label_column]
+        cols = [f"x{i + 1}" for i in range(ds.d)] + ["label"]
         fh.write(",".join(cols) + "\n")
         for row, label in zip(ds.features, ds.labels):
             cells = [repr(float(v)) for v in row]

@@ -80,15 +80,6 @@ def zero_one_loss(n_classes: int) -> np.ndarray:
     return np.ones((n_classes, n_classes)) - np.eye(n_classes)
 
 
-def validate_loss_matrix(loss_matrix: np.ndarray) -> np.ndarray:
-    lam = np.asarray(loss_matrix, dtype=float)
-    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-        raise ValueError("loss matrix must be square")
-    if np.any(lam < 0) or np.any(np.diag(lam) != 0):
-        raise ValueError("loss matrix needs nonnegative entries and a zero diagonal")
-    return lam
-
-
 def score(metric, x, h, train: Dataset) -> float:
     """Distance score S(x, h): the negated sum of distances to members of h."""
     dists = metric.distances(x, train.features[np.asarray(h, dtype=int)])
@@ -263,10 +254,11 @@ def asym_reg_grads(u, v):
 class GerryTrainConfig:
     """Knobs for the SGD trainers.
 
-    lr is "inv_t" (eta(t) = 1/t, t counted per applied sample update) or a
-    constant float.  init is "zeros", "identity", or "diag" with init_weights
-    giving the diagonal.  Under "inv_t" the first applied update of the
-    symmetric variant scales W0 by 1 - eta(1) = 0, so its init only steers
+    The step size is eta(t) = 1/t, t counted per applied sample update.
+    init_weights None starts from W = 0 (U = V = I for the asymmetric
+    variant); a nonnegative d-vector starts from W = diag(init_weights)
+    (U = V = diag(sqrt(init_weights))).  The first applied update of the
+    symmetric variant scales W0 by 1 - eta(1) = 0, so its start only steers
     the inference that precedes that update.  Training stops when the
     epoch-mean surrogate fails to decrease by stop_rel_tol relative, or after
     ``epochs``; stop_rel_tol None always runs every epoch.
@@ -275,8 +267,6 @@ class GerryTrainConfig:
     k: int
     c: float = 1.0
     epochs: int = 20
-    lr: object = "inv_t"
-    init: str = "zeros"
     init_weights: np.ndarray | None = None
     seed: int = 0
     stop_rel_tol: float | None = 1e-4
@@ -307,25 +297,16 @@ class TrainResult:
 _ASYM_LR_OFFSET = 50
 
 
-def _learning_rate(lr, t: int, offset: int = 0) -> float:
-    if lr == "inv_t":
-        return 1.0 / (t + offset)
-    return float(lr)
-
-
-def _init_matrix(config: GerryTrainConfig, d: int) -> np.ndarray:
-    if config.init == "zeros":
-        return np.zeros((d, d))
-    if config.init == "identity":
-        return np.eye(d)
-    if config.init == "diag":
-        if config.init_weights is None:
-            raise ValueError("diag init needs init_weights")
-        w = np.asarray(config.init_weights, dtype=float)
-        if w.shape != (d,):
-            raise ValueError("init_weights must be a d-vector")
-        return np.diag(w)
-    raise ValueError(f"unknown init {config.init!r}")
+def _init_diagonal(config: GerryTrainConfig, d: int) -> np.ndarray | None:
+    """The checked start weights, or None for the zero start."""
+    if config.init_weights is None:
+        return None
+    w = np.asarray(config.init_weights, dtype=float)
+    if w.shape != (d,):
+        raise ValueError(f"init_weights must be a d-vector (d = {d}), got shape {w.shape}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("init_weights must be finite and nonnegative")
+    return w
 
 
 def _should_stop(prev_mean, mean, rel_tol) -> bool:
@@ -379,16 +360,13 @@ def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
         raise ValueError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(config.seed)
     d = train.d
+    weights = _init_diagonal(config, d)
     if variant == "symmetric":
-        metric = MahalanobisMetric(w=_init_matrix(config, d))
+        metric = MahalanobisMetric(w=np.zeros((d, d)) if weights is None else np.diag(weights))
     else:
-        if config.init == "zeros":  # zero projections cannot break symmetry
-            base = np.eye(d)
-        elif config.init == "diag":
-            # U = V = diag(s) induces distances sum s_j^2 (x_j - x'_j)^2
-            base = np.sqrt(_init_matrix(config, d))
-        else:
-            base = _init_matrix(config, d)
+        # zero projections cannot break symmetry, so the zero start is U = V = I;
+        # U = V = diag(s) induces distances sum s_j^2 (x_j - x'_j)^2
+        base = np.eye(d) if weights is None else np.diag(np.sqrt(weights))
         metric = AsymmetricMetric(u=base.copy(), v=base.copy())
     psd_audit: list[float] = []
     t = 0
@@ -404,14 +382,14 @@ def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
             return None
         t += 1
         if variant == "symmetric":
-            eta = _learning_rate(config.lr, t)
+            eta = 1.0 / t
             delta = feature_map_psi(x, h_hat, train) - feature_map_psi(x, h_star, train)
             w = psd_project((1.0 - eta) * metric.w - config.c * delta)
             metric = MahalanobisMetric(w=w)
             if audit_psd:
                 psd_audit.append(float(sym_eig(w).values[-1]))
         else:
-            eta = _learning_rate(config.lr, t, offset=_ASYM_LR_OFFSET)
+            eta = 1.0 / (t + _ASYM_LR_OFFSET)
             gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
             gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
             reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
@@ -428,7 +406,6 @@ def train_sgd(
     train: Dataset,
     config: GerryTrainConfig,
     variant: str = "symmetric",
-    loss_matrix=None,
     audit_psd: bool = False,
 ) -> TrainResult:
     """SGD on the classification surrogate; updates as in :func:`latent_sgd`.
@@ -439,11 +416,7 @@ def train_sgd(
     """
     if train.kind != CLASS:
         raise ValueError("train_sgd needs a classed dataset")
-    lam = (
-        zero_one_loss(train.n_classes)
-        if loss_matrix is None
-        else validate_loss_matrix(loss_matrix)
-    )
+    lam = zero_one_loss(train.n_classes)
 
     def infer(i, dists):
         return surrogate_core(dists, train.labels, int(train.labels[i]), config.k, lam)

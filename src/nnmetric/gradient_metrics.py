@@ -157,9 +157,9 @@ class GradientMetricEstimate:
     def eig(self) -> EigenDecomp:
         return sym_eig(self.g)
 
-    def transform(self, rank_tol: float = 1e-9) -> np.ndarray:
+    def transform(self) -> np.ndarray:
         """Whitening map: distances under it square to the quadratic form g."""
-        return whitening_transform(self.g, rank_tol=rank_tol)
+        return whitening_transform(self.g)
 
 
 def _loo_weights(spec: KernelSpec, sq, own: int):
@@ -347,11 +347,14 @@ def estimate_ejop(
     return GradientMetricEstimate(g=symmetrize(passed.outer / train.n), kind="ejop")
 
 
-def relieff_weights(
-    train: Dataset, k_hits: int = 5, n_probes: int = 100, seed: int = 0
-) -> np.ndarray:
-    """Hit/miss feature scoring: coordinates whose values agree within a
-    class but differ across classes score high.  Clipped at zero."""
+# the number of sampled points whose hits and misses ReliefF scores
+_RELIEFF_PROBES = 100
+
+
+def relieff_weights(train: Dataset, k_hits: int = 5, seed: int = 0) -> np.ndarray:
+    """Hit/miss feature scoring over _RELIEFF_PROBES sampled points:
+    coordinates whose values agree within a class but differ across classes
+    score high.  Clipped at zero."""
     if train.kind != CLASS:
         raise ValueError("relieff_weights needs a classed dataset")
     labels = train.labels
@@ -364,7 +367,7 @@ def relieff_weights(
     priors = counts / train.n
 
     rng = np.random.default_rng(seed)
-    probes = rng.choice(train.n, size=n_probes, replace=n_probes > train.n)
+    probes = rng.choice(train.n, size=_RELIEFF_PROBES, replace=_RELIEFF_PROBES > train.n)
     w = np.zeros(train.d)
     for idx in probes:
         x = feats[idx]
@@ -381,4 +384,4 @@ def relieff_weights(
                 w -= mean_gap
             else:
                 w += priors[cls - 1] / (1.0 - priors[y - 1]) * mean_gap
-    return np.maximum(w / n_probes, 0.0)
+    return np.maximum(w / _RELIEFF_PROBES, 0.0)

@@ -10,9 +10,9 @@ Gradients relax the differentiated sign through tanh while the other side
 stays binarized.  Each step adds a zero-mean code penalty, applies momentum,
 and renormalizes the hash matrices to unit Frobenius norm.
 
-Retrieval can rank by hard Hamming distance or, since short codes tie
-constantly, by the soft distance |code - tanh(s * Ux)|^2 / 4 with s
-calibrated so projections average |tanh| of 0.4.
+Training infers on hard Hamming distances.  Retrieval ranks database codes
+by the soft distance |code - tanh(s * Ux)|^2 / 4 instead, since short codes
+tie constantly, with s calibrated so projections average |tanh| of 0.4.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .gerrymander import (
     InfeasibleTargetError,
     run_epochs,
     surrogate_core,
-    validate_loss_matrix,
     zero_one_loss,
 )
 from .predictors import NeighborRule, predict_each
@@ -34,6 +33,9 @@ from .predictors import NeighborRule, predict_each
 # weight of the zero-mean code penalty, and the momentum of every step
 _PENALTY = 0.1
 _MOMENTUM = 0.9
+# the mean |tanh| that calibrate_scales aims at, and how close it must come
+_SCALE_TARGET = 0.4
+_SCALE_TOL = 1e-2
 
 
 def sign_pm1(a) -> np.ndarray:
@@ -86,8 +88,9 @@ def asym_hamming_distance(projected_query, code, scales) -> float:
     return float(np.sum((np.asarray(code, dtype=float) - soft) ** 2) / 4.0)
 
 
-def calibrate_scales(train: Dataset, u, target: float = 0.4, tol: float = 1e-2):
-    """Scales s = alpha * 1 with mean |tanh(alpha * Ux)| ~= target over train.
+def calibrate_scales(train: Dataset, u):
+    """Scales s = alpha * 1 with mean |tanh(alpha * Ux)| within _SCALE_TOL of
+    _SCALE_TARGET over train.
 
     The mean is monotone in alpha, so bisection after bracket expansion
     suffices.  Degenerate projections (or an unreachable target) fall back
@@ -103,9 +106,9 @@ def calibrate_scales(train: Dataset, u, target: float = 0.4, tol: float = 1e-2):
 
     # Starting bracket inversely proportional to the projection magnitude,
     # so scaling U scales the whole search (and the result) by the inverse.
-    lo, hi = 0.0, float(np.arctanh(target) / proj.mean())
+    lo, hi = 0.0, float(np.arctanh(_SCALE_TARGET) / proj.mean())
     for _ in range(200):
-        if level(hi) >= target:
+        if level(hi) >= _SCALE_TARGET:
             break
         hi *= 2.0
     else:
@@ -113,9 +116,9 @@ def calibrate_scales(train: Dataset, u, target: float = 0.4, tol: float = 1e-2):
     for _ in range(200):
         mid = (lo + hi) / 2.0
         value = level(mid)
-        if abs(value - target) <= tol:
+        if abs(value - _SCALE_TARGET) <= _SCALE_TOL:
             return np.full(c, mid)
-        if value < target:
+        if value < _SCALE_TARGET:
             lo = mid
         else:
             hi = mid
@@ -188,7 +191,6 @@ def train_hamming(
     train: Dataset,
     config: HammingTrainConfig,
     mode: str = "asymmetric",
-    loss_matrix=None,
 ) -> HammingTrainResult:
     """SGD with momentum on the Hamming-space vote surrogate.
 
@@ -203,11 +205,7 @@ def train_hamming(
         raise ValueError("train_hamming needs a classed dataset")
     if mode not in ("symmetric", "asymmetric"):
         raise ValueError(f"unknown mode {mode!r}")
-    lam = (
-        zero_one_loss(train.n_classes)
-        if loss_matrix is None
-        else validate_loss_matrix(loss_matrix)
-    )
+    lam = zero_one_loss(train.n_classes)
     rng = np.random.default_rng(config.seed)
     u = _normalize(rng.normal(size=(config.c, train.d)))
     v = u.copy() if mode == "symmetric" else _normalize(rng.normal(size=(config.c, train.d)))
@@ -253,22 +251,13 @@ def train_hamming(
     return HammingTrainResult(hasher=HammingHasher(u=u, v=v), trace=trace, epochs_run=len(trace))
 
 
-def hamming_predictions(
-    hasher: HammingHasher, train: Dataset, queries, k: int, rank: str = "asym"
-) -> np.ndarray:
-    """kNN class votes in Hamming space.
-
-    rank="hard" sorts by integer Hamming distance (mass ties broken by
-    index); rank="asym" sorts by the calibrated soft distance instead.
-    """
-    if rank not in ("hard", "asym"):
-        raise ValueError(f"unknown rank mode {rank!r}")
+def hamming_predictions(hasher: HammingHasher, train: Dataset, queries, k: int) -> np.ndarray:
+    """kNN class votes ranked by the calibrated soft distance of each query
+    to the database codes."""
     codes_db = encode(hasher.v, train.features)
-    scales = calibrate_scales(train, hasher.u) if rank == "asym" else None
+    scales = calibrate_scales(train, hasher.u)
 
     def distances(x):
-        if rank == "hard":
-            return (hasher.c - codes_db @ binarize(hasher.u, x)) / 2.0
         soft = np.tanh(scales * (hasher.u @ x))
         return np.sum((codes_db - soft) ** 2, axis=1) / 4.0
 

@@ -595,12 +595,12 @@ def _gerry_family(method, train, config, memo):
     ]
 
     def fit(ds, params):
-        init = {"init": "zeros"}
+        weights = None
         if params["init"] == "relieff":
             weights = _relieff_weights_for(ds, config.seed, method, memo)
-            init = {"init": "diag", "init_weights": weights}
         gcfg = GerryTrainConfig(
-            k=params["k"], c=params["c"], epochs=config.epochs, seed=config.seed, **init
+            k=params["k"], c=params["c"], epochs=config.epochs, init_weights=weights,
+            seed=config.seed,
         )
         metric = train_sgd(ds, gcfg, variant=variant).metric
         if variant == "symmetric":
@@ -630,7 +630,7 @@ def _gerry_reg_family(method, train, config, memo):
         rcfg = RegTrainConfig(
             **params, epochs=config.epochs, seed=config.seed, hstar=config.hstar
         )
-        metric = train_reg_sgd(ds, rcfg, mode="symmetric").metric
+        metric = train_reg_sgd(ds, rcfg).metric
 
         def predictor(queries):
             return metric_reg_predictions(metric, ds, queries, params["k"])
@@ -1176,10 +1176,6 @@ def _suite_neighbors(budget, rng):
         def asymmetric(x):
             return np.array([np.sum((u @ x - v @ row) ** 2) for row in feats])
 
-        def hard(x):
-            q = np.where(hasher.u @ x >= 0.0, 1.0, -1.0)
-            return np.array([np.sum(q != code) for code in codes], dtype=float)
-
         def soft(x):
             return np.array([asym_hamming_distance(hasher.u @ x, c, scales) for c in codes])
 
@@ -1198,10 +1194,8 @@ def _suite_neighbors(budget, rng):
              metric_predictions(AsymmetricMetric(u=u, v=v), classed, queries, k)),
             ("metric_reg_predictions", real, knn, "regress", mahalanobis,
              metric_reg_predictions(MahalanobisMetric(w=w), real, queries, k)),
-            ("hamming_predictions", classed, knn, "classify", hard,
-             hamming_predictions(hasher, classed, queries, k, rank="hard")),
             ("hamming_predictions", classed, knn, "classify", soft,
-             hamming_predictions(hasher, classed, queries, k, rank="asym")),
+             hamming_predictions(hasher, classed, queries, k)),
         ]
         for name, ds, rule, mode, distances, got in cases:
             for x, pred in zip(queries, got):

@@ -77,24 +77,29 @@ def psd_project(a: np.ndarray) -> np.ndarray:
     return symmetrize(projected)
 
 
-def whitening_transform(g: np.ndarray, rank_tol: float = 1e-9) -> np.ndarray:
+# eigenvalues below this fraction of the largest are zeroed by the whitening
+# map, and an eigenvalue below its negative means the input is not PSD
+_RANK_TOL = 1e-9
+
+
+def whitening_transform(g: np.ndarray) -> np.ndarray:
     """Linear map ``T`` with ``|T x - T x'|^2 = (x - x')^T G (x - x')``.
 
     Built from the spectral decomposition ``G = V diag(lam) V^T`` as
-    ``T = diag(sqrt(lam)) V^T``.  Eigenvalues below ``rank_tol * lam_max``
+    ``T = diag(sqrt(lam)) V^T``.  Eigenvalues below ``_RANK_TOL * lam_max``
     are zeroed, so rank-deficient ``G`` yields a rank-deficient map.
 
     Raises
     ------
     ValueError
-        If ``G`` has an eigenvalue below ``-rank_tol``.
+        If ``G`` has an eigenvalue below ``-_RANK_TOL``.
     """
     vecs, values = sym_eig(g)
-    if values[-1] < -rank_tol:
+    if values[-1] < -_RANK_TOL:
         raise ValueError(
             f"matrix is not PSD within tolerance: min eigenvalue {values[-1]:g}"
         )
-    cutoff = rank_tol * max(values[0], 0.0)
+    cutoff = _RANK_TOL * max(values[0], 0.0)
     kept = np.where(values > cutoff, values, 0.0)
     return np.sqrt(kept)[:, None] * vecs.T
 

@@ -121,8 +121,8 @@ def predict_batch(train: Dataset, transform, queries, rule: NeighborRule, mode: 
     return predict_each(distances, train, tq, rule, mode)
 
 
-def evaluate(predictions, truth, task: str, loss_matrix=None) -> EvalReport:
-    """Score predictions: mean 0/1 (or loss-matrix) error, or nMSE.
+def evaluate(predictions, truth, task: str) -> EvalReport:
+    """Score predictions: mean 0/1 error, or nMSE.
 
     nMSE is the mean squared error divided by the population variance of the
     test targets, so predicting the test mean everywhere scores 1.0.
@@ -132,13 +132,7 @@ def evaluate(predictions, truth, task: str, loss_matrix=None) -> EvalReport:
     if len(predictions) != len(truth) or len(truth) < 1:
         raise ValueError("predictions and truth must have equal nonzero length")
     if task == "classify":
-        if loss_matrix is None:
-            value = float(np.mean(predictions != truth))
-        else:
-            lm = np.asarray(loss_matrix, dtype=float)
-            value = float(
-                np.mean([lm[int(t) - 1, int(p) - 1] for t, p in zip(truth, predictions)])
-            )
+        value = float(np.mean(predictions != truth))
         name = "error"
     elif task == "regress":
         var = float(np.var(truth))

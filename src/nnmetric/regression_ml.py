@@ -155,10 +155,9 @@ class RegTrainConfig(GerryTrainConfig):
             raise ValueError("eps must be nonnegative")
 
 
-def train_reg_sgd(train: Dataset, config: RegTrainConfig, mode: str = "symmetric",
-                  audit_psd: bool = False) -> TrainResult:
-    """SGD on the separable regression surrogate; updates as in
-    :func:`nnmetric.gerrymander.latent_sgd`.
+def train_reg_sgd(train: Dataset, config: RegTrainConfig, audit_psd: bool = False) -> TrainResult:
+    """SGD on the separable regression surrogate; W is updated as in the
+    symmetric variant of :func:`nnmetric.gerrymander.latent_sgd`.
 
     h-hat is the loss-augmented top-k.  h* is the targeted top-k under
     ``hstar = upper_bound``, else :func:`hstar_alternate` with that rule.
@@ -175,7 +174,7 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, mode: str = "symmetric
             h_star = hstar_alternate(dists, targets, y, config.k, config.hstar, config.eps)
         return reg_surrogate_core(dists, targets, y, config.k, config.gamma, h_star)
 
-    return latent_sgd(train, config, mode, infer, audit_psd)
+    return latent_sgd(train, config, "symmetric", infer, audit_psd)
 
 
 def metric_reg_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:

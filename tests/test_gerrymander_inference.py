@@ -25,7 +25,6 @@ from nnmetric.gerrymander import (
     targeted_inference_core,
     task_loss,
     tied_task_loss,
-    validate_loss_matrix,
     zero_one_loss,
 )
 from nnmetric.predictors import vote
@@ -109,12 +108,6 @@ class TestTaskLoss:
         # one vote each for classes 1 and 3: worst winner for y=1 is class 3
         assert tied_task_loss(1, [0, 1], [1, 3], lam) == 3.0
         assert task_loss(1, [0, 1], [1, 3], lam) == 0.0
-
-    def test_validate_loss_matrix_rejects_nonzero_diagonal(self):
-        with pytest.raises(ValueError):
-            validate_loss_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
-            validate_loss_matrix(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
 
 class TestNStar:

@@ -10,6 +10,7 @@ from nnmetric.gerrymander import (
     GerryTrainConfig,
     MahalanobisMetric,
     metric_predictions,
+    run_epochs,
     train_sgd,
 )
 from nnmetric.hamming import HammingTrainConfig, train_hamming
@@ -39,11 +40,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             train_sgd(train, GerryTrainConfig(k=1, epochs=1), variant="banana")
 
+    @pytest.mark.parametrize("variant", ["symmetric", "asymmetric"])
+    @pytest.mark.parametrize(
+        "weights", [[1.0, -1.0], [1.0, np.nan], [1.0, np.inf], [1.0, 1.0, 1.0]]
+    )
+    def test_rejects_bad_init_weights(self, variant, weights):
+        """A negative or non-finite start weight would put NaN into W (or
+        into U and V through the square root) and skip every sample."""
+        train = gauss_blobs([[0.0, 0.0], [3.0, 3.0]], 5, 1.0, seed=0)
+        config = GerryTrainConfig(k=1, epochs=1, init_weights=np.array(weights))
+        with pytest.raises(ValueError, match="init_weights"):
+            train_sgd(train, config, variant=variant)
+
 
 class TestSymmetricTraining:
     def test_zero_epochs_returns_init(self):
         train = gauss_blobs([[0.0, 0.0], [3.0, 3.0]], 10, 1.0, seed=1)
-        result = train_sgd(train, GerryTrainConfig(k=3, epochs=0, init="identity"))
+        result = train_sgd(train, GerryTrainConfig(k=3, epochs=0, init_weights=np.ones(2)))
         assert isinstance(result.metric, MahalanobisMetric)
         assert np.array_equal(result.metric.w, np.eye(2))
         assert result.epochs_run == 0
@@ -66,11 +79,10 @@ class TestSymmetricTraining:
         assert all(row.skipped == 0 for row in result.trace)
 
     def test_stops_when_loss_plateaus(self):
-        # frozen learning rate keeps the metric fixed, so epoch means repeat
-        train = gauss_blobs([[0.0, 0.0], [2.0, 0.0]], 10, 1.0, seed=4)
-        config = GerryTrainConfig(k=3, epochs=10, lr=0.0)
-        result = train_sgd(train, config)
-        assert result.epochs_run == 2
+        # a constant surrogate never falls, so the second epoch mean stops training
+        trace = run_epochs(6, GerryTrainConfig(k=3, epochs=10), np.random.default_rng(4),
+                           lambda i: 0.5)
+        assert trace == [(0, 0.5, 0), (1, 0.5, 0)]
 
     def test_skips_samples_without_enough_same_class_neighbors(self):
         features = np.vstack([np.random.default_rng(5).normal(size=(8, 2)), [[9.0, 9.0]]])
@@ -98,12 +110,6 @@ class TestSymmetricTraining:
         w = result.metric.w
         assert w[0, 0] > np.max(np.abs(np.diag(w)[1:]))
 
-    def test_custom_loss_matrix_validated(self):
-        train = gauss_blobs([[0.0], [3.0]], 6, 1.0, seed=9)
-        bad = np.array([[0.5, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError):
-            train_sgd(train, GerryTrainConfig(k=1, epochs=1), loss_matrix=bad)
-
 
 class TestSharedEpochLoop:
     def test_all_skipped_epochs_stop_every_trainer(self):
@@ -125,7 +131,7 @@ class TestSharedEpochLoop:
 class TestAsymmetricTraining:
     def test_block_matrix_stays_psd(self):
         train = gauss_blobs([[0.0, 0.0], [2.0, 0.0]], 10, 1.0, seed=10)
-        config = GerryTrainConfig(k=3, epochs=3, init="identity", stop_rel_tol=None)
+        config = GerryTrainConfig(k=3, epochs=3, stop_rel_tol=None)
         result = train_sgd(train, config, variant="asymmetric")
         assert isinstance(result.metric, AsymmetricMetric)
         block = result.metric.block_matrix()
@@ -136,9 +142,7 @@ class TestAsymmetricTraining:
     def test_diag_init_matches_weighted_metric_at_start(self):
         train = gauss_blobs([[0.0, 0.0], [2.0, 0.0]], 6, 1.0, seed=11)
         weights = np.array([4.0, 0.25])
-        config = GerryTrainConfig(
-            k=1, epochs=0, init="diag", init_weights=weights
-        )
+        config = GerryTrainConfig(k=1, epochs=0, init_weights=weights)
         result = train_sgd(train, config, variant="asymmetric")
         x = np.array([1.0, 2.0])
         asym = result.metric.distances(x, train.features)
@@ -148,7 +152,7 @@ class TestAsymmetricTraining:
 
     def test_reduces_surrogate_on_blobs(self):
         train = gauss_blobs([[0.0, 0.0, 0.0], [2.0, 0.5, 0.0]], 20, 1.0, seed=12)
-        config = GerryTrainConfig(k=3, epochs=8, init="identity")
+        config = GerryTrainConfig(k=3, epochs=8)
         result = train_sgd(train, config, variant="asymmetric")
         first = result.trace[0].mean_surrogate
         best = min(row.mean_surrogate for row in result.trace)

@@ -405,19 +405,19 @@ class TestReliefF:
         feats = rng.normal(size=(30, 3))
         feats[:, 1] = 7.0
         labels = np.repeat([1, 2], 15)
-        w = relieff_weights(class_dataset(feats, labels), k_hits=3, n_probes=30, seed=0)
+        w = relieff_weights(class_dataset(feats, labels), k_hits=3, seed=0)
         assert w[1] == 0.0
 
     def test_separating_feature_scores_highest(self):
         train = blobs2(3, n_per=40, d=5)
-        w = relieff_weights(train, k_hits=5, n_probes=60, seed=0)
+        w = relieff_weights(train, k_hits=5, seed=0)
         assert w.argmax() in (0, 1)
         assert w[:2].min() > w[2:].max()
 
     def test_deterministic_under_seed(self):
         train = blobs2(4, n_per=20, d=4)
-        w1 = relieff_weights(train, k_hits=3, n_probes=25, seed=5)
-        w2 = relieff_weights(train, k_hits=3, n_probes=25, seed=5)
+        w1 = relieff_weights(train, k_hits=3, seed=5)
+        w2 = relieff_weights(train, k_hits=3, seed=5)
         np.testing.assert_array_equal(w1, w2)
 
 

@@ -320,12 +320,3 @@ class TestTrainer:
         untrained_err = float((untrained != test.labels).mean())
         assert trained_err < untrained_err
         assert trained_err <= 0.1
-
-    def test_hard_rank_mode_runs(self):
-        train = self._blobs(3, n_per_class=10)
-        hasher = random_hasher(train.d, 4, seed=3)
-        preds = hamming_predictions(hasher, train, train.features[:5], k=3, rank="hard")
-        assert preds.shape == (5,)
-        assert set(preds) <= {1, 2}
-        with pytest.raises(ValueError):
-            hamming_predictions(hasher, train, train.features[:2], k=3, rank="sorted")

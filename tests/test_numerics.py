@@ -193,12 +193,12 @@ class TestWhitening:
 
     def test_rank_truncation(self):
         g = np.diag([1.0, 1e-15])
-        t = whitening_transform(g, rank_tol=1e-9)
+        t = whitening_transform(g)
         np.testing.assert_allclose(t @ np.array([0.0, 1.0]), 0.0, atol=1e-12)
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
-            whitening_transform(np.diag([1.0, -0.5]), rank_tol=1e-9)
+            whitening_transform(np.diag([1.0, -0.5]))
 
 
 def test_matrix_csv_roundtrip(tmp_path):

@@ -134,12 +134,6 @@ class TestEvaluate:
         preds = np.array([1, 2, 2, 1])
         assert evaluate(preds, truth, "classify").value == pytest.approx(0.5)
 
-    def test_loss_matrix_mean(self):
-        lam = np.array([[0.0, 3.0], [1.0, 0.0]])
-        truth = np.array([1, 2])
-        preds = np.array([2, 2])
-        assert evaluate(preds, truth, "classify", loss_matrix=lam).value == pytest.approx(1.5)
-
     def test_zero_variance_flagged(self):
         with pytest.raises(ValueError, match="zero variance"):
             evaluate(np.array([1.0]), np.array([1.0]), "regress")

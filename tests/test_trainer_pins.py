@@ -1,12 +1,19 @@
 """Trainer outputs pinned on small fixtures.
 
 ``data/trainer_pins.json`` holds, per case, the final matrices, the epoch
-trace and ``epochs_run`` of one training run, recorded before the three
-trainers were folded onto one SGD loop.  Any change to the update order, the
-learning-rate schedule or the stop rule moves these numbers.  The three
-symmetric cases (``sgd_sym``, ``reg_upper_bound``, ``reg_min_loss``) were
-re-recorded when ``numerics.sym_eig`` moved from a Jacobi iteration to LAPACK
-``eigh``, which moves W in its last digits.
+trace, ``epochs_run`` and the per-update PSD audit of one training run,
+recorded before the three trainers were folded onto one SGD loop.  Any
+change to the update order, the learning-rate schedule, the start or the
+stop rule moves these numbers.  The three symmetric cases (``sgd_sym``,
+``reg_upper_bound``, ``reg_min_loss``) were re-recorded when
+``numerics.sym_eig`` moved from a Jacobi iteration to LAPACK ``eigh``, which
+moves W in its last digits.  ``reg_asym`` went with the asymmetric mode of
+the regression trainer, which no run used.
+
+The audited minimum eigenvalues of a rank-deficient W are roundoff, whose
+digits depend on the BLAS kernels the CPU selects, so they are compared to
+an absolute tolerance scaled by the pinned W (and must not be negative
+beyond roundoff) rather than relatively.
 """
 
 import json
@@ -41,7 +48,7 @@ CASES = {
     "sgd_asym_diag": lambda: train_sgd(
         classed(),
         GerryTrainConfig(
-            k=3, epochs=6, seed=3, init="diag", init_weights=np.array([1.0, 0.5, 0.2])
+            k=3, epochs=6, seed=3, init_weights=np.array([1.0, 0.5, 0.2])
         ),
         variant="asymmetric",
     ),
@@ -53,10 +60,6 @@ CASES = {
     ),
     "reg_eps_insensitive": lambda: train_reg_sgd(
         real(), RegTrainConfig(k=3, epochs=6, seed=6, hstar="eps_insensitive", eps=0.02)
-    ),
-    "reg_asym": lambda: train_reg_sgd(
-        real(), RegTrainConfig(k=3, gamma=0.5, epochs=6, seed=7, init="identity"),
-        mode="asymmetric",
     ),
     "hamming_sym": lambda: train_hamming(
         classed(), HammingTrainConfig(c=4, k=3, epochs=6, seed=8), mode="symmetric"
@@ -98,4 +101,9 @@ def test_trainer_matches_pin(case, pins):
     for name, matrix in want["arrays"].items():
         np.testing.assert_allclose(got["arrays"][name], matrix, rtol=1e-12)
     assert len(got["psd_audit"]) == len(want["psd_audit"])
-    np.testing.assert_allclose(got["psd_audit"], want["psd_audit"], rtol=1e-12)
+    if want["psd_audit"]:
+        scale = np.abs(want["arrays"]["w"]).max()
+        np.testing.assert_allclose(
+            got["psd_audit"], want["psd_audit"], rtol=1e-12, atol=1e-12 * scale
+        )
+        assert min(got["psd_audit"]) >= -1e-9
