@@ -25,7 +25,7 @@ import numpy as np
 
 from .dataset import CLASS, Dataset
 from .numerics import psd_project, sym_eig, symmetrize
-from .predictors import NeighborRule, predict_each, vote
+from .predictors import NeighborRule, predict_each
 
 
 class InfeasibleTargetError(ValueError):
@@ -84,17 +84,6 @@ def score(metric, x, h, train: Dataset) -> float:
     """Distance score S(x, h): the negated sum of distances to members of h."""
     dists = metric.distances(x, train.features[np.asarray(h, dtype=int)])
     return float(-np.sum(dists))
-
-
-def task_loss(y: int, h, train_labels, loss_matrix) -> float:
-    """Loss of predicting from h's majority vote against the true label y.
-
-    h must be ordered nearest-first; vote ties resolve to the nearest
-    member's class, then to the smallest label id.
-    """
-    labels = np.asarray(train_labels, dtype=int)
-    predicted = vote(labels[np.asarray(h, dtype=int)], labels)
-    return float(loss_matrix[int(y) - 1, predicted - 1])
 
 
 def tied_task_loss(y: int, h, train_labels, loss_matrix) -> float:
@@ -255,19 +244,14 @@ class GerryTrainConfig:
     """Knobs for the SGD trainers.
 
     The step size is eta(t) = 1/t, t counted per applied sample update.
-    init_weights None starts from W = 0 (U = V = I for the asymmetric
-    variant); a nonnegative d-vector starts from W = diag(init_weights)
-    (U = V = diag(sqrt(init_weights))).  The first applied update of the
-    symmetric variant scales W0 by 1 - eta(1) = 0, so its start only steers
-    the inference that precedes that update.  Training stops when the
-    epoch-mean surrogate fails to decrease by stop_rel_tol relative, or after
-    ``epochs``; stop_rel_tol None always runs every epoch.
+    Training starts from W = 0 (U = V = I for the asymmetric variant) and
+    stops when the epoch-mean surrogate fails to decrease by stop_rel_tol
+    relative, or after ``epochs``; stop_rel_tol None always runs every epoch.
     """
 
     k: int
     c: float = 1.0
     epochs: int = 20
-    init_weights: np.ndarray | None = None
     seed: int = 0
     stop_rel_tol: float | None = 1e-4
 
@@ -295,18 +279,6 @@ class TrainResult:
 # the cubic penalty gradient makes an undamped 1/t schedule diverge at
 # eta(1) = 1, so the asymmetric variant offsets the decay
 _ASYM_LR_OFFSET = 50
-
-
-def _init_diagonal(config: GerryTrainConfig, d: int) -> np.ndarray | None:
-    """The checked start weights, or None for the zero start."""
-    if config.init_weights is None:
-        return None
-    w = np.asarray(config.init_weights, dtype=float)
-    if w.shape != (d,):
-        raise ValueError(f"init_weights must be a d-vector (d = {d}), got shape {w.shape}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("init_weights must be finite and nonnegative")
-    return w
 
 
 def _should_stop(prev_mean, mean, rel_tol) -> bool:
@@ -351,23 +323,21 @@ def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
     under the current metric and returns (surrogate, h-hat, h*), or raises
     InfeasibleTargetError to skip the sample.
 
-    Symmetric variant: per applied sample, W <- (1 - eta(t)) W - C (Psi(x, h-hat)
-    - Psi(x, h-star)), then projection onto the PSD cone.  Asymmetric variant:
-    descent on U and V with the score partials (scaled by C) plus the joint
-    Frobenius penalty gradients; PSD holds by construction.
+    Symmetric variant: starting from W = 0, per applied sample,
+    W <- (1 - eta(t)) W - C (Psi(x, h-hat) - Psi(x, h-star)), then projection
+    onto the PSD cone.  Asymmetric variant: starting from U = V = I, descent
+    on U and V with the score partials (scaled by C) plus the joint Frobenius
+    penalty gradients; PSD holds by construction.
     """
     if variant not in ("symmetric", "asymmetric"):
         raise ValueError(f"unknown variant {variant!r}")
     rng = np.random.default_rng(config.seed)
     d = train.d
-    weights = _init_diagonal(config, d)
     if variant == "symmetric":
-        metric = MahalanobisMetric(w=np.zeros((d, d)) if weights is None else np.diag(weights))
+        metric = MahalanobisMetric(w=np.zeros((d, d)))
     else:
-        # zero projections cannot break symmetry, so the zero start is U = V = I;
-        # U = V = diag(s) induces distances sum s_j^2 (x_j - x'_j)^2
-        base = np.eye(d) if weights is None else np.diag(np.sqrt(weights))
-        metric = AsymmetricMetric(u=base.copy(), v=base.copy())
+        # zero projections cannot break symmetry, so the start is U = V = I
+        metric = AsymmetricMetric(u=np.eye(d), v=np.eye(d))
     psd_audit: list[float] = []
     t = 0
 

@@ -224,7 +224,6 @@ class ExperimentConfig:
     grid_gamma: tuple = (1.0,)
     grid_eps: tuple = (0.0,)
     epochs: int = 20
-    init: str = "auto"
     bits: int = 8
     hamming_mode: str = "asymmetric"
     temperature: float = 1.0
@@ -275,7 +274,6 @@ _SCHEMA = {
     "grid.gamma": ("grid_gamma", lambda r, k: _as_float_list(r, k, lo=0.0, strict=True)),
     "grid.eps": ("grid_eps", lambda r, k: _as_float_list(r, k, lo=0.0)),
     "train.epochs": ("epochs", lambda r, k: _as_int(r, k, lo=0)),
-    "train.init": ("init", lambda r, k: _as_choice(r, k, ("auto", "zeros", "relieff"))),
     "hamming.bits": ("bits", lambda r, k: _as_int(r, k, lo=1)),
     "hamming.mode": (
         "hamming_mode",
@@ -316,8 +314,6 @@ def _check_config(config: ExperimentConfig, given: set) -> None:
             raise ConfigError(f"method: {method} requires task = classify")
         if method in _REGRESS_ONLY and config.task != "regress":
             raise ConfigError(f"method: {method} requires task = regress")
-    if config.init == "relieff" and config.task != "classify":
-        raise ConfigError("train.init: relieff requires task = classify")
 
 
 def parse_config_text(text: str) -> dict:
@@ -448,14 +444,14 @@ def _indicator_dataset(ds: Dataset, method: str) -> Dataset:
     )
 
 
-def _relieff_weights_for(ds: Dataset, seed: int, method: str, memo: dict) -> np.ndarray:
+def _relieff_weights_for(ds: Dataset, seed: int, memo: dict) -> np.ndarray:
     """ReliefF weights of a fit split, computed once per (split content,
-    k_hits, seed) in the run's ``memo`` and shared by every method."""
+    k_hits, seed) in the run's ``memo``."""
     counts = np.bincount(np.asarray(ds.labels, dtype=int))[1:]
     if counts.min() < 2:
         cls = 1 + int(np.argmin(counts))
         raise ConfigError(
-            f"method: {method} computes ReliefF weights, which need at least 2 rows per "
+            "method: relieff computes ReliefF weights, which need at least 2 rows per "
             f"class; class {cls} (numbered by first appearance) has {int(counts[cls - 1])} "
             f"of the {ds.n} rows of a fit split"
         )
@@ -490,14 +486,14 @@ def _fit_transform(
 
     ``memo`` lives for one run.  It holds one gradient pass per (fit-split
     content, h, t, and the EJOP temperature), shared by GW and EGOP because
-    they probe the same real surface, and one result per method and pass,
-    which the ``grid.k`` and hnn quantile axes reuse.  ReliefF weights are
-    kept per fit-split content too (see :func:`_relieff_weights_for`).
+    they probe the same real surface, one result per method and pass, and
+    the ReliefF weights of each fit split (see :func:`_relieff_weights_for`);
+    the ``grid.k`` and hnn quantile axes reuse them.
     """
     if method == "euclidean":
         return None, None
     if method == "relieff":
-        weights = _relieff_weights_for(ds, config.seed, method, memo)
+        weights = _relieff_weights_for(ds, config.seed, memo)
         return np.diag(np.sqrt(weights)), weights[None, :]
     spec = KernelSpec(bandwidth=float(params["h"]))
     t = float(params["t"])
@@ -581,26 +577,11 @@ def _transform_family(method, train, config, memo):
 
 def _gerry_family(method, train, config, memo):
     variant = "symmetric" if method == "gerry_sym" else "asymmetric"
-    splits = _tune_split(train, config)
-    inits = [config.init]
-    if config.init == "auto":
-        # the ReliefF init needs 2 rows of every class in the fit split
-        counts = np.bincount(splits[0][0].labels)[1:]
-        inits = ["zeros", "relieff"] if counts.min() >= 2 else ["zeros"]
-    grid = [
-        {"k": k, "c": c, "init": init}
-        for k in config.grid_k
-        for c in config.grid_c
-        for init in inits
-    ]
+    grid = [{"k": k, "c": c} for k in config.grid_k for c in config.grid_c]
 
     def fit(ds, params):
-        weights = None
-        if params["init"] == "relieff":
-            weights = _relieff_weights_for(ds, config.seed, method, memo)
         gcfg = GerryTrainConfig(
-            k=params["k"], c=params["c"], epochs=config.epochs, init_weights=weights,
-            seed=config.seed,
+            k=params["k"], c=params["c"], epochs=config.epochs, seed=config.seed
         )
         metric = train_sgd(ds, gcfg, variant=variant).metric
         if variant == "symmetric":
@@ -613,7 +594,7 @@ def _gerry_family(method, train, config, memo):
 
         return predictor, params, artifacts, {"variant": variant}
 
-    return grid, splits, fit
+    return grid, _tune_split(train, config), fit
 
 
 def _gerry_reg_family(method, train, config, memo):
@@ -628,7 +609,8 @@ def _gerry_reg_family(method, train, config, memo):
 
     def fit(ds, params):
         rcfg = RegTrainConfig(
-            **params, epochs=config.epochs, seed=config.seed, hstar=config.hstar
+            k=params["k"], c=params["c"], epochs=config.epochs, seed=config.seed,
+            gamma=params["gamma"], hstar=config.hstar, eps=params["eps"],
         )
         metric = train_reg_sgd(ds, rcfg).metric
 

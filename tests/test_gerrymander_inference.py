@@ -11,6 +11,7 @@ from nnmetric.bruteforce import (
     brute_targeted,
     brute_unconstrained,
     max_tied_loss,
+    shared_winners,
 )
 from nnmetric.dataset import CLASS, Dataset
 from nnmetric.gerrymander import (
@@ -23,7 +24,6 @@ from nnmetric.gerrymander import (
     score,
     surrogate_core,
     targeted_inference_core,
-    task_loss,
     tied_task_loss,
     zero_one_loss,
 )
@@ -84,30 +84,10 @@ class TestScore:
 
 
 class TestTaskLoss:
-    def test_majority_wrong(self):
-        lam = zero_one_loss(2)
-        assert task_loss(1, [0, 1, 2], [2, 2, 1], lam) == 1.0
-
-    def test_majority_right(self):
-        lam = zero_one_loss(2)
-        assert task_loss(2, [0, 1, 2], [2, 2, 1], lam) == 0.0
-
-    def test_tie_goes_to_nearest(self):
-        # h ordered nearest-first; the tied vote resolves to label 2
-        lam = zero_one_loss(2)
-        assert task_loss(2, [3, 0], [1, 9, 9, 2], lam) == 0.0
-        assert task_loss(1, [3, 0], [1, 9, 9, 2], lam) == 1.0
-
-    def test_scaled_loss_matrix(self):
-        lam = np.array([[0.0, 5.0], [2.0, 0.0]])
-        assert task_loss(1, [0], [2], lam) == 5.0
-        assert task_loss(2, [0], [1], lam) == 2.0
-
     def test_tied_loss_takes_worst_winner(self):
         lam = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
         # one vote each for classes 1 and 3: worst winner for y=1 is class 3
         assert tied_task_loss(1, [0, 1], [1, 3], lam) == 3.0
-        assert task_loss(1, [0, 1], [1, 3], lam) == 0.0
 
 
 class TestNStar:
@@ -308,7 +288,7 @@ class TestSurrogate:
                 continue
             assert value >= -1e-9
             topk, _ = brute_unconstrained(dists, k)
-            assert value >= task_loss(y, topk, labels, lam) - 1e-9
+            assert value >= tied_task_loss(y, topk, labels, lam) - 1e-9
         assert time.monotonic() - start < 60.0
 
     def test_augmented_term_dominates_every_set(self):
@@ -451,6 +431,7 @@ class TestBruteForceInternals:
             h = rng.choice(6, size=3, replace=False)
             lam = zero_one_loss(3)
             y = int(rng.integers(1, 4))
-            direct = task_loss(y, h, labels, lam)
             predicted = vote(labels[h], labels)
-            assert direct == lam[y - 1, predicted - 1]
+            assert predicted in shared_winners(labels[h], 3)
+            tied = tied_task_loss(y, h, labels, lam)
+            assert tied == max_tied_loss(y, labels[h], lam) >= lam[y - 1, predicted - 1]

@@ -153,13 +153,6 @@ class TestConfigParsing:
                  "data.path": "x.csv"}
             )
 
-    def test_relieff_init_needs_classes(self):
-        with pytest.raises(ConfigError, match="train.init: relieff"):
-            ExperimentConfig.from_mapping(
-                {"task": "regress", "method": "euclidean", "data.source": "synth",
-                 "data.n": "50", "data.d": "3", "train.init": "relieff"}
-            )
-
     def test_from_file_and_resolved_json(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -447,6 +440,7 @@ class TestCmdRun:
         for key, value, message in (
             ("grid.h", "wide", "grid.h"),
             ("threads", "2", "unknown config key 'threads'"),
+            ("train.init", "relieff", "unknown config key 'train.init'"),
         ):
             config = write_config(tmp_path, {**base, key: value})
             assert cli.main(["run", "--config", str(config)]) == 2

@@ -24,6 +24,7 @@ UNPASSED = {
     ("GerryTrainConfig", "stop_rel_tol"): "the stop rule is about to be replaced; tests turn "
     "it off to run every epoch",
     ("HammingTrainConfig", "stop_rel_tol"): "shares the stop rule of GerryTrainConfig",
+    ("RegTrainConfig", "stop_rel_tol"): "inherits the stop rule of GerryTrainConfig",
     ("estimate_egop", "evaluator"): "probes a known function through the estimator, the "
     "acceptance check of the EGOP estimate",
     ("estimate_gw", "evaluator"): "as estimate_egop",
@@ -77,20 +78,23 @@ def _trees():
 
 
 def knobs(trees) -> set:
+    """(owner, name, position) of every defaulted parameter and field; a
+    dataclass owns the fields it inherits, from any module of the package."""
     found = set()
+    classes = {n.name: n for tree in trees.values()
+               for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
+    for cls in classes.values():
+        if _is_dataclass(cls):
+            for pos, (name, has_default) in enumerate(_dataclass_fields(cls, classes)):
+                if has_default:
+                    found.add((cls.name, name, pos))
+        for stmt in cls.body:
+            if isinstance(stmt, ast.FunctionDef):
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in stmt.decorator_list)
+                found.update(_function_knobs(stmt.name, stmt, skip_self=not static))
+    methods = {id(s) for c in classes.values() for s in c.body}
     for tree in trees.values():
-        classes = {n.name: n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)}
-        for cls in classes.values():
-            if _is_dataclass(cls):
-                for pos, (name, has_default) in enumerate(_dataclass_fields(cls, classes)):
-                    if has_default:
-                        found.add((cls.name, name, pos))
-            for stmt in cls.body:
-                if isinstance(stmt, ast.FunctionDef):
-                    static = any(getattr(d, "id", None) == "staticmethod"
-                                 for d in stmt.decorator_list)
-                    found.update(_function_knobs(stmt.name, stmt, skip_self=not static))
-        methods = {id(s) for c in classes.values() for s in c.body}
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and id(node) not in methods:
                 found.update(_function_knobs(node.name, node, skip_self=False))
