@@ -44,10 +44,9 @@ def strict_winner(labels_h, n_classes: int):
     return w[0] if len(w) == 1 else None
 
 
-def max_tied_loss(y: int, labels_h, loss_matrix: np.ndarray) -> float:
-    """Loss of the worst class among the vote winners of h."""
-    n_classes = loss_matrix.shape[0]
-    return max(loss_matrix[y - 1, r - 1] for r in shared_winners(labels_h, n_classes))
+def max_tied_loss(y: int, labels_h) -> float:
+    """0/1 loss of the worst vote winner of h: 0 only when y alone wins."""
+    return 0.0 if strict_winner(labels_h, max(labels_h)) == y else 1.0
 
 
 def _candidates(dists):
@@ -79,13 +78,12 @@ def brute_targeted(dists, labels, target: int, k: int, tau: int):
     return np.asarray(best_set), best_score
 
 
-def brute_loss_augmented(dists, labels, y: int, k: int, loss_matrix):
-    """Maximize score plus the loss of the worst vote winner over all sets."""
-    loss_matrix = np.asarray(loss_matrix, dtype=float)
+def brute_loss_augmented(dists, labels, y: int, k: int):
+    """Maximize score plus the 0/1 loss of the worst vote winner over all sets."""
     best_set, best_value = None, -np.inf
     for combo in itertools.combinations(_candidates(dists), k):
         labs = [labels[i] for i in combo]
-        value = -sum(dists[i] for i in combo) + max_tied_loss(y, labs, loss_matrix)
+        value = -sum(dists[i] for i in combo) + max_tied_loss(y, labs)
         if value > best_value:
             best_set, best_value = combo, value
     if best_set is None:

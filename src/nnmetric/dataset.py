@@ -266,10 +266,16 @@ def synth_sin(
     Features are uniform on [0,1]^d.  Targets are generated before the
     rotation is applied, so ``rotate`` changes features only.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not 0.0 < c1 < np.inf:
+        raise ValueError("c1 must be finite and > 0")
     if not 0.0 < decay <= 1.0:
         raise ValueError("decay must be in (0, 1]")
+    if not 0.0 <= noise_std < np.inf:
+        raise ValueError("noise_std must be finite and >= 0")
     rng = np.random.default_rng(seed)
     features = rng.uniform(0.0, 1.0, size=(n, d))
     targets = sin_targets(features, c1, decay)

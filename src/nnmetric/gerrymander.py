@@ -7,9 +7,10 @@ the score of every badly-voting set:
     surrogate(x, y) = max_h [S(x,h) + loss(y,h)] - max_{h votes y} S(x,h)
 
 Both maxima are computed exactly by greedy procedures over per-point
-distances (targeted and loss-augmented inference).  The surrogate's first
-term uses the loss of the worst class among the vote winners, which is what
-makes the class-by-class reduction of loss-augmented inference exact.
+distances (targeted and loss-augmented inference).  The loss is the 0/1 loss
+of the worst vote winner: 0 when y alone wins h's vote, 1 when another class
+wins or shares the win, which is what makes the class-by-class reduction of
+loss-augmented inference exact.
 
 Scores are S(x,h) = -sum_{j in h} D(x, x_j), with D either a Mahalanobis
 quadratic form (symmetric variant, PSD W) or a two-sided linear projection
@@ -76,23 +77,10 @@ class AsymmetricMetric:
         return np.vstack([top, bottom])
 
 
-def zero_one_loss(n_classes: int) -> np.ndarray:
-    return np.ones((n_classes, n_classes)) - np.eye(n_classes)
-
-
 def score(metric, x, h, train: Dataset) -> float:
     """Distance score S(x, h): the negated sum of distances to members of h."""
     dists = metric.distances(x, train.features[np.asarray(h, dtype=int)])
     return float(-np.sum(dists))
-
-
-def tied_task_loss(y: int, h, train_labels, loss_matrix) -> float:
-    """Loss of the worst class among h's vote winners (shared maxima count)."""
-    labels = np.asarray(train_labels, dtype=int)[np.asarray(h, dtype=int)]
-    counts = np.bincount(labels)
-    top = counts.max()
-    winners = np.flatnonzero(counts == top)
-    return float(max(loss_matrix[int(y) - 1, r - 1] for r in winners))
 
 
 def n_star(n_classes: int, k: int, ties_forbidden: bool) -> int:
@@ -173,18 +161,18 @@ def targeted_inference_core(dists, labels, target: int, k: int, tau: int,
     return best_h[np.lexsort((best_h, dists[best_h]))]
 
 
-def loss_augmented_inference_core(dists, labels, y: int, k: int, loss_matrix,
+def loss_augmented_inference_core(dists, labels, y: int, k: int,
                                   cands: _Candidates | None = None):
-    """Argmax of score + loss of the worst vote winner, by class reduction.
+    """Argmax of score + 0/1 loss of the worst vote winner, by class reduction.
 
     For each feasible class r, the best r-winning set (ties allowed) is found
-    by targeted inference; the class maximizing score + loss(y, r) wins.
-    Ties between classes go to the smallest id.  ``cands`` is as in
+    by targeted inference; the class maximizing score + [r != y] wins (a win
+    y shares is also a win of the other class, at loss 1).  Ties between
+    classes go to the smallest id.  ``cands`` is as in
     :func:`targeted_inference_core`.
     """
     labels = np.asarray(labels, dtype=int)
     dists = np.asarray(dists, dtype=float)
-    lam = np.asarray(loss_matrix, dtype=float)
     if cands is None:
         cands = _candidates(dists, labels, k)
     best_h, best_value = None, -np.inf
@@ -193,7 +181,7 @@ def loss_augmented_inference_core(dists, labels, y: int, k: int, loss_matrix,
             h = targeted_inference_core(dists, labels, int(r), k, tau=0, cands=cands)
         except InfeasibleTargetError:
             continue
-        value = -float(dists[h].sum()) + float(lam[int(y) - 1, int(r) - 1])
+        value = -float(dists[h].sum()) + float(r != y)
         if value > best_value:
             best_h, best_value = h, value
     if best_h is None:
@@ -201,17 +189,18 @@ def loss_augmented_inference_core(dists, labels, y: int, k: int, loss_matrix,
     return best_h, best_value
 
 
-def surrogate_core(dists, labels, y: int, k: int, loss_matrix):
+def surrogate_core(dists, labels, y: int, k: int):
     """(surrogate, loss-augmented h-hat, tie-free targeted h*) on per-point
     distances; excluded points carry infinite distance.
 
-    The surrogate max_h [S + loss] - max_{h votes y} S is nonnegative and
-    upper-bounds the task loss at the plain top-k neighbor set.
+    The surrogate max_h [S + loss] - max_{h votes y} S, with the 0/1 loss of
+    the worst vote winner, is nonnegative and upper-bounds that loss at the
+    plain top-k neighbor set.
     """
     dists = np.asarray(dists, dtype=float)
     labels = np.asarray(labels, dtype=int)
     cands = _candidates(dists, labels, k)
-    h_hat, augmented = loss_augmented_inference_core(dists, labels, y, k, loss_matrix, cands)
+    h_hat, augmented = loss_augmented_inference_core(dists, labels, y, k, cands)
     h_star = targeted_inference_core(dists, labels, int(y), k, tau=1, cands=cands)
     return augmented + float(dists[h_star].sum()), h_hat, h_star
 
@@ -386,10 +375,9 @@ def train_sgd(
     """
     if train.kind != CLASS:
         raise ValueError("train_sgd needs a classed dataset")
-    lam = zero_one_loss(train.n_classes)
 
     def infer(i, dists):
-        return surrogate_core(dists, train.labels, int(train.labels[i]), config.k, lam)
+        return surrogate_core(dists, train.labels, int(train.labels[i]), config.k)
 
     return latent_sgd(train, config, variant, infer, audit_psd)
 

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASS, Dataset
-from .gerrymander import (
-    InfeasibleTargetError,
-    run_epochs,
-    surrogate_core,
-    zero_one_loss,
-)
+from .gerrymander import InfeasibleTargetError, run_epochs, surrogate_core
 from .predictors import NeighborRule, predict_each
 
 # weight of the zero-mean code penalty, and the momentum of every step
@@ -205,7 +200,6 @@ def train_hamming(
         raise ValueError("train_hamming needs a classed dataset")
     if mode not in ("symmetric", "asymmetric"):
         raise ValueError(f"unknown mode {mode!r}")
-    lam = zero_one_loss(train.n_classes)
     rng = np.random.default_rng(config.seed)
     u = _normalize(rng.normal(size=(config.c, train.d)))
     v = u.copy() if mode == "symmetric" else _normalize(rng.normal(size=(config.c, train.d)))
@@ -223,9 +217,7 @@ def train_hamming(
         dists = (config.c - codes_db @ q) / 2.0
         dists[i] = np.inf
         try:
-            surrogate, h_hat, h_star = surrogate_core(
-                dists, labels, int(labels[i]), config.k, lam
-            )
+            surrogate, h_hat, h_star = surrogate_core(dists, labels, int(labels[i]), config.k)
         except InfeasibleTargetError:
             return None
         code_diff = codes_db[h_hat].sum(axis=0) - codes_db[h_star].sum(axis=0)

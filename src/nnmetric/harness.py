@@ -57,9 +57,7 @@ from .gerrymander import (
     score,
     surrogate_core,
     targeted_inference_core,
-    tied_task_loss,
     train_sgd,
-    zero_one_loss,
 )
 from .gradient_metrics import (
     KernelSpec,
@@ -871,9 +869,8 @@ def _suite_inference(budget, rng):
                 "got": got,
                 "want": want,
             }
-        lam = zero_one_loss(n_classes)
-        _, value = loss_augmented_inference_core(dists, labels, y, k, lam)
-        expected = bruteforce.brute_loss_augmented(dists, labels, y, k, lam)
+        _, value = loss_augmented_inference_core(dists, labels, y, k)
+        expected = bruteforce.brute_loss_augmented(dists, labels, y, k)
         if expected is None or abs(value - float(expected[1])) > 1e-9:
             return i + 1, {
                 "check": "loss_augmented",
@@ -892,16 +889,15 @@ def _suite_surrogate(budget, rng):
     compared = 0
     for i in range(budget):
         feats, labels, metric, x, k, n_classes = _random_vote_instance(rng, n_max=16)
-        lam = zero_one_loss(n_classes)
         y = int(rng.integers(1, n_classes + 1))
         dists = metric.distances(x, feats)
         try:
-            value = surrogate_core(dists, labels, y, k, lam)[0]
+            value = surrogate_core(dists, labels, y, k)[0]
         except InfeasibleTargetError:
             continue  # no h* for this draw; the trainer skips these too
         compared += 1
         top_k = np.argsort(dists, kind="stable")[:k]
-        bound = tied_task_loss(y, top_k, labels, lam)
+        bound = bruteforce.max_tied_loss(y, labels[top_k])
         if value < -1e-9 or value < bound - 1e-9:
             return i + 1, {
                 "check": "surrogate",
@@ -1106,9 +1102,8 @@ def _suite_hamming(budget, rng):
                 "want": want,
             }
         y = int(rng.integers(1, 3))
-        lam = zero_one_loss(2)
-        _, value = loss_augmented_inference_core(dists, labels, y, k, lam)
-        expected = bruteforce.brute_loss_augmented(dists, labels, y, k, lam)
+        _, value = loss_augmented_inference_core(dists, labels, y, k)
+        expected = bruteforce.brute_loss_augmented(dists, labels, y, k)
         if expected is None or abs(value - float(expected[1])) > 1e-9:
             return i + 1, {
                 "check": "hamming_inference",

@@ -15,6 +15,7 @@ from nnmetric.bruteforce import (
     brute_reg_inference,
     brute_targeted,
     brute_unconstrained,
+    max_tied_loss,
 )
 from nnmetric.dataset import CLASS, REAL, Dataset, kfold, synth_sin
 from nnmetric.gerrymander import (
@@ -30,9 +31,7 @@ from nnmetric.gerrymander import (
     score,
     surrogate_core,
     targeted_inference_core,
-    tied_task_loss,
     train_sgd,
-    zero_one_loss,
 )
 from nnmetric.gradient_metrics import (
     KernelSpec,
@@ -92,7 +91,6 @@ def test_criterion_01_inference_matches_bruteforce():
         train, metric, x, k, r = random_vote_instance(rng)
         dists = metric.distances(x, train.features)
         labels = train.labels.astype(int)
-        lam = zero_one_loss(r)
         target = int(rng.integers(1, r + 1))
         for tau in (0, 1):
             brute = brute_targeted(dists, labels, target, k, tau)
@@ -104,9 +102,9 @@ def test_criterion_01_inference_matches_bruteforce():
             assert brute is not None
             worst = max(worst, abs(-dists[h].sum() - brute[1]))
         y = int(rng.integers(1, r + 1))
-        h, _ = loss_augmented_inference_core(dists, train.labels, y, k, lam)
-        value = -dists[h].sum() + tied_task_loss(y, h, labels, lam)
-        worst = max(worst, abs(value - brute_loss_augmented(dists, labels, y, k, lam)[1]))
+        h, _ = loss_augmented_inference_core(dists, train.labels, y, k)
+        value = -dists[h].sum() + max_tied_loss(y, labels[h])
+        worst = max(worst, abs(value - brute_loss_augmented(dists, labels, y, k)[1]))
     print(f"criterion 1: 200 instances, worst objective gap {worst:.3e}")
     assert worst <= 1e-9
 
@@ -119,14 +117,13 @@ def test_criterion_02_surrogate_bounds_task_loss():
         assert attempts < 2000
         train, metric, x, k, r = random_vote_instance(rng)
         y = int(rng.integers(1, r + 1))
-        lam = zero_one_loss(r)
         dists = metric.distances(x, train.features)
         try:
-            value = surrogate_core(dists, train.labels, y, k, lam)[0]
+            value = surrogate_core(dists, train.labels, y, k)[0]
         except InfeasibleTargetError:
             continue
         top_k, _ = brute_unconstrained(dists, k)
-        floor = tied_task_loss(y, top_k, train.labels.astype(int), lam)
+        floor = max_tied_loss(y, train.labels.astype(int)[top_k])
         assert value >= -1e-9
         assert value >= floor - 1e-9
         checked += 1

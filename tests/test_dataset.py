@@ -179,6 +179,28 @@ class TestSynthSin:
         with pytest.raises(ValueError):
             synth_sin(n=5, d=2, decay=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            ({"n": 0}, "n"),
+            ({"n": -5}, "n"),
+            ({"c1": -5.0}, "c1"),
+            ({"c1": 0.0}, "c1"),
+            ({"c1": float("nan")}, "c1"),
+            ({"c1": float("inf")}, "c1"),
+            ({"noise_std": -1.0}, "noise_std"),
+            ({"noise_std": float("nan")}, "noise_std"),
+            ({"noise_std": float("inf")}, "noise_std"),
+        ],
+    )
+    def test_rejects_bad_parameters_naming_them(self, kwargs, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            synth_sin(**{"n": 5, "d": 2, **kwargs})
+
+    def test_boundary_values_accepted(self):
+        ds = synth_sin(n=1, d=1, c1=1e-3, noise_std=0.0, seed=2)
+        assert ds.n == 1 and np.isfinite(ds.labels).all()
+
 
 class TestRandomRotation:
     def test_d1(self):

@@ -24,8 +24,6 @@ from nnmetric.gerrymander import (
     score,
     surrogate_core,
     targeted_inference_core,
-    tied_task_loss,
-    zero_one_loss,
 )
 from nnmetric.predictors import vote
 
@@ -85,9 +83,13 @@ class TestScore:
 
 class TestTaskLoss:
     def test_tied_loss_takes_worst_winner(self):
-        lam = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
-        # one vote each for classes 1 and 3: worst winner for y=1 is class 3
-        assert tied_task_loss(1, [0, 1], [1, 3], lam) == 3.0
+        # one vote each for classes 1 and 3: the worst winner for y=1 is class 3
+        assert max_tied_loss(1, [1, 3]) == 1.0
+        assert max_tied_loss(3, [1, 3]) == 1.0
+        # y=1 wins alone, with or without a vote for another class
+        assert max_tied_loss(1, [1, 1, 3]) == 0.0
+        assert max_tied_loss(1, [1]) == 0.0
+        assert max_tied_loss(3, [1, 1, 3]) == 1.0
 
 
 class TestNStar:
@@ -221,7 +223,7 @@ class TestLossAugmentedInference:
         # earns loss 1; any 1-winning pair costs at least distance 5
         dists = np.array([4.0, 1.0, 2.0, 5.0])
         labels = np.array([1, 2, 2, 1])
-        h, value = loss_augmented_inference_core(dists, labels, 1, 2, zero_one_loss(2))
+        h, value = loss_augmented_inference_core(dists, labels, 1, 2)
         assert sorted(labels[h]) == [2, 2]
         assert value == pytest.approx(-3.0 + 1.0)
 
@@ -233,14 +235,9 @@ class TestLossAugmentedInference:
             features, labels, w, x, k = random_instance(rng)
             diff = features - x
             dists = np.einsum("ij,jk,ik->i", diff, w, diff)
-            r = int(labels.max())
-            lam = zero_one_loss(r)
-            if checked % 3 == 0:  # vary the stakes sometimes
-                lam = lam * (1.0 + rng.random((r, r)))
-                np.fill_diagonal(lam, 0.0)
             y = int(rng.choice(labels))
-            expected = brute_loss_augmented(dists, labels, y, k, lam)
-            h, value = loss_augmented_inference_core(dists, labels, y, k, lam)
+            expected = brute_loss_augmented(dists, labels, y, k)
+            h, value = loss_augmented_inference_core(dists, labels, y, k)
             assert value == pytest.approx(expected[1], abs=1e-9)
             checked += 1
         assert time.monotonic() - start < 30.0
@@ -249,7 +246,7 @@ class TestLossAugmentedInference:
         # classes 1 and 2 offer identical value for a true class 3
         dists = np.array([1.0, 1.0, 0.5])
         labels = np.array([1, 2, 3])
-        h, _ = loss_augmented_inference_core(dists, labels, 3, 1, zero_one_loss(3))
+        h, _ = loss_augmented_inference_core(dists, labels, 3, 1)
         assert labels[h[0]] == 1
 
 
@@ -258,7 +255,7 @@ class TestSurrogate:
         train = make_class_dataset([[0.0], [1.0], [2.0]], [1, 1, 1])
         metric = MahalanobisMetric(w=np.eye(1))
         dists = metric.distances([0.1], train.features)
-        value, _, _ = surrogate_core(dists, train.labels, 1, 2, zero_one_loss(1))
+        value, _, _ = surrogate_core(dists, train.labels, 1, 2)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_four_points(self):
@@ -268,7 +265,7 @@ class TestSurrogate:
         # 1-voting pair is {x1, x4} scoring -26; the offender is {x1, x2},
         # a tie whose worst winner is class 2, scoring -5 + 1
         dists = metric.distances([0.0], train.features)
-        value, _, _ = surrogate_core(dists, train.labels, 1, 2, zero_one_loss(2))
+        value, _, _ = surrogate_core(dists, train.labels, 1, 2)
         assert value == pytest.approx((-5.0 + 1.0) - (-26.0))
 
     def test_nonnegative_and_bounds_task_loss(self):
@@ -278,17 +275,14 @@ class TestSurrogate:
             features, labels, w, x, k = random_instance(rng)
             diff = features - x
             dists = np.einsum("ij,jk,ik->i", diff, w, diff)
-            r = int(labels.max())
-            lam = zero_one_loss(r) * (1.0 + rng.random((r, r)))
-            np.fill_diagonal(lam, 0.0)
             y = int(rng.choice(labels))
             try:
-                value, _, _ = surrogate_core(dists, labels, y, k, lam)
+                value, _, _ = surrogate_core(dists, labels, y, k)
             except InfeasibleTargetError:
                 continue
             assert value >= -1e-9
             topk, _ = brute_unconstrained(dists, k)
-            assert value >= tied_task_loss(y, topk, labels, lam) - 1e-9
+            assert value >= max_tied_loss(y, labels[topk]) - 1e-9
         assert time.monotonic() - start < 60.0
 
     def test_augmented_term_dominates_every_set(self):
@@ -298,13 +292,10 @@ class TestSurrogate:
             features, labels, w, x, k = random_instance(rng, n_max=9, k_max=3)
             diff = features - x
             dists = np.einsum("ij,jk,ik->i", diff, w, diff)
-            lam = zero_one_loss(int(labels.max()))
             y = int(rng.choice(labels))
-            _, value = loss_augmented_inference_core(dists, labels, y, k, lam)
+            _, value = loss_augmented_inference_core(dists, labels, y, k)
             for combo in itertools.combinations(range(len(labels)), k):
-                other = -float(dists[list(combo)].sum()) + max_tied_loss(
-                    y, labels[list(combo)], lam
-                )
+                other = -float(dists[list(combo)].sum()) + max_tied_loss(y, labels[list(combo)])
                 assert value >= other - 1e-9
 
 
@@ -363,8 +354,6 @@ class TestLeaveOneOutInstances:
         start = time.monotonic()
         for _ in range(150):
             dists, labels, y, k, r = loo_instance(rng)
-            lam = zero_one_loss(r) * (1.0 + rng.random((r, r)))
-            np.fill_diagonal(lam, 0.0)
             for target in range(1, r + 1):
                 for tau in (0, 1):
                     expected = brute_targeted(dists, labels, target, k, tau)
@@ -375,16 +364,16 @@ class TestLeaveOneOutInstances:
                         continue
                     assert expected is not None
                     assert -float(dists[h].sum()) == pytest.approx(expected[1], abs=1e-9)
-            augmented = brute_loss_augmented(dists, labels, y, k, lam)
+            augmented = brute_loss_augmented(dists, labels, y, k)
             if augmented is None:  # fewer than k finite distances
                 with pytest.raises(InfeasibleTargetError):
-                    surrogate_core(dists, labels, y, k, lam)
+                    surrogate_core(dists, labels, y, k)
                 continue
-            _, value = loss_augmented_inference_core(dists, labels, y, k, lam)
+            _, value = loss_augmented_inference_core(dists, labels, y, k)
             assert value == pytest.approx(augmented[1], abs=1e-9)
             star = brute_targeted(dists, labels, y, k, 1)
             try:
-                surrogate, _, _ = surrogate_core(dists, labels, y, k, lam)
+                surrogate, _, _ = surrogate_core(dists, labels, y, k)
             except InfeasibleTargetError:
                 assert star is None
                 continue
@@ -409,11 +398,10 @@ class TestLeaveOneOutInstances:
                         continue
                     passed = targeted_inference_core(dists, labels, target, k, tau, cands)
                     assert np.array_equal(built, want) and np.array_equal(passed, want)
-            lam = zero_one_loss(r)
             if cands.n_finite < k:
                 continue
-            h_built, v_built = loss_augmented_inference_core(dists, labels, y, k, lam)
-            h_passed, v_passed = loss_augmented_inference_core(dists, labels, y, k, lam, cands)
+            h_built, v_built = loss_augmented_inference_core(dists, labels, y, k)
+            h_passed, v_passed = loss_augmented_inference_core(dists, labels, y, k, cands)
             assert np.array_equal(h_built, h_passed) and v_built == v_passed
 
 
@@ -429,9 +417,8 @@ class TestBruteForceInternals:
         for _ in range(100):
             labels = rng.integers(1, 4, size=6)
             h = rng.choice(6, size=3, replace=False)
-            lam = zero_one_loss(3)
             y = int(rng.integers(1, 4))
             predicted = vote(labels[h], labels)
             assert predicted in shared_winners(labels[h], 3)
-            tied = tied_task_loss(y, h, labels, lam)
-            assert tied == max_tied_loss(y, labels[h], lam) >= lam[y - 1, predicted - 1]
+            assert max_tied_loss(y, labels[h]) >= float(predicted != y)
+            assert (max_tied_loss(y, labels[h]) == 0.0) == (shared_winners(labels[h], 3) == [y])

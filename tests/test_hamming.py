@@ -5,7 +5,6 @@ import pytest
 
 from nnmetric import bruteforce
 from nnmetric.dataset import CLASS, REAL, Dataset
-from nnmetric.gerrymander import zero_one_loss
 from nnmetric.hamming import (
     HammingHasher,
     HammingTrainConfig,
@@ -113,11 +112,10 @@ class TestInferenceOnHammingDistances:
             feats = rng.normal(size=(n, d))
             hasher = HammingHasher(u=rng.normal(size=(4, d)), v=rng.normal(size=(4, d)))
             dists = hasher.distances(rng.normal(size=d), feats)
-            lam = zero_one_loss(r)
             y = int(rng.integers(1, r + 1))
 
-            _, aug_value = loss_augmented_inference_core(dists, labels, y, k, lam)
-            _, brute_value = bruteforce.brute_loss_augmented(dists, labels, y, k, lam)
+            _, aug_value = loss_augmented_inference_core(dists, labels, y, k)
+            _, brute_value = bruteforce.brute_loss_augmented(dists, labels, y, k)
             assert aug_value == pytest.approx(brute_value, abs=1e-9)
 
             brute = bruteforce.brute_targeted(dists, labels, y, k, tau=0)

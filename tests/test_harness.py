@@ -225,8 +225,19 @@ class TestCmdSynth:
 
     def test_invalid_parameters_exit_2(self, tmp_path, capsys):
         out = tmp_path / "bad.csv"
-        assert cli.main(["synth", "--out", str(out), "--n", "10", "--d", "0"]) == 2
-        assert "synth error" in capsys.readouterr().err
+        cases = [
+            (["--d", "0"], "d must be"),
+            (["--n", "-5"], "n must be"),
+            (["--c1", "-5"], "c1 must be"),
+            (["--c1", "nan"], "c1 must be"),
+            (["--noise-std", "-1"], "noise_std must be"),
+            (["--noise-std", "inf"], "noise_std must be"),
+        ]
+        for args, message in cases:
+            assert cli.main(["synth", "--out", str(out), "--n", "10", "--d", "2", *args]) == 2
+            err = capsys.readouterr().err
+            assert "synth error" in err and message in err
+        assert not out.exists()
 
 
 class TestCmdOracle:
@@ -250,6 +261,20 @@ class TestCmdOracle:
         outcome = run_oracle("surrogate", 500)
         assert outcome.failure is None
         assert outcome.checked == 442
+
+    @pytest.mark.parametrize("suite,check", [("inference", "loss_augmented"),
+                                             ("hamming", "hamming_inference")])
+    def test_inference_suites_fail_without_the_loss_term(self, monkeypatch, suite, check):
+        original = harness.loss_augmented_inference_core
+
+        def plain_score(dists, labels, y, k, cands=None):
+            h, _ = original(dists, labels, y, k, cands)
+            return h, -float(np.asarray(dists, dtype=float)[h].sum())
+
+        monkeypatch.setattr(harness, "loss_augmented_inference_core", plain_score)
+        outcome = run_oracle(suite, 200)
+        assert outcome.failure is not None
+        assert outcome.failure["check"] == check
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the mean of an empty ball
     @pytest.mark.parametrize("broken", ["reversed_index_ties", "no_empty_ball_fallback"])

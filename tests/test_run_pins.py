@@ -107,4 +107,7 @@ def test_run_matches_pin(case, pins, tmp_path):
     )
     assert sorted(got["models"]) == sorted(want["models"])
     for name, matrix in want["models"].items():
-        np.testing.assert_allclose(got["models"][name], matrix, rtol=1e-12)
+        # LAPACK eigh (inside the symmetric trainer's PSD projection) rounds
+        # differently across CPUs, so near-zero entries get an absolute floor
+        scale = np.max(np.abs(matrix))
+        np.testing.assert_allclose(got["models"][name], matrix, rtol=1e-12, atol=1e-12 * scale)
