@@ -8,7 +8,7 @@ Class labels may be arbitrary strings; they are re-indexed to contiguous ids
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,13 +30,7 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        features = np.asarray(self.features, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-d array")
-        if features.shape[0] < 1 or features.shape[1] < 1:
-            raise ValueError("need n >= 1 rows and d >= 1 columns")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features contain non-finite values")
+        features = _checked_features(self.features)
         if self.kind not in (CLASS, REAL):
             raise ValueError(f"unknown label kind: {self.kind!r}")
         if self.kind == CLASS:
@@ -69,19 +63,35 @@ class Dataset:
             raise ValueError("n_classes is only defined for classed datasets")
         return int(self.labels.max())
 
+    def _replace(self, **changes) -> "Dataset":
+        # dataclasses.replace without __post_init__'s contiguity check: a split
+        # may drop classes, callers that need re-indexing do it explicitly
+        out = Dataset.__new__(Dataset)
+        vars(out).update(vars(self), **changes)
+        return out
+
     def subset(self, idx, name=None) -> "Dataset":
         idx = np.asarray(idx)
-        sub = Dataset.__new__(Dataset)
-        # bypass __post_init__ contiguity check: a subset may drop classes,
-        # callers that need re-indexing do it explicitly
-        object.__setattr__(sub, "features", self.features[idx])
-        object.__setattr__(sub, "labels", self.labels[idx])
-        object.__setattr__(sub, "kind", self.kind)
-        object.__setattr__(sub, "name", self.name if name is None else name)
-        return sub
+        name = self.name if name is None else name
+        return self._replace(features=self.features[idx], labels=self.labels[idx], name=name)
 
     def with_features(self, features) -> "Dataset":
-        return replace(self, features=np.asarray(features, dtype=float))
+        """New features, checked as the constructor checks them, under the same labels."""
+        features = _checked_features(features)
+        if features.shape[0] != self.n:
+            raise ValueError("labels must be a vector matching the row count")
+        return self._replace(features=features)
+
+
+def _checked_features(features) -> np.ndarray:
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise ValueError("features must be a 2-d array")
+    if features.shape[0] < 1 or features.shape[1] < 1:
+        raise ValueError("need n >= 1 rows and d >= 1 columns")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features contain non-finite values")
+    return features
 
 
 @dataclass(frozen=True)

@@ -245,10 +245,16 @@ class GerryTrainConfig:
     stop_rel_tol: float | None = 1e-4
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        check_trainer_config(self)
         if not self.c > 0:
             raise ValueError("C must be positive")
+
+
+def check_trainer_config(config) -> None:
+    """The checks every trainer config shares: k >= 1, epochs and seed >= 0."""
+    for name, low in (("k", 1), ("epochs", 0), ("seed", 0)):
+        if getattr(config, name) < low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
 
 
 class TraceRow(NamedTuple):
@@ -261,8 +267,11 @@ class TraceRow(NamedTuple):
 class TrainResult:
     metric: object
     trace: list
-    epochs_run: int
     psd_audit: list = field(default_factory=list)
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.trace)
 
 
 # the cubic penalty gradient makes an undamped 1/t schedule diverge at
@@ -358,7 +367,7 @@ def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
         return surrogate
 
     trace = run_epochs(train.n, config, rng, step)
-    return TrainResult(metric=metric, trace=trace, epochs_run=len(trace), psd_audit=psd_audit)
+    return TrainResult(metric=metric, trace=trace, psd_audit=psd_audit)
 
 
 def train_sgd(

@@ -1,10 +1,9 @@
 """Learning linear binary hashes whose Hamming distances respect class votes.
 
-Codes are sign(Ux) for queries and sign(Vx_i) for database points (U = V in
-symmetric mode).  Set scores are inner products of the query code with the
-summed member codes, which equals sum over members of (c - 2 D); per-point
-additivity lets the classification inference routines run unchanged on
-Hamming distances.
+Codes are sign(Ux) for queries and sign(Vx_i) for database points.  Set
+scores are inner products of the query code with the summed member codes,
+which equals sum over members of (c - 2 D); per-point additivity lets the
+classification inference routines run unchanged on Hamming distances.
 
 Gradients relax the differentiated sign through tanh while the other side
 stays binarized.  Each step adds a zero-mean code penalty, applies momentum,
@@ -22,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASS, Dataset
-from .gerrymander import InfeasibleTargetError, run_epochs, surrogate_core
+from .gerrymander import (InfeasibleTargetError, TrainResult, check_trainer_config,
+                          run_epochs, surrogate_core)
 from .predictors import NeighborRule, predict_each
 
 # weight of the zero-mean code penalty, and the momentum of every step
@@ -157,15 +157,9 @@ class HammingTrainConfig:
     stop_rel_tol: float | None = 1e-4
 
     def __post_init__(self):
-        if self.c < 1 or self.k < 1:
-            raise ValueError("c and k must be >= 1")
-
-
-@dataclass
-class HammingTrainResult:
-    hasher: HammingHasher
-    trace: list
-    epochs_run: int
+        if self.c < 1:
+            raise ValueError("c must be >= 1")
+        check_trainer_config(self)
 
 
 def _normalize(m) -> np.ndarray:
@@ -182,27 +176,21 @@ def random_hasher(d: int, c: int, seed: int) -> HammingHasher:
     return HammingHasher(u=u, v=v)
 
 
-def train_hamming(
-    train: Dataset,
-    config: HammingTrainConfig,
-    mode: str = "asymmetric",
-) -> HammingTrainResult:
-    """SGD with momentum on the Hamming-space vote surrogate.
+def train_hamming(train: Dataset, config: HammingTrainConfig) -> TrainResult:
+    """SGD with momentum on the Hamming-space vote surrogate; the result's
+    metric is the trained :class:`HammingHasher`.
 
     Per sample, inference runs on the hard codes of the current hashes;
     gradients follow the relaxed-sign formulas, then the zero-mean penalty is
-    added, momentum applied with eta(t) = 1/t, and U, V (or the shared W)
-    renormalized.  Samples with no feasible target set are skipped and
-    counted.  Epochs and stopping follow
-    :func:`nnmetric.gerrymander.run_epochs`.
+    added, momentum applied with eta(t) = 1/t, and U, V renormalized.
+    Samples with no feasible target set are skipped and counted.  Epochs
+    and stopping follow :func:`nnmetric.gerrymander.run_epochs`.
     """
     if train.kind != CLASS:
         raise ValueError("train_hamming needs a classed dataset")
-    if mode not in ("symmetric", "asymmetric"):
-        raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.default_rng(config.seed)
     u = _normalize(rng.normal(size=(config.c, train.d)))
-    v = u.copy() if mode == "symmetric" else _normalize(rng.normal(size=(config.c, train.d)))
+    v = _normalize(rng.normal(size=(config.c, train.d)))
     vel_u = np.zeros_like(u)
     vel_v = np.zeros_like(v)
     feats = train.features
@@ -225,22 +213,16 @@ def train_hamming(
         grad_v = db_side_grad(v, feats[h_hat], q) - db_side_grad(v, feats[h_star], q)
         t += 1
         eta = 1.0 / t
-        if mode == "symmetric":
-            grad = grad_u + grad_v + _PENALTY * zero_mean_grad(u, feats)
-            vel_u = _MOMENTUM * vel_u + grad
-            u = _normalize(u - eta * vel_u)
-            v = u
-        else:
-            grad_u += _PENALTY * zero_mean_grad(u, feats)
-            grad_v += _PENALTY * zero_mean_grad(v, feats)
-            vel_u = _MOMENTUM * vel_u + grad_u
-            vel_v = _MOMENTUM * vel_v + grad_v
-            u = _normalize(u - eta * vel_u)
-            v = _normalize(v - eta * vel_v)
+        grad_u += _PENALTY * zero_mean_grad(u, feats)
+        grad_v += _PENALTY * zero_mean_grad(v, feats)
+        vel_u = _MOMENTUM * vel_u + grad_u
+        vel_v = _MOMENTUM * vel_v + grad_v
+        u = _normalize(u - eta * vel_u)
+        v = _normalize(v - eta * vel_v)
         return surrogate
 
     trace = run_epochs(train.n, config, rng, step)
-    return HammingTrainResult(hasher=HammingHasher(u=u, v=v), trace=trace, epochs_run=len(trace))
+    return TrainResult(metric=HammingHasher(u=u, v=v), trace=trace)
 
 
 def hamming_predictions(hasher: HammingHasher, train: Dataset, queries, k: int) -> np.ndarray:

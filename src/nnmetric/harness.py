@@ -223,7 +223,6 @@ class ExperimentConfig:
     grid_eps: tuple = (0.0,)
     epochs: int = 20
     bits: int = 8
-    hamming_mode: str = "asymmetric"
     temperature: float = 1.0
     hstar: str = "upper_bound"
 
@@ -273,10 +272,6 @@ _SCHEMA = {
     "grid.eps": ("grid_eps", lambda r, k: _as_float_list(r, k, lo=0.0)),
     "train.epochs": ("epochs", lambda r, k: _as_int(r, k, lo=0)),
     "hamming.bits": ("bits", lambda r, k: _as_int(r, k, lo=1)),
-    "hamming.mode": (
-        "hamming_mode",
-        lambda r, k: _as_choice(r, k, ("symmetric", "asymmetric")),
-    ),
     "ejop.temperature": ("temperature", lambda r, k: _as_float(r, k, lo=0.0, strict=True)),
     "reg.hstar": (
         "hstar",
@@ -627,13 +622,13 @@ def _hamming_family(method, train, config, memo):
         hcfg = HammingTrainConfig(
             c=config.bits, k=params["k"], epochs=config.epochs, seed=config.seed
         )
-        hasher = train_hamming(ds, hcfg, mode=config.hamming_mode).hasher
+        hasher = train_hamming(ds, hcfg).metric
 
         def predictor(queries):
             return hamming_predictions(hasher, ds, queries, params["k"])
 
         chosen = {**params, "bits": config.bits}
-        return predictor, chosen, {"u": hasher.u, "v": hasher.v}, {"mode": config.hamming_mode}
+        return predictor, chosen, {"u": hasher.u, "v": hasher.v}, {}
 
     return grid, _kfold_splits(train, config), fit
 

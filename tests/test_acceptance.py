@@ -385,7 +385,7 @@ def test_criterion_12_hamming_identity_and_training_gain():
         train = hamming_blobs(seed, 100)
         test = hamming_blobs(seed + 100, 50)
         result = train_hamming(train, HammingTrainConfig(c=8, k=3, epochs=15, seed=seed))
-        preds = hamming_predictions(result.hasher, train, test.features, k=3)
+        preds = hamming_predictions(result.metric, train, test.features, k=3)
         errs_trained.append(float(np.mean(preds != test.labels)))
         baseline = hamming_predictions(random_hasher(5, 8, seed), train,
                                        test.features, k=3)

@@ -106,6 +106,25 @@ class TestZscore:
         with pytest.raises(ValueError, match="dimension mismatch"):
             zscore_fit_apply(train, [other])
 
+    def test_split_lacking_a_middle_class(self):
+        """A test split may hold classes 1 and 3 but not 2; z-scoring keeps
+        its labels instead of re-checking them for contiguity."""
+        full = Dataset(np.arange(8.0).reshape(4, 2), np.array([1, 2, 3, 3]), "class")
+        train, test = full.subset([0, 1, 2]), full.subset([0, 3])
+        stats, (_, norm_test) = zscore_fit_apply(train, [test])
+        np.testing.assert_array_equal(norm_test.labels, [1, 3])
+        np.testing.assert_array_equal(norm_test.features, stats.apply(test.features))
+
+    def test_with_features_checks_features(self):
+        ds = Dataset(np.zeros((2, 2)), np.zeros(2), "real")
+        for bad, message in (
+            (np.zeros(2), "2-d"),
+            (np.full((2, 2), np.nan), "non-finite"),
+            (np.zeros((3, 2)), "row count"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                ds.with_features(bad)
+
 
 class TestKfold:
     def test_even_split(self):

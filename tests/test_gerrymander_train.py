@@ -35,6 +35,23 @@ class TestConfig:
         with pytest.raises(ValueError):
             GerryTrainConfig(k=3, c=0.0)
 
+    @pytest.mark.parametrize("field", ["epochs", "seed"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda **kw: GerryTrainConfig(k=3, **kw),
+            lambda **kw: RegTrainConfig(k=3, **kw),
+            lambda **kw: HammingTrainConfig(c=4, k=3, **kw),
+        ],
+        ids=["gerry", "reg", "hamming"],
+    )
+    def test_rejects_negative_epochs_and_seed(self, make, field):
+        """Caught at construction, naming the field: a negative epoch count
+        would train nothing and a negative seed fail inside numpy."""
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            make(**{field: -5})
+        assert getattr(make(**{field: 0}), field) == 0
+
     def test_unknown_variant(self):
         train = gauss_blobs([[0.0], [4.0]], 5, 1.0, seed=0)
         with pytest.raises(ValueError):

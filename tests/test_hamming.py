@@ -271,31 +271,20 @@ class TestTrainer:
         with pytest.raises(ValueError):
             train_hamming(train, HammingTrainConfig(c=2, k=1))
 
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            train_hamming(self._blobs(0, 5), HammingTrainConfig(c=2, k=1), mode="dual")
-
     def test_zero_epochs_returns_normalized_init(self):
         train = self._blobs(0, n_per_class=5)
         result = train_hamming(train, HammingTrainConfig(c=3, k=2, epochs=0, seed=7))
         reference = random_hasher(train.d, 3, seed=7)
-        np.testing.assert_array_equal(result.hasher.u, reference.u)
-        np.testing.assert_array_equal(result.hasher.v, reference.v)
+        np.testing.assert_array_equal(result.metric.u, reference.u)
+        np.testing.assert_array_equal(result.metric.v, reference.v)
         assert result.trace == [] and result.epochs_run == 0
 
     def test_unit_frobenius_norm_after_training(self):
         train = self._blobs(1, n_per_class=10)
         cfg = HammingTrainConfig(c=4, k=3, epochs=3, seed=1, stop_rel_tol=None)
         result = train_hamming(train, cfg)
-        assert abs(np.linalg.norm(result.hasher.u) - 1.0) < 1e-10
-        assert abs(np.linalg.norm(result.hasher.v) - 1.0) < 1e-10
-
-    def test_symmetric_mode_shares_one_matrix(self):
-        train = self._blobs(2, n_per_class=10)
-        cfg = HammingTrainConfig(c=4, k=3, epochs=3, seed=2, stop_rel_tol=None)
-        result = train_hamming(train, cfg, mode="symmetric")
-        np.testing.assert_array_equal(result.hasher.u, result.hasher.v)
-        assert abs(np.linalg.norm(result.hasher.u) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(result.metric.u) - 1.0) < 1e-10
+        assert abs(np.linalg.norm(result.metric.v) - 1.0) < 1e-10
 
     def test_skips_samples_with_no_feasible_target(self):
         feats = np.vstack([np.zeros((8, 2)), np.ones((1, 2))])
@@ -311,7 +300,7 @@ class TestTrainer:
         result = train_hamming(train, cfg)
         assert result.trace[-1].mean_surrogate < result.trace[0].mean_surrogate
 
-        trained = hamming_predictions(result.hasher, train, test.features, k=3)
+        trained = hamming_predictions(result.metric, train, test.features, k=3)
         random_h = random_hasher(train.d, 8, seed=0)
         untrained = hamming_predictions(random_h, train, test.features, k=3)
         trained_err = float((trained != test.labels).mean())

@@ -466,6 +466,7 @@ class TestCmdRun:
             ("grid.h", "wide", "grid.h"),
             ("threads", "2", "unknown config key 'threads'"),
             ("train.init", "relieff", "unknown config key 'train.init'"),
+            ("hamming.mode", "symmetric", "unknown config key 'hamming.mode'"),
         ):
             config = write_config(tmp_path, {**base, key: value})
             assert cli.main(["run", "--config", str(config)]) == 2
@@ -562,6 +563,24 @@ class TestCmdRun:
         finals = final_values(read_results(tmp_path / "out"))
         assert set(finals) == set(methods)
         assert all(np.isfinite(value) for value in finals.values())
+
+    def test_test_split_lacking_a_middle_class_runs(self, tmp_path):
+        """Class 2 has 2 of 200 rows and seed 1 puts both in the training
+        split, so the test split holds classes 1 and 3 only."""
+        rng = np.random.default_rng(0)
+        sizes = (100, 2, 98)
+        features = np.vstack([rng.normal(2.0 * c, 1.0, size=(n, 2)) for c, n in enumerate(sizes)])
+        data = tmp_path / "data.csv"
+        save_csv(data, Dataset(features=features, labels=np.repeat([1, 2, 3], sizes), kind=CLASS))
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": "euclidean", "data.source": "csv",
+             "data.path": str(data), "seed": "1", "out.dir": str(tmp_path / "out")},
+        )
+        _, test = load_experiment_data(ExperimentConfig.from_file(config))
+        assert set(test.labels) == {1, 3}
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert np.isfinite(final_values(read_results(tmp_path / "out"))["euclidean"])
 
     def test_rerun_is_byte_identical(self, tmp_path):
         config = self.rotated_config(tmp_path, "r1")
