@@ -230,13 +230,10 @@ def asym_reg_grads(u, v):
 
 @dataclass(frozen=True)
 class GerryTrainConfig:
-    """Knobs for the SGD trainers.
-
-    The step size is eta(t) = 1/t, t counted per applied sample update.
-    Training starts from W = 0 (U = V = I for the asymmetric variant) and
-    stops when the epoch-mean surrogate fails to decrease by stop_rel_tol
-    relative, or after ``epochs``; stop_rel_tol None always runs every epoch.
-    """
+    """Knobs for the SGD trainers, whose start and step size are those of
+    :func:`sgd_rule`.  Training stops when the epoch-mean surrogate fails to
+    decrease by stop_rel_tol relative, or after ``epochs``; stop_rel_tol
+    None always runs every epoch."""
 
     k: int
     c: float = 1.0
@@ -313,29 +310,52 @@ def run_epochs(n: int, config, rng, step) -> list:
     return trace
 
 
-def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
-               audit_psd: bool = False) -> TrainResult:
-    """Stochastic subgradient descent between latent neighbor sets.
-
-    ``infer(i, dists)`` gets the leave-one-out distances of training point i
-    under the current metric and returns (surrogate, h-hat, h*), or raises
-    InfeasibleTargetError to skip the sample.
-
-    Symmetric variant: starting from W = 0, per applied sample,
-    W <- (1 - eta(t)) W - C (Psi(x, h-hat) - Psi(x, h-star)), then projection
-    onto the PSD cone.  Asymmetric variant: starting from U = V = I, descent
-    on U and V with the score partials (scaled by C) plus the joint Frobenius
-    penalty gradients; PSD holds by construction.
-    """
-    if variant not in ("symmetric", "asymmetric"):
-        raise ValueError(f"unknown variant {variant!r}")
-    rng = np.random.default_rng(config.seed)
-    d = train.d
+def sgd_rule(train: Dataset, c: float, variant: str):
+    """``(start, update)`` of the symmetric or asymmetric variant for
+    :func:`latent_sgd`.  Symmetric: from W = 0, W <- (1 - eta) W - C (Psi(x,
+    h-hat) - Psi(x, h*)), projected onto the PSD cone, with eta = 1/t.
+    Asymmetric: from U = V = I, descent on U and V with the C-scaled score
+    partials plus the joint Frobenius penalty gradients, with eta =
+    1/(t + 50); PSD holds by construction."""
     if variant == "symmetric":
-        metric = MahalanobisMetric(w=np.zeros((d, d)))
-    else:
+        first = MahalanobisMetric(w=np.zeros((train.d, train.d)))
+
+        def update(metric, t, x, h_hat, h_star):
+            delta = feature_map_psi(x, h_hat, train) - feature_map_psi(x, h_star, train)
+            return MahalanobisMetric(w=psd_project((1.0 - 1.0 / t) * metric.w - c * delta))
+    elif variant == "asymmetric":
         # zero projections cannot break symmetry, so the start is U = V = I
-        metric = AsymmetricMetric(u=np.eye(d), v=np.eye(d))
+        first = AsymmetricMetric(u=np.eye(train.d), v=np.eye(train.d))
+
+        def update(metric, t, x, h_hat, h_star):
+            eta = 1.0 / (t + _ASYM_LR_OFFSET)
+            gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
+            gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
+            reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
+            u = metric.u - eta * (c * (gu_hat - gu_star) + reg_u)
+            v = metric.v - eta * (c * (gv_hat - gv_star) + reg_v)
+            return AsymmetricMetric(u=u, v=v)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return (lambda rng: first), update
+
+
+def latent_sgd(train: Dataset, config, infer, start, update,
+               audit_psd: bool = False) -> TrainResult:
+    """Stochastic subgradient descent between latent neighbor sets: the one
+    per-sample step of all three trainers, run by :func:`run_epochs`.
+
+    ``start(rng)`` returns the first metric; ``rng`` is seeded with
+    ``config.seed`` and permutes the epochs after any draw ``start`` makes.
+    Per sample i, ``infer(i, dists)`` gets the leave-one-out distances of
+    training point i under the current metric and returns (surrogate,
+    h-hat, h*), or raises InfeasibleTargetError to skip the sample; then
+    ``update(metric, t, x, h_hat, h_star)`` returns the metric after the
+    t-th applied update.  ``audit_psd`` records the smallest eigenvalue of
+    every updated W.
+    """
+    rng = np.random.default_rng(config.seed)
+    metric = start(rng)
     psd_audit: list[float] = []
     t = 0
 
@@ -349,21 +369,9 @@ def latent_sgd(train: Dataset, config: GerryTrainConfig, variant: str, infer,
         except InfeasibleTargetError:
             return None
         t += 1
-        if variant == "symmetric":
-            eta = 1.0 / t
-            delta = feature_map_psi(x, h_hat, train) - feature_map_psi(x, h_star, train)
-            w = psd_project((1.0 - eta) * metric.w - config.c * delta)
-            metric = MahalanobisMetric(w=w)
-            if audit_psd:
-                psd_audit.append(float(sym_eig(w).values[-1]))
-        else:
-            eta = 1.0 / (t + _ASYM_LR_OFFSET)
-            gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
-            gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
-            reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
-            u = metric.u - eta * (config.c * (gu_hat - gu_star) + reg_u)
-            v = metric.v - eta * (config.c * (gv_hat - gv_star) + reg_v)
-            metric = AsymmetricMetric(u=u, v=v)
+        metric = update(metric, t, x, h_hat, h_star)
+        if audit_psd and isinstance(metric, MahalanobisMetric):
+            psd_audit.append(float(sym_eig(metric.w).values[-1]))
         return surrogate
 
     trace = run_epochs(train.n, config, rng, step)
@@ -376,7 +384,7 @@ def train_sgd(
     variant: str = "symmetric",
     audit_psd: bool = False,
 ) -> TrainResult:
-    """SGD on the classification surrogate; updates as in :func:`latent_sgd`.
+    """SGD on the classification surrogate; updates as in :func:`sgd_rule`.
 
     h-hat is the loss-augmented set and h* the tie-free targeted set for the
     sample's own class.  Samples whose targeted inference is infeasible (too
@@ -388,7 +396,7 @@ def train_sgd(
     def infer(i, dists):
         return surrogate_core(dists, train.labels, int(train.labels[i]), config.k)
 
-    return latent_sgd(train, config, variant, infer, audit_psd)
+    return latent_sgd(train, config, infer, *sgd_rule(train, config.c, variant), audit_psd)
 
 
 def metric_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:

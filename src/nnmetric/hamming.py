@@ -5,9 +5,11 @@ scores are inner products of the query code with the summed member codes,
 which equals sum over members of (c - 2 D); per-point additivity lets the
 classification inference routines run unchanged on Hamming distances.
 
-Gradients relax the differentiated sign through tanh while the other side
-stays binarized.  Each step adds a zero-mean code penalty, applies momentum,
-and renormalizes the hash matrices to unit Frobenius norm.
+Training is :func:`nnmetric.gerrymander.latent_sgd`, the loop of every
+trainer, with a Hamming update.  Gradients relax the differentiated sign
+through tanh while the other side stays binarized.  Each step adds a
+zero-mean code penalty, descends with eta(t) = 1/t and no momentum, and
+renormalizes the hash matrices to unit Frobenius norm.
 
 Training infers on hard Hamming distances.  Retrieval ranks database codes
 by the soft distance |code - tanh(s * Ux)|^2 / 4 instead, since short codes
@@ -17,17 +19,16 @@ tie constantly, with s calibrated so projections average |tanh| of 0.4.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dataset import CLASS, Dataset
-from .gerrymander import (InfeasibleTargetError, TrainResult, check_trainer_config,
-                          run_epochs, surrogate_core)
+from .gerrymander import TrainResult, check_trainer_config, latent_sgd, surrogate_core
 from .predictors import NeighborRule, predict_each
 
-# weight of the zero-mean code penalty, and the momentum of every step
+# weight of the zero-mean code penalty
 _PENALTY = 0.1
-_MOMENTUM = 0.9
 # the mean |tanh| that calibrate_scales aims at, and how close it must come
 _SCALE_TARGET = 0.4
 _SCALE_TOL = 1e-2
@@ -147,8 +148,9 @@ def zero_mean_grad(m, features) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HammingTrainConfig:
-    """Knobs for the hash trainer: c bits, k neighbors; epochs and
-    stop_rel_tol as in :class:`nnmetric.gerrymander.GerryTrainConfig`."""
+    """Knobs for the hash trainer: c bits, k neighbors; epochs, seed and
+    stop_rel_tol as in :class:`nnmetric.gerrymander.GerryTrainConfig`.  The
+    step size is eta(t) = 1/t with no momentum."""
 
     c: int
     k: int
@@ -167,62 +169,44 @@ def _normalize(m) -> np.ndarray:
     return m / norm if norm > 0 else m
 
 
-def random_hasher(d: int, c: int, seed: int) -> HammingHasher:
-    """Unit-norm Gaussian projections; the untrained baseline and the
-    trainer's initialization."""
+def random_hasher(d: int, c: int, seed) -> HammingHasher:
+    """Unit-norm Gaussian U, then V, drawn from ``np.random.default_rng(seed)``
+    (a Generator is drawn from as it stands); the untrained baseline and the
+    trainer's start."""
     rng = np.random.default_rng(seed)
     u = _normalize(rng.normal(size=(c, d)))
-    v = _normalize(rng.normal(size=(c, d)))
-    return HammingHasher(u=u, v=v)
+    return HammingHasher(u=u, v=_normalize(rng.normal(size=(c, d))))
 
 
 def train_hamming(train: Dataset, config: HammingTrainConfig) -> TrainResult:
-    """SGD with momentum on the Hamming-space vote surrogate; the result's
-    metric is the trained :class:`HammingHasher`.
+    """:func:`nnmetric.gerrymander.latent_sgd` on the Hamming-space vote
+    surrogate; the result's metric is the trained :class:`HammingHasher`.
 
-    Per sample, inference runs on the hard codes of the current hashes;
-    gradients follow the relaxed-sign formulas, then the zero-mean penalty is
-    added, momentum applied with eta(t) = 1/t, and U, V renormalized.
-    Samples with no feasible target set are skipped and counted.  Epochs
-    and stopping follow :func:`nnmetric.gerrymander.run_epochs`.
+    Training starts from :func:`random_hasher`, drawn from the generator that
+    then permutes the epochs.  Per sample, inference runs on the hard
+    Hamming distances of the current hashes; the gradients follow the
+    relaxed-sign formulas plus the zero-mean penalty, and
+    U, V <- normalize(U - eta grad_U, V - eta grad_V) with eta = 1/t.
     """
     if train.kind != CLASS:
         raise ValueError("train_hamming needs a classed dataset")
-    rng = np.random.default_rng(config.seed)
-    u = _normalize(rng.normal(size=(config.c, train.d)))
-    v = _normalize(rng.normal(size=(config.c, train.d)))
-    vel_u = np.zeros_like(u)
-    vel_v = np.zeros_like(v)
     feats = train.features
-    labels = train.labels
-    t = 0
 
-    def step(i):
-        nonlocal u, v, vel_u, vel_v, t
-        codes_db = encode(v, feats)
-        x = feats[i]
+    def infer(i, dists):
+        return surrogate_core(dists, train.labels, int(train.labels[i]), config.k)
+
+    def update(hasher, t, x, h_hat, h_star):
+        u, v = hasher.u, hasher.v
         q = binarize(u, x)
-        dists = (config.c - codes_db @ q) / 2.0
-        dists[i] = np.inf
-        try:
-            surrogate, h_hat, h_star = surrogate_core(dists, labels, int(labels[i]), config.k)
-        except InfeasibleTargetError:
-            return None
-        code_diff = codes_db[h_hat].sum(axis=0) - codes_db[h_star].sum(axis=0)
-        grad_u = query_side_grad(u, x, code_diff)
-        grad_v = db_side_grad(v, feats[h_hat], q) - db_side_grad(v, feats[h_star], q)
-        t += 1
+        # the code sums of the two k-row sets; sums of +-1 are exact
+        code_diff = encode(v, feats[h_hat]).sum(axis=0) - encode(v, feats[h_star]).sum(axis=0)
+        grad_u = query_side_grad(u, x, code_diff) + _PENALTY * zero_mean_grad(u, feats)
+        grad_v = (db_side_grad(v, feats[h_hat], q) - db_side_grad(v, feats[h_star], q)
+                  + _PENALTY * zero_mean_grad(v, feats))
         eta = 1.0 / t
-        grad_u += _PENALTY * zero_mean_grad(u, feats)
-        grad_v += _PENALTY * zero_mean_grad(v, feats)
-        vel_u = _MOMENTUM * vel_u + grad_u
-        vel_v = _MOMENTUM * vel_v + grad_v
-        u = _normalize(u - eta * vel_u)
-        v = _normalize(v - eta * vel_v)
-        return surrogate
+        return HammingHasher(u=_normalize(u - eta * grad_u), v=_normalize(v - eta * grad_v))
 
-    trace = run_epochs(train.n, config, rng, step)
-    return TrainResult(metric=HammingHasher(u=u, v=v), trace=trace)
+    return latent_sgd(train, config, infer, partial(random_hasher, train.d, config.c), update)
 
 
 def hamming_predictions(hasher: HammingHasher, train: Dataset, queries, k: int) -> np.ndarray:

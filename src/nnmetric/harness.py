@@ -371,6 +371,11 @@ def load_experiment_data(config: ExperimentConfig):
     if ds.n < 4:
         raise ConfigError(f"data: need at least 4 rows to split, got {ds.n}")
     train_idx, test_idx = split_indices(ds.n, config.test_fraction, config.seed)
+    if ds.kind == REAL and float(np.var(ds.labels[test_idx])) == 0.0:
+        raise ConfigError(
+            f"data: the {len(test_idx)} targets of the test split all equal "
+            f"{float(ds.labels[test_idx[0]])!r}, so their nMSE is undefined"
+        )
     return ds.subset(train_idx, name="train"), ds.subset(test_idx, name="test")
 
 

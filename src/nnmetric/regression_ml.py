@@ -27,6 +27,7 @@ from .gerrymander import (
     TrainResult,
     _finite_order,
     latent_sgd,
+    sgd_rule,
 )
 from .predictors import NeighborRule, predict_each
 
@@ -157,7 +158,7 @@ class RegTrainConfig(GerryTrainConfig):
 
 def train_reg_sgd(train: Dataset, config: RegTrainConfig, audit_psd: bool = False) -> TrainResult:
     """SGD on the separable regression surrogate; W is updated as in the
-    symmetric variant of :func:`nnmetric.gerrymander.latent_sgd`.
+    symmetric variant of :func:`nnmetric.gerrymander.sgd_rule`.
 
     h-hat is the loss-augmented top-k.  h* is the targeted top-k under
     ``hstar = upper_bound``, else :func:`hstar_alternate` with that rule.
@@ -174,7 +175,7 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, audit_psd: bool = Fals
             h_star = hstar_alternate(dists, targets, y, config.k, config.hstar, config.eps)
         return reg_surrogate_core(dists, targets, y, config.k, config.gamma, h_star)
 
-    return latent_sgd(train, config, "symmetric", infer, audit_psd)
+    return latent_sgd(train, config, infer, *sgd_rule(train, config.c, "symmetric"), audit_psd)
 
 
 def metric_reg_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:

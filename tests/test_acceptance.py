@@ -38,6 +38,7 @@ from nnmetric.gradient_metrics import (
     estimate_egop,
     estimate_ejop,
     estimate_gw,
+    gradient_pass,
 )
 from nnmetric.hamming import (
     HammingTrainConfig,
@@ -288,9 +289,11 @@ def test_criterion_09_whitening_absorbs_rotation():
             train = pool.subset(np.arange(1000))
             test = pool.subset(np.arange(1000, 1500))
             nmse["eucl"][rotate].append(_ball_nmse(train, test, None, seed))
-            egop = estimate_egop(train, spec, 0.5).transform()
+            # GW and EGOP reduce one gradient pass, as the harness shares it
+            passed = gradient_pass(train, spec, 0.5)
+            egop = estimate_egop(train, spec, 0.5, passed=passed).transform()
             nmse["egop"][rotate].append(_ball_nmse(train, test, egop, seed))
-            gw = np.diag(np.sqrt(estimate_gw(train, spec, 0.5)))
+            gw = np.diag(np.sqrt(estimate_gw(train, spec, 0.5, passed=passed)))
             nmse["gw"][rotate].append(_ball_nmse(train, test, gw, seed))
     med = {m: {rot: float(np.median(v)) for rot, v in by.items()}
            for m, by in nmse.items()}

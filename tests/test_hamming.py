@@ -5,7 +5,10 @@ import pytest
 
 from nnmetric import bruteforce
 from nnmetric.dataset import CLASS, REAL, Dataset
+from nnmetric.gerrymander import surrogate_core
 from nnmetric.hamming import (
+    _PENALTY,
+    _normalize,
     HammingHasher,
     HammingTrainConfig,
     asym_hamming_distance,
@@ -307,3 +310,38 @@ class TestTrainer:
         untrained_err = float((untrained != test.labels).mean())
         assert trained_err < untrained_err
         assert trained_err <= 0.1
+
+    def test_two_updates_match_hand_computation(self):
+        # Class 2 has one row, so it is skipped: one epoch applies exactly two
+        # updates, U, V <- normalize(U - grad / t, V - grad / t) with t = 1, 2.
+        feats = np.array([[1.0, 0.2, -0.5], [0.3, -1.0, 0.8], [-0.7, 0.4, 0.9]])
+        labels = np.array([1, 1, 2])
+        train = make_class_dataset(feats, labels)
+        c, k, seed = 4, 1, 3
+        result = train_hamming(
+            train, HammingTrainConfig(c=c, k=k, epochs=1, seed=seed, stop_rel_tol=None)
+        )
+
+        # the start draws U, then V, and the same generator permutes the epoch
+        rng = np.random.default_rng(seed)
+        u = _normalize(rng.normal(size=(c, 3)))
+        v = _normalize(rng.normal(size=(c, 3)))
+        applied = [i for i in rng.permutation(3) if labels[i] == 1]
+        moved = 0
+        for t, i in enumerate(applied, start=1):
+            x = feats[i]
+            dists = HammingHasher(u=u, v=v).distances(x, feats)
+            dists[i] = np.inf
+            _, h_hat, h_star = surrogate_core(dists, labels, 1, k)
+            moved += set(h_hat) != set(h_star)
+            q = binarize(u, x)
+            code_diff = encode(v, feats[h_hat]).sum(axis=0) - encode(v, feats[h_star]).sum(axis=0)
+            grad_u = query_side_grad(u, x, code_diff) + _PENALTY * zero_mean_grad(u, feats)
+            grad_v = (db_side_grad(v, feats[h_hat], q) - db_side_grad(v, feats[h_star], q)
+                      + _PENALTY * zero_mean_grad(v, feats))
+            eta = 1.0 / t
+            u, v = _normalize(u - eta * grad_u), _normalize(v - eta * grad_v)
+        assert len(applied) == 2 and moved >= 1
+        assert result.trace[0].skipped == 1
+        np.testing.assert_allclose(result.metric.u, u, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(result.metric.v, v, rtol=1e-12, atol=1e-15)

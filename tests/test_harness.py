@@ -11,7 +11,7 @@ from conftest import gauss_blobs
 
 from nnmetric import bruteforce, cli, gerrymander, harness, predictors
 from nnmetric import gradient_metrics as gm
-from nnmetric.dataset import CLASS, Dataset, load_csv, save_csv, synth_sin
+from nnmetric.dataset import CLASS, REAL, Dataset, load_csv, save_csv, synth_sin
 from nnmetric.harness import (
     ConfigError,
     ExperimentConfig,
@@ -531,6 +531,29 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert f"config error: method: {method}" in err and message in err
         assert re.search(r"\(numbered by first appearance\) has \d+ of the \d+ rows", err)
+
+    def test_constant_test_targets_exit_2_before_training(self, tmp_path, capsys,
+                                                          monkeypatch):
+        ds = synth_sin(40, 2, seed=0)
+        _, test_idx = split_indices(ds.n, 0.25, 0)
+        labels = ds.labels.copy()
+        labels[test_idx] = 1.5
+        data = tmp_path / "flat.csv"
+        save_csv(data, Dataset(features=ds.features, labels=labels, kind=REAL))
+        config = write_config(
+            tmp_path,
+            {"task": "regress", "method": "euclidean, gerry_reg", "data.source": "csv",
+             "data.path": str(data), "data.test_fraction": "0.25", "seed": "0",
+             "out.dir": str(tmp_path / "out")},
+        )
+
+        def never(*args, **kwargs):
+            raise AssertionError("trained before the split was checked")
+
+        monkeypatch.setattr(harness, "train_reg_sgd", never)
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: data: the 10 targets of the test split all equal 1.5" in err
 
     @pytest.mark.parametrize("case", ["class_only_in_test", "constant_column"])
     def test_awkward_classify_data_runs_every_method(self, tmp_path, case):

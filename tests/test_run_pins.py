@@ -8,7 +8,9 @@ grids, the splits, the scoring, the pick rule or the refit moves these.
 iteration to LAPACK ``eigh``: one EGOP radius string moved in its last digits.
 ``classify`` was re-recorded when the ReliefF start of ``gerry_sym`` and
 ``gerry_asym`` was deleted: their grid lost its ``init`` axis, and every
-run now starts from W = 0 (U = V = I).
+run now starts from W = 0 (U = V = I).  It was re-recorded again when the
+Hamming trainer's momentum was deleted; only its ``hamming`` rows and
+``hamming`` model CSVs moved.
 """
 
 import csv

@@ -12,7 +12,9 @@ the regression trainer, which no run used, and ``hamming_sym`` with the
 Hamming trainer's U = V mode, which lost to the asymmetric codes in every
 run measured.  ``sgd_asym`` started from the
 diagonal U = V = diag(sqrt(w)) until the start weights were deleted; it was
-re-recorded from the one start left, U = V = I.
+re-recorded from the one start left, U = V = I.  ``hamming_asym`` was
+re-recorded when the Hamming trainer's momentum was deleted: its step is
+now U, V <- normalize(U - eta grad_U, V - eta grad_V) with eta = 1/t.
 
 The audited minimum eigenvalues of a rank-deficient W are roundoff, whose
 digits depend on the BLAS kernels the CPU selects, so they are compared to
