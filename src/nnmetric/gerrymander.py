@@ -35,13 +35,18 @@ class InfeasibleTargetError(ValueError):
 
 @dataclass(frozen=True)
 class MahalanobisMetric:
-    """Symmetric metric D(x, x') = (x - x')^T W (x - x'), W PSD."""
+    """Symmetric metric D(x, x') = (x - x')^T W (x - x'), W PSD.
+
+    :meth:`distances` forms the n quadratic forms as the row sums of
+    (diff W) o diff: one matrix product, which BLAS runs, where a
+    three-operand einsum has no contraction path and loops in C.
+    """
 
     w: np.ndarray
 
     def distances(self, x, features) -> np.ndarray:
         diff = np.asarray(features, dtype=float) - np.asarray(x, dtype=float)
-        return np.einsum("ij,jk,ik->i", diff, self.w, diff)
+        return np.sum((diff @ self.w) * diff, axis=1)
 
     @property
     def d(self) -> int:
@@ -95,7 +100,7 @@ def _finite_order(dists):
 
 
 class _Candidates(NamedTuple):
-    order: np.ndarray  # the k nearest finite points of each class, nearest first
+    order: np.ndarray  # the k nearest finite points of each class, by (distance, index)
     labels: np.ndarray
     rank: np.ndarray  # each point's rank among the finite points of its class
     n_finite: int
@@ -113,80 +118,97 @@ def _candidates(dists, labels, k: int) -> _Candidates:
     return _Candidates(order[keep], labs[keep], rank[keep], len(order), np.flatnonzero(counts))
 
 
+def _best_sets(dists, cands: _Candidates, targets, k: int, tau: int) -> list:
+    """Per class of ``targets``, the best size-k set that class wins, as a
+    sorted list of positions in ``cands.order``, or None.
+
+    Every feasible (class, m) set of :func:`targeted_inference_core` is
+    listed in the member order of its greedy fill (the m nearest target
+    points, then the capped others) and all of them are scored with one
+    gather-and-sum, so each sum adds its terms in that order.  Per class
+    the first strict minimum over m wins.  ``cands.order`` is sorted by
+    (distance, index), so sorted positions list a set nearest-first.
+    """
+    labs, rank = cands.labels.tolist(), cands.rank.tolist()
+    need = n_star(len(cands.classes), k, ties_forbidden=bool(tau))
+    sets, owners = [], []
+    for slot, target in enumerate(targets):
+        own = [p for p, lab in enumerate(labs) if lab == target]
+        others = [(p, r) for p, (lab, r) in enumerate(zip(labs, rank)) if lab != target]
+        for m in range(need, min(k, len(own)) + 1):
+            fill = [p for p, r in others if r < m - tau][: k - m]
+            if len(fill) == k - m:
+                sets.append(own[:m] + fill)
+                owners.append(slot)
+    best, best_total = [None] * len(targets), [np.inf] * len(targets)
+    if sets:
+        totals = dists[cands.order[np.array(sets)]].sum(axis=1).tolist()
+        for h, slot, total in zip(sets, owners, totals):
+            if total < best_total[slot]:
+                best[slot], best_total[slot] = h, total
+    return [None if h is None else sorted(h) for h in best]
+
+
 def targeted_inference_core(dists, labels, target: int, k: int, tau: int,
                             cands: _Candidates | None = None) -> np.ndarray:
     """Argmax of the score over size-k sets voting for ``target``.
 
     Enumerates the number m of target-class members, from the minimum that
     can win up to k.  tau=1 forbids vote ties (the h* term); tau=0 lets the
-    target share the maximum count (inside loss-augmented inference).  For
-    each m the best set takes the m nearest target points plus the nearest
-    others, each non-target class capped at m - tau members; greedy filling
-    under per-class caps is exact because caps form a partition matroid.
-    As m and every cap are at most k, no set uses a point outside the k
-    nearest of its class, so only those are candidates.  ``cands`` is that
-    list as :func:`_candidates` builds it from ``dists``; one list serves
-    every target and tau of a sample, and it is built here when omitted.
+    target share the maximum count.  For each m the best set takes the m
+    nearest target points plus the nearest others, each non-target class
+    capped at m - tau members; greedy filling under per-class caps is exact
+    because caps form a partition matroid.  The sets of every m are scored
+    together and the first strict minimum of the distance sum wins.  As m
+    and every cap are at most k, no set uses a point outside the k nearest
+    of its class, so only those are candidates.  ``cands`` is that list as
+    :func:`_candidates` builds it from ``dists``; one list serves every call
+    of a sample, and it is built here when omitted.
 
     Works on per-point distances, so any metric whose set score is additive
     over members can reuse it.  Excluded points carry infinite distance.
-    Returns indices sorted nearest-first.
+    Returns indices sorted nearest-first, ties by index.
     """
     dists = np.asarray(dists, dtype=float)
     if cands is None:
         cands = _candidates(dists, np.asarray(labels, dtype=int), k)
-    if cands.n_finite < k:
-        raise InfeasibleTargetError(f"only {cands.n_finite} candidates for k={k}")
-    need = n_star(len(cands.classes), k, ties_forbidden=bool(tau))
-    is_target = cands.labels == target
-    target_sorted = cands.order[is_target]
-    if len(target_sorted) < need:
+    (h,) = _best_sets(dists, cands, [target], k, tau)
+    if h is None:
         raise InfeasibleTargetError(
-            f"class {target} has {len(target_sorted)} candidates, needs {need}"
+            f"no size-{k} set of the {cands.n_finite} finite points lets class "
+            f"{target} win with tau={tau}"
         )
-    others, other_rank = cands.order[~is_target], cands.rank[~is_target]
-    best_h, best_total = None, np.inf
-    for m in range(need, min(k, len(target_sorted)) + 1):
-        fill = others[other_rank < m - tau][: k - m]
-        if len(fill) < k - m:
-            continue
-        h = np.concatenate([target_sorted[:m], fill])
-        total = float(dists[h].sum())
-        if total < best_total:
-            best_h, best_total = h, total
-    if best_h is None:
-        raise InfeasibleTargetError(
-            f"no size-{k} set lets class {target} win with tau={tau}"
-        )
-    return best_h[np.lexsort((best_h, dists[best_h]))]
+    return cands.order[h]
 
 
 def loss_augmented_inference_core(dists, labels, y: int, k: int,
                                   cands: _Candidates | None = None):
     """Argmax of score + 0/1 loss of the worst vote winner, by class reduction.
 
-    For each feasible class r, the best r-winning set (ties allowed) is found
-    by targeted inference; the class maximizing score + [r != y] wins (a win
-    y shares is also a win of the other class, at loss 1).  Ties between
-    classes go to the smallest id.  ``cands`` is as in
+    For each feasible class r, the best r-winning set (ties allowed, tau=0)
+    is found as in :func:`targeted_inference_core`, the sets of every class
+    and m scored with one gather-and-sum.  The winners are scored again on
+    their nearest-first order, and the class maximizing score + [r != y]
+    wins (a win y shares is also a win of the other class, at loss 1).
+    Ties between classes go to the smallest id.  ``cands`` is as in
     :func:`targeted_inference_core`.
     """
     labels = np.asarray(labels, dtype=int)
     dists = np.asarray(dists, dtype=float)
     if cands is None:
         cands = _candidates(dists, labels, k)
+    classes = cands.classes.tolist()
+    feasible = [(r, h) for r, h in zip(classes, _best_sets(dists, cands, classes, k, 0))
+                if h is not None]
+    if not feasible:
+        raise InfeasibleTargetError("no class admits a feasible neighbor set")
+    scores = (-dists[cands.order[np.array([h for _, h in feasible])]].sum(axis=1)).tolist()
     best_h, best_value = None, -np.inf
-    for r in cands.classes:
-        try:
-            h = targeted_inference_core(dists, labels, int(r), k, tau=0, cands=cands)
-        except InfeasibleTargetError:
-            continue
-        value = -float(dists[h].sum()) + float(r != y)
+    for (r, h), s in zip(feasible, scores):
+        value = s + float(r != y)
         if value > best_value:
             best_h, best_value = h, value
-    if best_h is None:
-        raise InfeasibleTargetError("no class admits a feasible neighbor set")
-    return best_h, best_value
+    return cands.order[best_h], best_value
 
 
 def surrogate_core(dists, labels, y: int, k: int):
@@ -195,7 +217,8 @@ def surrogate_core(dists, labels, y: int, k: int):
 
     The surrogate max_h [S + loss] - max_{h votes y} S, with the 0/1 loss of
     the worst vote winner, is nonnegative and upper-bounds that loss at the
-    plain top-k neighbor set.
+    plain top-k neighbor set.  Per sample it builds one candidate list and
+    makes one loss-augmented and one targeted (tau=1) inference call.
     """
     dists = np.asarray(dists, dtype=float)
     labels = np.asarray(labels, dtype=int)

@@ -141,9 +141,8 @@ def db_side_grad(v, members, query_code) -> np.ndarray:
 def zero_mean_grad(m, features) -> np.ndarray:
     """Gradient of 1/2 |mean_x tanh(Mx)|^2, the relaxed zero-mean code penalty."""
     feats = np.asarray(features, dtype=float)
-    proj = feats @ m.T
-    mu = np.tanh(proj).mean(axis=0)
-    return (_tanh_prime(proj) * mu).T @ feats / feats.shape[0]
+    tanh = np.tanh(feats @ m.T)
+    return ((1.0 - tanh ** 2) * tanh.mean(axis=0)).T @ feats / feats.shape[0]
 
 
 @dataclass(frozen=True)

@@ -687,7 +687,11 @@ class RunResult:
 
 
 def run_experiment(config: ExperimentConfig) -> RunResult:
-    """The full pipeline for every configured method, plus report files."""
+    """The full pipeline for every configured method, plus report files.
+
+    A method's failure other than a :class:`ConfigError` is raised again as
+    a ``RuntimeError`` whose message starts with the method's name.
+    """
     train_raw, test_raw = load_experiment_data(config)
     if train_raw.n < config.folds:
         raise ConfigError(
@@ -699,9 +703,14 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     reports = {}
     memo = {}
     for method in config.methods:
-        model = _fit_method(method, train, config, rows, memo)
-        preds = model.predict(test.features)
-        report = evaluate(preds, test.labels, config.task)
+        try:
+            model = _fit_method(method, train, config, rows, memo)
+            preds = model.predict(test.features)
+            report = evaluate(preds, test.labels, config.task)
+        except ConfigError:
+            raise
+        except Exception as exc:  # name the method in the run's failure
+            raise RuntimeError(f"{method}: {exc}") from exc
         rows.append((method, -1, dict(model.params), report.metric_name, report.value))
         models[method] = model
         reports[method] = report

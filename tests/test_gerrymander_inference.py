@@ -25,6 +25,7 @@ from nnmetric.gerrymander import (
     surrogate_core,
     targeted_inference_core,
 )
+from nnmetric.numerics import psd_project
 from nnmetric.predictors import vote
 
 
@@ -299,12 +300,12 @@ class TestSurrogate:
                 assert value >= other - 1e-9
 
 
-def loo_instance(rng):
+def loo_instance(rng, n_max=10, k_max=5):
     """Leave-one-out distances as a trainer sees them: the queried point and
     sometimes others at inf, integer distances with many ties (as Hamming
     distances have) in half the draws, and sometimes a class whose only
     member is the queried point."""
-    n = int(rng.integers(5, 11))
+    n = int(rng.integers(5, n_max + 1))
     r = int(rng.integers(2, 5))
     labels = np.concatenate([np.arange(1, r + 1), rng.integers(1, r + 1, size=n - r)])
     labels = labels[rng.permutation(n)].astype(int)
@@ -319,7 +320,7 @@ def loo_instance(rng):
         dists = rng.random(n)
     dists[rng.choice(n, size=int(rng.integers(0, 3)), replace=False)] = np.inf
     dists[i] = np.inf
-    k = int(rng.integers(1, min(5, n - 1) + 1))
+    k = int(rng.integers(1, min(k_max, n - 1) + 1))
     return dists, labels, int(labels[i]), k, r
 
 
@@ -343,6 +344,21 @@ def loop_targeted(dists, labels, target, k, tau):
             if float(dists[h].sum()) < best_total:
                 best_h, best_total = h, float(dists[h].sum())
     return None if best_h is None else best_h[np.lexsort((best_h, dists[best_h]))]
+
+
+def loop_inference(dists, labels, y, k):
+    """Reference (h-hat, its value, h*) built on :func:`loop_targeted`: the
+    best tau=0 set of each class with a finite point, valued on its
+    nearest-first order, the first maximum class, and h* at tau=1; None for
+    an infeasible part."""
+    best_h, best_value = None, -np.inf
+    for r in sorted({int(labels[i]) for i in np.flatnonzero(np.isfinite(dists))}):
+        h = loop_targeted(dists, labels, r, k, 0)
+        if h is not None:
+            value = -float(dists[h].sum()) + float(r != y)
+            if value > best_value:
+                best_h, best_value = h, value
+    return best_h, best_value, loop_targeted(dists, labels, y, k, 1)
 
 
 class TestLeaveOneOutInstances:
@@ -404,6 +420,37 @@ class TestLeaveOneOutInstances:
             h_passed, v_passed = loss_augmented_inference_core(dists, labels, y, k, cands)
             assert np.array_equal(h_built, h_passed) and v_built == v_passed
 
+    def test_cores_equal_the_plain_loop_bit_for_bit(self):
+        """The same sets and the same float bits as the per-class, per-m
+        loop.  k reaches 12 because numpy sums 8 or more terms in pairwise
+        blocks, so the order each set's terms are added in shows from there."""
+        rng = np.random.default_rng(79)
+        pairwise = {"h_hat": 0, "h_star": 0}
+        for _ in range(600):
+            dists, labels, y, k, _ = loo_instance(rng, n_max=20, k_max=12)
+            # the integer draws become tenths, whose sums tie in exact
+            # arithmetic but not in floating point, so the order a sum adds
+            # its terms in can pick the set
+            dists = 0.1 * dists
+            want_hat, want_value, want_star = loop_inference(dists, labels, y, k)
+            if want_hat is None:
+                with pytest.raises(InfeasibleTargetError):
+                    loss_augmented_inference_core(dists, labels, y, k)
+                continue
+            h_hat, value = loss_augmented_inference_core(dists, labels, y, k)
+            assert np.array_equal(h_hat, want_hat)
+            assert value.hex() == want_value.hex()
+            pairwise["h_hat"] += k >= 8
+            if want_star is None:
+                with pytest.raises(InfeasibleTargetError):
+                    surrogate_core(dists, labels, y, k)
+                continue
+            surrogate, h_hat, h_star = surrogate_core(dists, labels, y, k)
+            assert np.array_equal(h_hat, want_hat) and np.array_equal(h_star, want_star)
+            assert surrogate.hex() == (want_value + float(dists[want_star].sum())).hex()
+            pairwise["h_star"] += k >= 8
+        assert min(pairwise.values()) >= 50, pairwise
+
 
 class TestBruteForceInternals:
     def test_unconstrained_is_plain_topk(self):
@@ -422,3 +469,21 @@ class TestBruteForceInternals:
             assert predicted in shared_winners(labels[h], 3)
             assert max_tied_loss(y, labels[h]) >= float(predicted != y)
             assert (max_tied_loss(y, labels[h]) == 0.0) == (shared_winners(labels[h], 3) == [y])
+
+
+class TestMahalanobisDistances:
+    @pytest.mark.parametrize("case", ["random_psd", "rank_deficient", "d1"])
+    def test_equal_the_per_row_quadratic_form(self, case):
+        rng = np.random.default_rng(83)
+        d = 1 if case == "d1" else 6
+        a = rng.normal(size=(d, d))
+        w = psd_project(a + a.T) if case == "rank_deficient" else a.T @ a
+        if case == "rank_deficient":
+            assert np.linalg.matrix_rank(w) < d
+        features = 3.0 * rng.normal(size=(200, d))
+        x = rng.normal(size=d)
+        got = MahalanobisMetric(w=w).distances(x, features)
+        diffs = features - x
+        want = np.array([diff @ w @ diff for diff in diffs])
+        atol = 1e-12 * np.abs(w).max() * np.sum(diffs ** 2, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + atol)

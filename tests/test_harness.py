@@ -491,6 +491,21 @@ class TestCmdRun:
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "run failed" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_method_failure_names_the_method(self, tmp_path, capsys):
+        """Targets near 1e199 overflow EGOP's outer products; GW's mean
+        absolute differences stay finite, so egop is the method that fails."""
+        ds = synth_sin(120, 3, seed=0)
+        data = tmp_path / "huge.csv"
+        save_csv(data, Dataset(features=ds.features, labels=1e199 * (1.0 + ds.labels), kind=REAL))
+        config = write_config(
+            tmp_path,
+            {"task": "regress", "method": "euclidean, gw, egop", "data.source": "csv",
+             "data.path": str(data), "seed": "0", "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 1
+        assert "run failed: egop: sym_eig requires finite entries" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "method, rule, n_fit",
         [("euclidean", "knn", 15), ("hamming", "knn", 15), ("gerry_sym", "hnn", 22)],
