@@ -7,8 +7,8 @@ pass reference probes a plug-in refit on the sample without each point.  The
 fast routines elsewhere in the package are validated against these by the
 test suite and by the ``oracle`` CLI command.  Keep these independent of the
 code they check: the pass reference uses only the per-point gate and
-finite-difference helpers of ``gradient_metrics``, which the pass's plug-in
-path (no ``evaluator``) does not.
+finite-difference helpers of ``gradient_metrics``, which the pass itself
+never calls.
 """
 
 from __future__ import annotations

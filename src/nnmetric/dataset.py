@@ -22,12 +22,18 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """An immutable feature matrix with class ids (1..R) or real targets."""
+    """An immutable feature matrix with class ids (1..R) or real targets.
+
+    ``label_names`` holds a CSV's own label value of each class id, id r at
+    position r - 1; it is empty for data that came from no file, whose ids
+    are their labels.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     kind: str
     name: str = ""
+    label_names: tuple = ()
 
     def __post_init__(self):
         features = _checked_features(self.features)
@@ -62,6 +68,10 @@ class Dataset:
         if self.kind != CLASS:
             raise ValueError("n_classes is only defined for classed datasets")
         return int(self.labels.max())
+
+    def class_label(self, cls: int) -> str:
+        """The data's own label value of class id ``cls``."""
+        return self.label_names[cls - 1] if cls <= len(self.label_names) else str(cls)
 
     def _replace(self, **changes) -> "Dataset":
         # dataclasses.replace without __post_init__'s contiguity check: a split
@@ -171,8 +181,8 @@ def load_csv(path, label_column: str, label_kind: str) -> Dataset:
         raise DatasetFormatError(f"{path}: no data rows")
 
     features = np.asarray(rows, dtype=float)
+    seen: dict[str, int] = {}
     if label_kind == CLASS:
-        seen: dict[str, int] = {}
         labels = np.empty(len(raw_labels), dtype=int)
         for i, raw in enumerate(raw_labels):
             labels[i] = seen.setdefault(raw, len(seen) + 1)
@@ -184,7 +194,8 @@ def load_csv(path, label_column: str, label_kind: str) -> Dataset:
             ]
         )
     name = getattr(path, "name", str(path))
-    return Dataset(features=features, labels=labels, kind=label_kind, name=name)
+    return Dataset(features=features, labels=labels, kind=label_kind, name=name,
+                   label_names=tuple(seen))
 
 
 def _parse_real(path, cell, row_num, col_name):

@@ -48,10 +48,6 @@ class MahalanobisMetric:
         diff = np.asarray(features, dtype=float) - np.asarray(x, dtype=float)
         return np.sum((diff @ self.w) * diff, axis=1)
 
-    @property
-    def d(self) -> int:
-        return self.w.shape[0]
-
 
 @dataclass(frozen=True)
 class AsymmetricMetric:
@@ -68,10 +64,6 @@ class AsymmetricMetric:
         query = self.u @ np.asarray(x, dtype=float)
         db = np.asarray(features, dtype=float) @ self.v.T
         return np.sum((db - query) ** 2, axis=1)
-
-    @property
-    def d(self) -> int:
-        return self.u.shape[1]
 
     def block_matrix(self) -> np.ndarray:
         utu = self.u.T @ self.u
@@ -307,32 +299,6 @@ def _should_stop(prev_mean, mean, rel_tol) -> bool:
     return (prev_mean - mean) < rel_tol * abs(prev_mean)
 
 
-def run_epochs(n: int, config, rng, step) -> list:
-    """The epoch loop shared by every trainer; returns the trace.
-
-    Each epoch calls ``step(i)`` for each index of a fresh
-    ``rng.permutation(n)``.  ``step`` applies sample i's update and returns
-    its surrogate, or None when it skips the sample.  An epoch whose samples
-    were all skipped has a NaN mean.  Training stops after ``config.epochs``
-    or when the epoch-mean surrogate fails to decrease by
-    ``config.stop_rel_tol`` relative (or is not finite).
-    """
-    trace: list[TraceRow] = []
-    prev_mean = None
-    for epoch in range(config.epochs):
-        losses = []
-        for i in rng.permutation(n):
-            loss = step(i)
-            if loss is not None:
-                losses.append(loss)
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=n - len(losses)))
-        if _should_stop(prev_mean, mean_loss, config.stop_rel_tol):
-            break
-        prev_mean = mean_loss
-    return trace
-
-
 def sgd_rule(train: Dataset, c: float, variant: str):
     """``(start, update)`` of the symmetric or asymmetric variant for
     :func:`latent_sgd`.  Symmetric: from W = 0, W <- (1 - eta) W - C (Psi(x,
@@ -366,38 +332,48 @@ def sgd_rule(train: Dataset, c: float, variant: str):
 def latent_sgd(train: Dataset, config, infer, start, update,
                audit_psd: bool = False) -> TrainResult:
     """Stochastic subgradient descent between latent neighbor sets: the one
-    per-sample step of all three trainers, run by :func:`run_epochs`.
+    training loop of all three trainers.
 
     ``start(rng)`` returns the first metric; ``rng`` is seeded with
-    ``config.seed`` and permutes the epochs after any draw ``start`` makes.
-    Per sample i, ``infer(i, dists)`` gets the leave-one-out distances of
-    training point i under the current metric and returns (surrogate,
-    h-hat, h*), or raises InfeasibleTargetError to skip the sample; then
-    ``update(metric, t, x, h_hat, h_star)`` returns the metric after the
-    t-th applied update.  ``audit_psd`` records the smallest eigenvalue of
-    every updated W.
+    ``config.seed``, and after any draw ``start`` makes, each epoch visits
+    the samples in a fresh ``rng.permutation(n)``.  Per sample i,
+    ``infer(i, dists)`` gets the leave-one-out distances of training point
+    i under the current metric and returns (surrogate, h-hat, h*), or
+    raises InfeasibleTargetError to skip the sample; then ``update(metric,
+    t, x, h_hat, h_star)`` returns the metric after the t-th applied
+    update.  Each epoch adds a :class:`TraceRow`; an epoch whose samples
+    were all skipped has a NaN mean.  Training stops after
+    ``config.epochs`` or when the epoch-mean surrogate fails to decrease by
+    ``config.stop_rel_tol`` relative (or is not finite).  ``audit_psd``
+    records the smallest eigenvalue of every updated W.
     """
     rng = np.random.default_rng(config.seed)
     metric = start(rng)
+    trace: list[TraceRow] = []
     psd_audit: list[float] = []
     t = 0
-
-    def step(i):
-        nonlocal metric, t
-        x = train.features[i]
-        dists = metric.distances(x, train.features)
-        dists[i] = np.inf
-        try:
-            surrogate, h_hat, h_star = infer(i, dists)
-        except InfeasibleTargetError:
-            return None
-        t += 1
-        metric = update(metric, t, x, h_hat, h_star)
-        if audit_psd and isinstance(metric, MahalanobisMetric):
-            psd_audit.append(float(sym_eig(metric.w).values[-1]))
-        return surrogate
-
-    trace = run_epochs(train.n, config, rng, step)
+    prev_mean = None
+    for epoch in range(config.epochs):
+        losses = []
+        for i in rng.permutation(train.n):
+            x = train.features[i]
+            dists = metric.distances(x, train.features)
+            dists[i] = np.inf
+            try:
+                surrogate, h_hat, h_star = infer(i, dists)
+            except InfeasibleTargetError:
+                continue
+            t += 1
+            metric = update(metric, t, x, h_hat, h_star)
+            if audit_psd and isinstance(metric, MahalanobisMetric):
+                psd_audit.append(float(sym_eig(metric.w).values[-1]))
+            losses.append(surrogate)
+        mean_loss = float(np.mean(losses)) if losses else float("nan")
+        skipped = train.n - len(losses)
+        trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=skipped))
+        if _should_stop(prev_mean, mean_loss, config.stop_rel_tol):
+            break
+        prev_mean = mean_loss
     return TrainResult(metric=metric, trace=trace, psd_audit=psd_audit)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASS, Dataset
-from .numerics import EigenDecomp, sym_eig, symmetrize, whitening_transform
+from .numerics import symmetrize, whitening_transform
 
 
 @dataclass(frozen=True)
@@ -122,18 +122,19 @@ class GradientEstimate:
             raise ValueError("gated coordinates must be exactly zero")
 
 
-def finite_diff_gradient(evaluator, x, t: float, mask=None) -> GradientEstimate:
+def finite_diff_gradient(evaluator, x, t: float, mask) -> GradientEstimate:
     """Symmetric differences (f(x + t e_i) - f(x - t e_i)) / 2t per coordinate.
 
     ``evaluator`` may return a scalar (gradient) or a vector (Jacobian row
     per coordinate).  Coordinates with a false mask entry are skipped and
-    left at zero.
+    left at zero.  :func:`nnmetric.bruteforce.explicit_loo`, the reference
+    of the gradient pass, probes each sample with it.
     """
     if not t > 0:
         raise ValueError("step t must be positive")
     x = np.asarray(x, dtype=float)
     d = len(x)
-    mask = np.ones(d, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    mask = np.asarray(mask, dtype=bool)
     values = np.zeros(d)
     for i in np.flatnonzero(mask):
         step = np.zeros(d)
@@ -148,14 +149,10 @@ def finite_diff_gradient(evaluator, x, t: float, mask=None) -> GradientEstimate:
 
 @dataclass(frozen=True)
 class GradientMetricEstimate:
-    """Averaged gradient outer product; its eigendecomposition on demand."""
+    """Averaged gradient outer product."""
 
     g: np.ndarray
     kind: str
-
-    @property
-    def eig(self) -> EigenDecomp:
-        return sym_eig(self.g)
 
     def transform(self) -> np.ndarray:
         """Whitening map: distances under it square to the quadratic form g."""
@@ -179,14 +176,13 @@ def _loo_weights(spec: KernelSpec, sq, own: int):
     return np.divide(sq, total[:, None], out=sq)
 
 
-def _gradient_pass(train: Dataset, spec: KernelSpec, t, evaluator, values):
+def _gradient_pass(train: Dataset, spec: KernelSpec, t, values):
     """Yield ``(mask, central differences)`` for each sample with an open gate.
 
     One 2d x n probe-distance matrix per sample, written into one reused
     buffer, gives the density gates (as :func:`gate_mask`) and, on the gated
     rows, the leave-one-out kernel weights; ``values`` maps weight rows to
-    plug-in values at the probes.  ``evaluator``, when given, is probed
-    instead of the plug-in.
+    plug-in values at the probes.
     """
     if train.n < 2:
         raise ValueError("need at least two points")
@@ -215,9 +211,6 @@ def _gradient_pass(train: Dataset, spec: KernelSpec, t, evaluator, values):
         if not mask.any():
             continue
         any_gate = True
-        if evaluator is not None:
-            yield mask, finite_diff_gradient(evaluator, x, t, mask).values
-            continue
         active = np.flatnonzero(mask)
         m = len(active)
         rows = sq if m == d else sq[np.concatenate([active, d + active])]
@@ -250,20 +243,19 @@ class GradientPass:
     counts: np.ndarray
 
 
-def gradient_pass(
-    train: Dataset, spec: KernelSpec, t: float, temperature=None, evaluator=None
-) -> GradientPass:
-    """One pass over the sample, in sample order.
+def gradient_pass(train: Dataset, spec: KernelSpec, t: float, temperature=None) -> GradientPass:
+    """One pass over the sample, in sample order: the one per-sample loop of
+    GW, EGOP and EJOP.
 
-    With ``temperature`` None it probes the kernel regression of the labels,
-    the surface GW and EGOP share; otherwise the class mass softmaxed at that
-    temperature, the surface of EJOP.  ``evaluator`` overrides the plug-in.
+    With ``temperature`` None it probes the leave-one-out kernel regression
+    of the labels, the surface GW and EGOP share; otherwise the class mass
+    softmaxed at that temperature, the surface of EJOP.
     """
     d = train.d
     outer, abs_sums, counts = np.zeros((d, d)), np.zeros(d), np.zeros(d)
     if temperature is None:
         y = np.asarray(train.labels, dtype=float)
-        for mask, grad in _gradient_pass(train, spec, t, evaluator, lambda w: w @ y):
+        for mask, grad in _gradient_pass(train, spec, t, lambda w: w @ y):
             counts += mask
             abs_sums += np.abs(grad)
             outer += np.outer(grad, grad)
@@ -271,7 +263,7 @@ def gradient_pass(
         _check_class_surface(train, temperature)
         onehot = np.eye(train.n_classes)[np.asarray(train.labels, dtype=int) - 1]
         for mask, jac in _gradient_pass(
-            train, spec, t, evaluator, lambda w: _softmax((w @ onehot) / temperature)
+            train, spec, t, lambda w: _softmax((w @ onehot) / temperature)
         ):
             counts += mask
             outer += jac @ jac.T
@@ -287,11 +279,11 @@ def _check_class_surface(train: Dataset, temperature) -> None:
         raise ValueError("temperature must be positive")
 
 
-def _pass_for(train, spec, t, temperature, evaluator, passed) -> GradientPass:
+def _pass_for(train, spec, t, temperature, passed) -> GradientPass:
     """``passed`` when it was run on this sample, h, t and temperature;
     a fresh pass when it is None."""
     if passed is None:
-        return gradient_pass(train, spec, t, temperature, evaluator)
+        return gradient_pass(train, spec, t, temperature)
     if (passed.n, passed.h, passed.t, passed.temperature) != (
         train.n, spec.bandwidth, t, temperature
     ):
@@ -300,35 +292,26 @@ def _pass_for(train, spec, t, temperature, evaluator, passed) -> GradientPass:
 
 
 def estimate_egop(
-    train: Dataset,
-    spec: KernelSpec,
-    t: float,
-    evaluator=None,
-    passed: GradientPass | None = None,
+    train: Dataset, spec: KernelSpec, t: float, passed: GradientPass | None = None
 ) -> GradientMetricEstimate:
     """Average outer product of gated gradient estimates over the sample.
 
     The plug-in regressor drops the queried point (its probes would
-    otherwise lean on the point itself).  ``evaluator`` overrides the
-    plug-in entirely, for callers that already have a function to probe.
-    ``passed`` is a :func:`gradient_pass` of the same arguments to reduce
-    instead of running one.
+    otherwise lean on the point itself).  ``passed``, a
+    :class:`GradientPass` of the same sample, h and t, is reduced as given
+    instead of running :func:`gradient_pass`.
     """
-    passed = _pass_for(train, spec, t, None, evaluator, passed)
+    passed = _pass_for(train, spec, t, None, passed)
     return GradientMetricEstimate(g=symmetrize(passed.outer / train.n), kind="egop")
 
 
 def estimate_gw(
-    train: Dataset,
-    spec: KernelSpec,
-    t: float,
-    evaluator=None,
-    passed: GradientPass | None = None,
+    train: Dataset, spec: KernelSpec, t: float, passed: GradientPass | None = None
 ) -> np.ndarray:
     """Diagonal weights: mean absolute coordinate difference over gated
     samples.  Coordinates never gated come out zero.  ``passed`` as in
     :func:`estimate_egop`."""
-    passed = _pass_for(train, spec, t, None, evaluator, passed)
+    passed = _pass_for(train, spec, t, None, passed)
     return passed.abs_sums / np.maximum(passed.counts, 1.0)
 
 
@@ -337,13 +320,12 @@ def estimate_ejop(
     spec: KernelSpec,
     t: float,
     temperature: float = 1.0,
-    evaluator=None,
     passed: GradientPass | None = None,
 ) -> GradientMetricEstimate:
     """Average J J^T where J stacks central differences of the softmaxed
     class-mass vector, one row per input coordinate.  ``passed`` as in
     :func:`estimate_egop`."""
-    passed = _pass_for(train, spec, t, temperature, evaluator, passed)
+    passed = _pass_for(train, spec, t, temperature, passed)
     return GradientMetricEstimate(g=symmetrize(passed.outer / train.n), kind="ejop")
 
 

@@ -61,10 +61,6 @@ class HammingHasher:
     def c(self) -> int:
         return self.u.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.u.shape[1]
-
     def distances(self, x, features) -> np.ndarray:
         """Hard Hamming distances between the query code and database codes."""
         q = binarize(self.u, x)

@@ -242,10 +242,6 @@ class ExperimentConfig:
         _check_config(config, set(mapping))
         return config
 
-    @staticmethod
-    def from_file(path) -> "ExperimentConfig":
-        return ExperimentConfig.from_mapping(parse_config_file(path))
-
 
 _SCHEMA = {
     "task": ("task", lambda r, k: _as_choice(r, k, ("classify", "regress"))),
@@ -329,10 +325,6 @@ def parse_config_text(text: str) -> dict:
     return mapping
 
 
-def parse_config_file(path) -> dict:
-    return parse_config_text(Path(path).read_text(encoding="utf-8"))
-
-
 def config_json(config: ExperimentConfig) -> str:
     """The resolved config (defaults filled in) as deterministic JSON."""
     skip = _SYNTH_KEYS if config.source == "csv" else _CSV_KEYS
@@ -371,11 +363,19 @@ def load_experiment_data(config: ExperimentConfig):
     if ds.n < 4:
         raise ConfigError(f"data: need at least 4 rows to split, got {ds.n}")
     train_idx, test_idx = split_indices(ds.n, config.test_fraction, config.seed)
-    if ds.kind == REAL and float(np.var(ds.labels[test_idx])) == 0.0:
-        raise ConfigError(
-            f"data: the {len(test_idx)} targets of the test split all equal "
-            f"{float(ds.labels[test_idx[0]])!r}, so their nMSE is undefined"
-        )
+    if ds.kind == REAL:
+        # a sum of n squared errors, each at most the squared spread, must stay finite
+        low, high = float(ds.labels.min()), float(ds.labels.max())
+        if not np.isfinite(ds.n * (high - low) * (high - low)):
+            raise ConfigError(
+                f"data: the targets span {low!r} to {high!r}, so sums of their squared "
+                "errors overflow; rescale the targets"
+            )
+        if float(np.var(ds.labels[test_idx])) == 0.0:
+            raise ConfigError(
+                f"data: the {len(test_idx)} targets of the test split all equal "
+                f"{float(ds.labels[test_idx[0]])!r}, so their nMSE is undefined"
+            )
     return ds.subset(train_idx, name="train"), ds.subset(test_idx, name="test")
 
 
@@ -428,11 +428,13 @@ def _indicator_dataset(ds: Dataset, method: str) -> Dataset:
         return ds
     top = int(ds.labels.max())
     if top != 2:
-        cls = 3 if top > 2 else 2
+        if top > 2:
+            found = (f"class {ds.class_label(3)} has {int(np.sum(ds.labels == 3))} of the "
+                     f"{ds.n} rows of a fit split")
+        else:
+            found = f"all {ds.n} rows of a fit split are class {ds.class_label(1)}"
         raise ConfigError(
-            f"method: {method} on task = classify needs exactly two classes; class {cls} "
-            f"(numbered by first appearance) has {int(np.sum(ds.labels == cls))} of the "
-            f"{ds.n} rows of a fit split"
+            f"method: {method} on task = classify needs exactly two classes; {found}"
         )
     return Dataset(
         features=ds.features,
@@ -450,8 +452,8 @@ def _relieff_weights_for(ds: Dataset, seed: int, memo: dict) -> np.ndarray:
         cls = 1 + int(np.argmin(counts))
         raise ConfigError(
             "method: relieff computes ReliefF weights, which need at least 2 rows per "
-            f"class; class {cls} (numbered by first appearance) has {int(counts[cls - 1])} "
-            f"of the {ds.n} rows of a fit split"
+            f"class; class {ds.class_label(cls)} has {int(counts[cls - 1])} of the {ds.n} "
+            "rows of a fit split"
         )
     k_hits = min(5, int(counts.min()) - 1)
     return _memoised(

@@ -93,20 +93,18 @@ def vote(labels_selected: np.ndarray, all_labels: np.ndarray) -> int:
     return int(tied.min())
 
 
-def predict_from_distances(dists, train: Dataset, rule: NeighborRule, mode: str):
-    """Prediction given precomputed query-to-train distances."""
-    sel = _selected(np.asarray(dists, dtype=float), rule)
-    if mode == "classify":
-        return vote(train.labels[sel], train.labels)
-    if mode == "regress":
-        return float(train.labels[sel].mean())
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: str):
     """The one per-query loop of every predictor: ``distances(x)`` gives one
     query row's distances to the training rows."""
-    out = [predict_from_distances(distances(x), train, rule, mode) for x in np.atleast_2d(queries)]
+    out = []
+    for x in np.atleast_2d(queries):
+        sel = _selected(np.asarray(distances(x), dtype=float), rule)
+        if mode == "classify":
+            out.append(vote(train.labels[sel], train.labels))
+        elif mode == "regress":
+            out.append(float(train.labels[sel].mean()))
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
     return np.asarray(out, dtype=float if mode == "regress" else int)
 
 

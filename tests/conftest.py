@@ -2,7 +2,9 @@
 
 import numpy as np
 
+from nnmetric.bruteforce import explicit_loo
 from nnmetric.dataset import CLASS, Dataset
+from nnmetric.gradient_metrics import GradientPass
 
 
 def gauss_blobs(centers, n_per_class, scales, seed):
@@ -32,3 +34,21 @@ def anisotropic_blobs(n_per_class, d, seed, separation=2.0, noise_scale=10.0):
     scales = np.full(d, noise_scale)
     scales[0] = 1.0
     return gauss_blobs(centers, n_per_class, scales, seed)
+
+
+def probed_pass(train, spec, t, f, temperature=None):
+    """The :class:`GradientPass` of a known function ``f`` on ``train``:
+    the gates and central differences of ``bruteforce.explicit_loo``, summed
+    as ``gradient_pass`` sums its plug-in's.  ``temperature`` None gives the
+    real surface of GW and EGOP (``f`` scalar), otherwise the class surface
+    of EJOP at that temperature (``f`` a vector)."""
+    d = train.d
+    outer, abs_sums, counts = np.zeros((d, d)), np.zeros(d), np.zeros(d)
+    for mask, grad in explicit_loo(train, spec, t, lambda rest, z: f(z)):
+        counts += mask
+        if temperature is None:
+            abs_sums += np.abs(grad)
+            outer += np.outer(grad, grad)
+        else:
+            outer += grad @ grad.T
+    return GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)

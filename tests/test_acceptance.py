@@ -9,6 +9,7 @@ use fixed seeds and median aggregation so they are deterministic.
 import itertools
 
 import numpy as np
+from conftest import probed_pass
 
 from nnmetric.bruteforce import (
     brute_loss_augmented,
@@ -243,8 +244,9 @@ def test_criterion_08_egop_recovers_linear_outer_product():
     rng = np.random.default_rng(808)
     train = Dataset(features=rng.normal(size=(60, 3)), labels=np.zeros(60), kind=REAL)
     a = np.array([0.7, -1.3, 2.0])
-    est = estimate_egop(train, KernelSpec(bandwidth=1.0), t=0.1,
-                        evaluator=lambda q: float(a @ q))
+    spec = KernelSpec(bandwidth=1.0)
+    est = estimate_egop(train, spec, t=0.1,
+                        passed=probed_pass(train, spec, 0.1, lambda q: float(a @ q)))
     dev = float(np.abs(est.g - np.outer(a, a)).max())
     print(f"criterion 8: max entry deviation from aa^T is {dev:.3e}")
     assert dev <= 1e-8

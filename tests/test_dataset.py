@@ -29,6 +29,18 @@ class TestLoadCsv:
         assert ds.n_classes == 2
         np.testing.assert_array_equal(ds.labels, [1, 2, 1])
 
+    def test_label_names_follow_first_appearance_through_subsets(self, tmp_path):
+        p = write(tmp_path, "f1,lab\n0,3\n1,1\n2,3\n3,2\n")
+        ds = load_csv(p, "lab", "class")
+        np.testing.assert_array_equal(ds.labels, [1, 2, 1, 3])
+        assert ds.label_names == ("3", "1", "2")
+        part = ds.subset([1, 3])
+        assert part.label_names == ("3", "1", "2")
+        assert [part.class_label(r) for r in (1, 2, 3)] == ["3", "1", "2"]
+        assert Dataset(features=[[0.0]], labels=[1], kind="class").class_label(1) == "1"
+        real = load_csv(write(tmp_path, "f1,y\n0,0.5\n", name="real.csv"), "y", "real")
+        assert real.label_names == ()
+
     def test_nan_cell_reports_row(self, tmp_path):
         p = write(tmp_path, "f1,y\n1.5,0\nNaN,1\n")
         with pytest.raises(DatasetFormatError, match="row 2"):

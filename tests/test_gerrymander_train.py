@@ -9,8 +9,8 @@ from nnmetric.gerrymander import (
     AsymmetricMetric,
     GerryTrainConfig,
     MahalanobisMetric,
+    latent_sgd,
     metric_predictions,
-    run_epochs,
     train_sgd,
 )
 from nnmetric.hamming import HammingTrainConfig, train_hamming
@@ -92,9 +92,14 @@ class TestSymmetricTraining:
 
     def test_stops_when_loss_plateaus(self):
         # a constant surrogate never falls, so the second epoch mean stops training
-        trace = run_epochs(6, GerryTrainConfig(k=3, epochs=10), np.random.default_rng(4),
-                           lambda i: 0.5)
-        assert trace == [(0, 0.5, 0), (1, 0.5, 0)]
+        train = gauss_blobs([[0.0, 0.0], [3.0, 3.0]], 3, 1.0, seed=4)
+        result = latent_sgd(
+            train, GerryTrainConfig(k=3, epochs=10),
+            infer=lambda i, dists: (0.5, None, None),
+            start=lambda rng: MahalanobisMetric(w=np.eye(2)),
+            update=lambda metric, t, x, h_hat, h_star: metric,
+        )
+        assert result.trace == [(0, 0.5, 0), (1, 0.5, 0)]
 
     def test_skips_samples_without_enough_same_class_neighbors(self):
         features = np.vstack([np.random.default_rng(5).normal(size=(8, 2)), [[9.0, 9.0]]])

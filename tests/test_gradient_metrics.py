@@ -3,6 +3,7 @@ metric estimators, checked against hand values, oracles, and known geometry."""
 
 import numpy as np
 import pytest
+from conftest import probed_pass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from nnmetric.gradient_metrics import (
     kernel_regress,
     relieff_weights,
 )
+from nnmetric.numerics import sym_eig
 
 
 def real_dataset(features, targets):
@@ -196,11 +198,11 @@ class TestDensityGate:
 
 class TestFiniteDiffGradient:
     def test_exact_on_linear(self):
-        grad = finite_diff_gradient(lambda x: 3.0 * x[0], np.zeros(3), t=0.5)
+        grad = finite_diff_gradient(lambda x: 3.0 * x[0], np.zeros(3), 0.5, np.ones(3, bool))
         np.testing.assert_allclose(grad.values, [3.0, 0.0, 0.0])
 
     def test_exact_on_quadratic(self):
-        grad = finite_diff_gradient(lambda x: float(x[0] ** 2), np.array([1.0]), t=0.5)
+        grad = finite_diff_gradient(lambda x: float(x[0] ** 2), np.array([1.0]), 0.5, [True])
         assert grad.values[0] == pytest.approx(2.0)
 
     def test_gated_coordinate_is_zero(self):
@@ -210,13 +212,13 @@ class TestFiniteDiffGradient:
 
     def test_vector_evaluator_builds_jacobian(self):
         a = np.array([[1.0, 0.0], [0.0, 2.0], [3.0, 0.0]])
-        grad = finite_diff_gradient(lambda x: a.T @ x, np.zeros(3), t=0.25)
+        grad = finite_diff_gradient(lambda x: a.T @ x, np.zeros(3), 0.25, np.ones(3, bool))
         assert grad.values.shape == (3, 2)
         np.testing.assert_allclose(grad.values, a)
 
     def test_rejects_nonpositive_step(self):
         with pytest.raises(ValueError):
-            finite_diff_gradient(lambda x: 0.0, np.zeros(2), t=0.0)
+            finite_diff_gradient(lambda x: 0.0, np.zeros(2), 0.0, np.ones(2, bool))
 
     def test_estimate_type_rejects_nonzero_gated_rows(self):
         with pytest.raises(ValueError):
@@ -228,9 +230,9 @@ class TestEstimateEgop:
         rng = np.random.default_rng(4)
         train = real_dataset(rng.normal(size=(50, 2)), np.zeros(50))
         a = np.array([1.0, 2.0])
-        est = estimate_egop(
-            train, KernelSpec(bandwidth=1.0), t=0.1, evaluator=lambda q: float(a @ q)
-        )
+        spec = KernelSpec(bandwidth=1.0)
+        passed = probed_pass(train, spec, 0.1, lambda q: float(a @ q))
+        est = estimate_egop(train, spec, t=0.1, passed=passed)
         assert np.abs(est.g - np.outer(a, a)).max() <= 1e-8
         assert est.kind == "egop"
 
@@ -240,12 +242,14 @@ class TestEstimateEgop:
         a = np.array([0.5, -1.0, 2.0])
         q = random_rotation(3, seed=11)
         spec = KernelSpec(bandwidth=1.0)
+        train = real_dataset(X, np.zeros(40))
         base = estimate_egop(
-            real_dataset(X, np.zeros(40)), spec, 0.1, evaluator=lambda z: float(a @ z)
+            train, spec, 0.1, passed=probed_pass(train, spec, 0.1, lambda z: float(a @ z))
         )
         ar = q.T @ a
+        turned = real_dataset(X @ q, np.zeros(40))
         rotated = estimate_egop(
-            real_dataset(X @ q, np.zeros(40)), spec, 0.1, evaluator=lambda z: float(ar @ z)
+            turned, spec, 0.1, passed=probed_pass(turned, spec, 0.1, lambda z: float(ar @ z))
         )
         assert np.abs(rotated.g - q.T @ base.g @ q).max() <= 1e-8
 
@@ -265,7 +269,7 @@ class TestEstimateEgop:
             X = rng.uniform(size=(30, 3))
             train = real_dataset(X, rng.normal(size=30))
             est = estimate_egop(train, KernelSpec(bandwidth=0.6), t=0.15)
-            assert est.eig.values[-1] >= -1e-9
+            assert sym_eig(est.g).values[-1] >= -1e-9
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -286,7 +290,7 @@ class TestEstimateEgop:
             X = rng.uniform(size=(600, 4))
             train = real_dataset(X, np.sin(5.0 * X @ v))
             est = estimate_egop(train, KernelSpec(bandwidth=0.45), t=0.12)
-            cos = abs(float(est.eig.vectors[:, 0] @ v))
+            cos = abs(float(sym_eig(est.g).vectors[:, 0] @ v))
             angles.append(np.degrees(np.arccos(min(1.0, cos))))
         assert np.median(angles) < 15.0
 
@@ -303,8 +307,9 @@ class TestEstimateGw:
     def test_oracle_single_coordinate(self):
         rng = np.random.default_rng(9)
         train = real_dataset(rng.normal(size=(30, 2)), np.zeros(30))
+        spec = KernelSpec(bandwidth=1.0)
         w = estimate_gw(
-            train, KernelSpec(bandwidth=1.0), t=0.1, evaluator=lambda q: 3.0 * q[0]
+            train, spec, t=0.1, passed=probed_pass(train, spec, 0.1, lambda q: 3.0 * q[0])
         )
         np.testing.assert_allclose(w, [3.0, 0.0], atol=1e-12)
 
@@ -344,7 +349,7 @@ class TestEstimateGw:
         assert w_rot.max() / w_rot.sum() < 0.5
         est = estimate_egop(real_dataset(X @ q, y), spec, t)
         relevant = q[0, :] / np.linalg.norm(q[0, :])
-        cos = abs(float(est.eig.vectors[:, 0] @ relevant))
+        cos = abs(float(sym_eig(est.g).vectors[:, 0] @ relevant))
         assert np.degrees(np.arccos(min(1.0, cos))) < 15.0
 
 
@@ -356,12 +361,9 @@ class TestEstimateEjop:
 
     def test_constant_evaluator_gives_zero_matrix(self):
         train = blobs2(0, n_per=10, d=3)
-        est = estimate_ejop(
-            train,
-            KernelSpec(bandwidth=1.0),
-            t=0.1,
-            evaluator=lambda q: np.array([0.5, 0.5]),
-        )
+        spec = KernelSpec(bandwidth=1.0)
+        passed = probed_pass(train, spec, 0.1, lambda q: np.array([0.5, 0.5]), temperature=1.0)
+        est = estimate_ejop(train, spec, t=0.1, passed=passed)
         np.testing.assert_array_equal(est.g, np.zeros((3, 3)))
 
     def test_plugin_matches_explicit_leave_one_out(self):
@@ -379,7 +381,7 @@ class TestEstimateEjop:
         for seed in range(4):
             train = blobs2(seed, n_per=20, d=4)
             est = estimate_ejop(train, KernelSpec(bandwidth=2.5), t=0.5)
-            assert est.eig.values[-1] >= -1e-9
+            assert sym_eig(est.g).values[-1] >= -1e-9
             assert est.kind == "ejop"
 
     def test_agrees_with_egop_of_class_one_mass(self):
@@ -388,7 +390,7 @@ class TestEstimateEjop:
         ej = estimate_ejop(train, spec, t=0.8, temperature=0.2)
         surface = real_dataset(train.features, (train.labels == 1).astype(float))
         eg = estimate_egop(surface, spec, t=0.8)
-        cos = abs(float(ej.eig.vectors[:, 0] @ eg.eig.vectors[:, 0]))
+        cos = abs(float(sym_eig(ej.g).vectors[:, 0] @ sym_eig(eg.g).vectors[:, 0]))
         assert np.degrees(np.arccos(min(1.0, cos))) < 10.0
 
 

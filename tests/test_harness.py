@@ -33,6 +33,10 @@ def write_config(tmp_path, mapping, name="exp.cfg"):
     return path
 
 
+def read_config(path):
+    return ExperimentConfig.from_mapping(parse_config_text(path.read_text(encoding="utf-8")))
+
+
 def read_results(out_dir):
     import csv
 
@@ -159,7 +163,7 @@ class TestConfigParsing:
             {"task": "regress", "method": "euclidean", "data.source": "synth",
              "data.n": "60", "data.d": "3", "grid.k": "3, 7"},
         )
-        config = ExperimentConfig.from_file(path)
+        config = read_config(path)
         assert config.grid_k == (3, 7)
         resolved = json.loads(config_json(config))
         assert resolved["grid.k"] == [3, 7]
@@ -491,20 +495,57 @@ class TestCmdRun:
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "run failed" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
-    def test_method_failure_names_the_method(self, tmp_path, capsys):
-        """Targets near 1e199 overflow EGOP's outer products; GW's mean
-        absolute differences stay finite, so egop is the method that fails."""
+    def test_method_failure_names_the_method(self, tmp_path, capsys, monkeypatch):
+        """An EGOP estimate that fails after euclidean and gw have run fails
+        the run as egop, with exit 1."""
         ds = synth_sin(120, 3, seed=0)
-        data = tmp_path / "huge.csv"
-        save_csv(data, Dataset(features=ds.features, labels=1e199 * (1.0 + ds.labels), kind=REAL))
+        data = tmp_path / "data.csv"
+        save_csv(data, ds)
         config = write_config(
             tmp_path,
             {"task": "regress", "method": "euclidean, gw, egop", "data.source": "csv",
              "data.path": str(data), "seed": "0", "out.dir": str(tmp_path / "out")},
         )
+
+        def broken(*args, **kwargs):
+            raise ArithmeticError("the estimate is not finite")
+
+        monkeypatch.setattr(harness, "estimate_egop", broken)
         assert cli.main(["run", "--config", str(config)]) == 1
-        assert "run failed: egop: sym_eig requires finite entries" in capsys.readouterr().err
+        assert "run failed: egop: the estimate is not finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e199])
+    def test_huge_targets_exit_2_at_the_split(self, tmp_path, capsys, scale):
+        """Squared errors of targets this far apart overflow, in the nMSE
+        and in EGOP's outer products, so the run stops before any method."""
+        ds = synth_sin(120, 3, seed=0)
+        data = tmp_path / "huge.csv"
+        save_csv(data, Dataset(features=ds.features, labels=scale * (1.0 + ds.labels), kind=REAL))
+        config = write_config(
+            tmp_path,
+            {"task": "regress", "method": "euclidean, gw", "data.source": "csv",
+             "data.path": str(data), "seed": "0", "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: data: the targets span ")
+        assert err[0].endswith("so sums of their squared errors overflow; rescale the targets")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_targets_below_overflow_run(self, tmp_path, capsys):
+        ds = synth_sin(120, 3, seed=0)
+        data = tmp_path / "large.csv"
+        save_csv(data, Dataset(features=ds.features, labels=1e150 * (1.0 + ds.labels), kind=REAL))
+        config = write_config(
+            tmp_path,
+            {"task": "regress", "method": "euclidean, gw", "data.source": "csv",
+             "data.path": str(data), "seed": "0", "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        finals = final_values(read_results(tmp_path / "out"))
+        assert all(np.isfinite(value) for value in finals.values())
 
     @pytest.mark.parametrize(
         "method, rule, n_fit",
@@ -545,7 +586,36 @@ class TestCmdRun:
         assert cli.main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"config error: method: {method}" in err and message in err
-        assert re.search(r"\(numbered by first appearance\) has \d+ of the \d+ rows", err)
+        assert re.search(r"; class \S+ has \d+ of the \d+ rows of a fit split", err)
+
+    @pytest.mark.parametrize(
+        "method, labels, n_first, message",
+        [
+            ("gw", (3, 1, 2), None, "needs exactly two classes; class 2 has 6 of the 16 rows"),
+            ("relieff", (3, 1, 2), 2, "at least 2 rows per class; class 3 has 1 of the 11 rows"),
+            ("gw", (3,), None, "needs exactly two classes; all 5 rows of a fit split are class 3"),
+        ],
+    )
+    def test_unfit_data_names_the_csv_label(self, tmp_path, capsys, method, labels, n_first,
+                                            message):
+        """The file lists label 3 first, then 1, then 2, so class ids 1, 2, 3
+        stand for labels 3, 1, 2: the error names the file's label, not the id."""
+        ds = gauss_blobs([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], 14, 1.0, seed=0)
+        rows = []
+        for label in labels:
+            idx = np.flatnonzero(ds.labels == label)[: n_first if label == 3 else None]
+            rows += [f"{float(a)!r},{float(b)!r},{label}" for a, b in ds.features[idx]]
+        data = tmp_path / "three_first.csv"
+        data.write_text("x1,x2,label\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        assert load_csv(data, "label", CLASS).label_names == tuple(map(str, labels))
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": method, "data.source": "csv",
+             "data.path": str(data), "seed": "0", "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: method: {method}" in err and message in err
 
     def test_constant_test_targets_exit_2_before_training(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -595,7 +665,7 @@ class TestCmdRun:
              "grid.h": "2.0", "grid.t": "0.5", "train.epochs": "2", "hamming.bits": "4",
              "seed": "0", "out.dir": str(tmp_path / "out")},
         )
-        train, test = load_experiment_data(ExperimentConfig.from_file(config))
+        train, test = load_experiment_data(read_config(config))
         assert (3 in test.labels and 3 not in train.labels) == (case == "class_only_in_test")
         assert cli.main(["run", "--config", str(config)]) == 0
         finals = final_values(read_results(tmp_path / "out"))
@@ -615,7 +685,7 @@ class TestCmdRun:
             {"task": "classify", "method": "euclidean", "data.source": "csv",
              "data.path": str(data), "seed": "1", "out.dir": str(tmp_path / "out")},
         )
-        _, test = load_experiment_data(ExperimentConfig.from_file(config))
+        _, test = load_experiment_data(read_config(config))
         assert set(test.labels) == {1, 3}
         assert cli.main(["run", "--config", str(config)]) == 0
         assert np.isfinite(final_values(read_results(tmp_path / "out"))["euclidean"])
@@ -684,7 +754,7 @@ class TestEstimatorMemo:
 
         monkeypatch.setattr(harness, "gradient_pass", counted_pass)
         monkeypatch.setattr(harness, "estimate_egop", counted_egop)
-        result = run_experiment(ExperimentConfig.from_file(estimator_config(tmp_path, "m", 2)))
+        result = run_experiment(read_config(estimator_config(tmp_path, "m", 2)))
         refits = {result.models[m].params["h"] for m in ("gw", "egop")}
         assert len(passes) == len(set(passes)) == 4 + len(refits)
         assert len(egop_calls) == 4 + 1

@@ -25,10 +25,6 @@ UNPASSED = {
     "it off to run every epoch",
     ("HammingTrainConfig", "stop_rel_tol"): "shares the stop rule of GerryTrainConfig",
     ("RegTrainConfig", "stop_rel_tol"): "inherits the stop rule of GerryTrainConfig",
-    ("estimate_egop", "evaluator"): "probes a known function through the estimator, the "
-    "acceptance check of the EGOP estimate",
-    ("estimate_gw", "evaluator"): "as estimate_egop",
-    ("estimate_ejop", "evaluator"): "as estimate_egop",
     ("train_reg_sgd", "audit_psd"): "records the minimum eigenvalue after each update, the "
     "check that W stays PSD",
     ("main", "argv"): "the command line's entry point; tests hand it arguments",
