@@ -12,12 +12,16 @@ boundary noise out of the averages.  No optimization is involved anywhere.
 
 GW, EGOP and EJOP are reductions of one pass (:func:`gradient_pass`): per
 sample, one probe-distance matrix gives both the gates and the plug-in
-weights.  The weights drop the queried point; the gates count it.  The
-queried point lies at distance t from each of its own probes, so when
-t <= h every probe ball holds it and no gate ever closes: the gate only
-acts for t > h.  Counting it keeps every estimate as it was when the gate
-was introduced; a gate that skipped it would close on isolated samples at
-any t and change the estimates.
+weights.  The squared distances come from the exact expansion
+|x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i), with no matrix
+product and none of the cancellation of |p|^2 - 2 p.f + |f|^2, and the
+triangle weights stay unnormalized (max(0, h - r)) until the plug-in sums
+are divided by their total.  The weights drop the queried point; the gates
+count it.  The queried point lies at distance exactly t from each of its
+own probes, so when t <= h every probe ball holds it and no gate ever
+closes: the gate only acts for t > h.  Counting it keeps every estimate as
+it was when the gate was introduced; a gate that skipped it would close on
+isolated samples at any t and change the estimates.
 """
 
 from __future__ import annotations
@@ -42,9 +46,8 @@ class KernelSpec:
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
 
-    def __call__(self, u, out=None):
-        u = np.asarray(u, dtype=float)
-        return np.maximum(0.0, np.subtract(1.0, u, out=out), out=out)
+    def __call__(self, u):
+        return np.maximum(0.0, 1.0 - np.asarray(u, dtype=float))
 
 
 def kernel_weights(spec: KernelSpec, features, x) -> np.ndarray:
@@ -91,19 +94,15 @@ def _softmax(scores):
 
 def gate_mask(train: Dataset, x, t: float, h: float) -> np.ndarray:
     """Per-coordinate density gates: both probe balls B(x +- t e_i, h) hold
-    a point."""
+    a point.  Probe distances are plain sums of squared differences, an
+    arithmetic the gradient pass does not share."""
     x = np.asarray(x, dtype=float)
-    feats = train.features
     d = len(x)
     probes = np.repeat(x[None, :], 2 * d, axis=0)
     idx = np.arange(d)
     probes[idx, idx] += t
     probes[d + idx, idx] -= t
-    sq = (
-        np.sum(feats**2, axis=1)[None, :]
-        - 2.0 * probes @ feats.T
-        + np.sum(probes**2, axis=1)[:, None]
-    )
+    sq = np.sum((probes[:, None, :] - train.features[None, :, :]) ** 2, axis=2)
     inside = np.any(sq <= h * h + 1e-12, axis=1)
     return inside[:d] & inside[d:]
 
@@ -160,51 +159,58 @@ class GradientMetricEstimate:
 
 
 def _loo_weights(spec: KernelSpec, sq, own: int):
-    """Kernel weights of squared probe distances, in place, with the queried
-    column ``own`` zeroed; a row with no other point in reach falls back to
-    uniform weights over the other points.  Rows are normalized."""
+    """Unnormalized triangle weights max(0, h - r) of squared probe distances
+    r^2, in place, with the queried column ``own`` zeroed, and their row sums.
+
+    The kernel's 1/h cancels once a row is divided by its sum, so it is never
+    applied.  A row with no other point in reach falls back to uniform
+    weights over the other points.
+    """
     np.maximum(sq, 0.0, out=sq)
     np.sqrt(sq, out=sq)
-    np.divide(sq, spec.bandwidth, out=sq)
-    spec(sq, out=sq)
+    np.subtract(spec.bandwidth, sq, out=sq)
+    np.maximum(sq, 0.0, out=sq)
     sq[:, own] = 0.0
     total = sq.sum(axis=1)
     empty = total == 0.0
     if empty.any():
         sq[empty] = np.arange(sq.shape[1]) != own
         total = sq.sum(axis=1)
-    return np.divide(sq, total[:, None], out=sq)
+    return sq, total
 
 
-def _gradient_pass(train: Dataset, spec: KernelSpec, t, values):
+def _gradient_pass(train: Dataset, spec: KernelSpec, t, targets, temperature):
     """Yield ``(mask, central differences)`` for each sample with an open gate.
 
-    One 2d x n probe-distance matrix per sample, written into one reused
-    buffer, gives the density gates (as :func:`gate_mask`) and, on the gated
-    rows, the leave-one-out kernel weights; ``values`` maps weight rows to
-    plug-in values at the probes.
+    Per sample x, the 2d x n squared probe distances come from the exact
+    expansion |x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i): one
+    difference x - f, its column sums of squares plus t^2, then one add and
+    one subtract of 2t (x_i - f_i), written into reused buffers.  The
+    queried point sits at exactly t^2.
+    They give the density gates (as :func:`gate_mask`) and, on the gated
+    rows, the leave-one-out weights of :func:`_loo_weights`.  The plug-in
+    value at a probe is ``(raw @ targets) / total``, softmaxed at
+    ``temperature`` unless that is None.
     """
     if train.n < 2:
         raise ValueError("need at least two points")
     feats = train.features
     n, d = feats.shape
     h = spec.bandwidth
-    norms = np.sum(feats**2, axis=1)[None, :]
-    offsets = np.zeros((2 * d, d))
-    offsets[np.arange(d), np.arange(d)] = t
-    offsets[d + np.arange(d), np.arange(d)] = -t
-    probes = np.empty((2 * d, d))
-    doubled = np.empty((2 * d, d))
+    columns = np.ascontiguousarray(feats.T)
+    cross = np.empty((d, n))
+    base = np.empty(n)
     sq = np.empty((2 * d, n))
     nearest = np.empty(2 * d)
     any_gate = False
     for idx in range(n):
-        x = feats[idx]
-        np.add(x, offsets, out=probes)
-        np.multiply(probes, 2.0, out=doubled)
-        np.matmul(doubled, feats.T, out=sq)
-        np.subtract(norms, sq, out=sq)
-        sq += np.sum(probes**2, axis=1)[:, None]
+        np.subtract(feats[idx][:, None], columns, out=cross)
+        # sq[:d] holds the squares until the + probes overwrite it
+        np.sum(np.square(cross, out=sq[:d]), axis=0, out=base)
+        base += t * t
+        cross *= 2.0 * t
+        np.add(base, cross, out=sq[:d])
+        np.subtract(base, cross, out=sq[d:])
         # features are finite, so "some point within h" is "the nearest is"
         inside = np.min(sq, axis=1, out=nearest) <= h * h + 1e-12
         mask = inside[:d] & inside[d:]
@@ -214,7 +220,11 @@ def _gradient_pass(train: Dataset, spec: KernelSpec, t, values):
         active = np.flatnonzero(mask)
         m = len(active)
         rows = sq if m == d else sq[np.concatenate([active, d + active])]
-        vals = values(_loo_weights(spec, rows, idx))
+        raw, total = _loo_weights(spec, rows, idx)
+        vals = raw @ targets
+        vals /= total if vals.ndim == 1 else total[:, None]
+        if temperature is not None:
+            vals = _softmax(vals / temperature)
         diffs = np.zeros((d,) + vals.shape[1:])
         diffs[active] = (vals[:m] - vals[m:]) / (2.0 * t)
         yield mask, diffs
@@ -254,19 +264,20 @@ def gradient_pass(train: Dataset, spec: KernelSpec, t: float, temperature=None) 
     d = train.d
     outer, abs_sums, counts = np.zeros((d, d)), np.zeros(d), np.zeros(d)
     if temperature is None:
-        y = np.asarray(train.labels, dtype=float)
-        for mask, grad in _gradient_pass(train, spec, t, lambda w: w @ y):
-            counts += mask
-            abs_sums += np.abs(grad)
-            outer += np.outer(grad, grad)
+        targets = np.asarray(train.labels, dtype=float)
     else:
         _check_class_surface(train, temperature)
-        onehot = np.eye(train.n_classes)[np.asarray(train.labels, dtype=int) - 1]
-        for mask, jac in _gradient_pass(
-            train, spec, t, lambda w: _softmax((w @ onehot) / temperature)
-        ):
+        targets = np.eye(train.n_classes)[np.asarray(train.labels, dtype=int) - 1]
+    # central differences over a tiny t, or of a huge slope, overflow these
+    # sums; the estimators check them and name the pass, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for mask, grad in _gradient_pass(train, spec, t, targets, temperature):
             counts += mask
-            outer += jac @ jac.T
+            if temperature is None:
+                abs_sums += np.abs(grad)
+                outer += np.outer(grad, grad)
+            else:
+                outer += grad @ grad.T
     return GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)
 
 
@@ -291,6 +302,17 @@ def _pass_for(train, spec, t, temperature, passed) -> GradientPass:
     return passed
 
 
+def _finite(passed: GradientPass, sums: np.ndarray, what: str) -> np.ndarray:
+    """``sums`` of ``passed``, refused when a central difference overflowed."""
+    if not np.all(np.isfinite(sums)):
+        raise ValueError(
+            f"the gradient pass at h = {passed.h:g}, t = {passed.t:g} summed {what} "
+            "that are not finite: its central differences overflow; use a larger t "
+            "or smaller targets"
+        )
+    return sums
+
+
 def estimate_egop(
     train: Dataset, spec: KernelSpec, t: float, passed: GradientPass | None = None
 ) -> GradientMetricEstimate:
@@ -299,10 +321,12 @@ def estimate_egop(
     The plug-in regressor drops the queried point (its probes would
     otherwise lean on the point itself).  ``passed``, a
     :class:`GradientPass` of the same sample, h and t, is reduced as given
-    instead of running :func:`gradient_pass`.
+    instead of running :func:`gradient_pass`.  Sums that overflowed raise
+    ``ValueError`` naming the pass's h and t.
     """
     passed = _pass_for(train, spec, t, None, passed)
-    return GradientMetricEstimate(g=symmetrize(passed.outer / train.n), kind="egop")
+    outer = _finite(passed, passed.outer, "gradient outer products")
+    return GradientMetricEstimate(g=symmetrize(outer / train.n), kind="egop")
 
 
 def estimate_gw(
@@ -312,7 +336,8 @@ def estimate_gw(
     samples.  Coordinates never gated come out zero.  ``passed`` as in
     :func:`estimate_egop`."""
     passed = _pass_for(train, spec, t, None, passed)
-    return passed.abs_sums / np.maximum(passed.counts, 1.0)
+    abs_sums = _finite(passed, passed.abs_sums, "absolute differences")
+    return abs_sums / np.maximum(passed.counts, 1.0)
 
 
 def estimate_ejop(
@@ -326,7 +351,8 @@ def estimate_ejop(
     class-mass vector, one row per input coordinate.  ``passed`` as in
     :func:`estimate_egop`."""
     passed = _pass_for(train, spec, t, temperature, passed)
-    return GradientMetricEstimate(g=symmetrize(passed.outer / train.n), kind="ejop")
+    outer = _finite(passed, passed.outer, "Jacobian outer products")
+    return GradientMetricEstimate(g=symmetrize(outer / train.n), kind="ejop")
 
 
 # the number of sampled points whose hits and misses ReliefF scores

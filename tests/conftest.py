@@ -36,15 +36,15 @@ def anisotropic_blobs(n_per_class, d, seed, separation=2.0, noise_scale=10.0):
     return gauss_blobs(centers, n_per_class, scales, seed)
 
 
-def probed_pass(train, spec, t, f, temperature=None):
-    """The :class:`GradientPass` of a known function ``f`` on ``train``:
-    the gates and central differences of ``bruteforce.explicit_loo``, summed
-    as ``gradient_pass`` sums its plug-in's.  ``temperature`` None gives the
-    real surface of GW and EGOP (``f`` scalar), otherwise the class surface
-    of EJOP at that temperature (``f`` a vector)."""
+def loo_pass(train, spec, t, plug_in, temperature=None):
+    """The :class:`GradientPass` of ``plug_in(rest, z)`` on ``train``: the
+    gates and central differences of ``bruteforce.explicit_loo``, summed as
+    ``gradient_pass`` sums its plug-in's.  ``temperature`` None gives the
+    real surface of GW and EGOP (``plug_in`` scalar), otherwise the class
+    surface of EJOP at that temperature (``plug_in`` a vector)."""
     d = train.d
     outer, abs_sums, counts = np.zeros((d, d)), np.zeros(d), np.zeros(d)
-    for mask, grad in explicit_loo(train, spec, t, lambda rest, z: f(z)):
+    for mask, grad in explicit_loo(train, spec, t, plug_in):
         counts += mask
         if temperature is None:
             abs_sums += np.abs(grad)
@@ -52,3 +52,9 @@ def probed_pass(train, spec, t, f, temperature=None):
         else:
             outer += grad @ grad.T
     return GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)
+
+
+def probed_pass(train, spec, t, f, temperature=None):
+    """:func:`loo_pass` of a known function ``f``, the same whichever sample
+    is left out."""
+    return loo_pass(train, spec, t, lambda rest, z: f(z), temperature)

@@ -3,7 +3,7 @@ metric estimators, checked against hand values, oracles, and known geometry."""
 
 import numpy as np
 import pytest
-from conftest import probed_pass
+from conftest import loo_pass, probed_pass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +11,7 @@ from nnmetric.bruteforce import explicit_loo
 from nnmetric.dataset import CLASS, REAL, Dataset, random_rotation, synth_sin
 from nnmetric.gradient_metrics import (
     GradientEstimate,
+    GradientPass,
     KernelSpec,
     estimate_egop,
     estimate_ejop,
@@ -452,6 +453,80 @@ class TestGradientPass:
         classed, _, _ = partly_gated(CLASS)
         with pytest.raises(ValueError, match="other data or parameters"):
             estimate_ejop(classed, spec, t, passed=passed)
+
+    @pytest.mark.parametrize(
+        "estimate, kind, sums",
+        [(estimate_gw, REAL, "abs_sums"), (estimate_egop, REAL, "outer"),
+         (estimate_ejop, CLASS, "outer")],
+    )
+    def test_estimators_refuse_non_finite_sums(self, estimate, kind, sums):
+        train, spec, t = partly_gated(kind)
+        passed = gradient_pass(train, spec, t, None if kind == REAL else 1.0)
+        broken = GradientPass(**{**vars(passed), sums: np.full_like(getattr(passed, sums), np.inf)})
+        with pytest.raises(ValueError, match=r"gradient pass at h = 0\.35, t = 0\.4 .* not finite"):
+            estimate(train, spec, t, passed=broken)
+
+
+def dyadic_grid(kind):
+    """25 points on the 0.25-spaced grid of [0, 1]^2, three of them doubled:
+    with t and h multiples of 0.25 every probe of every sample lands on a
+    grid point and many points sit exactly h from a probe, and every
+    squared distance is exact in floating point."""
+    g = np.arange(5) * 0.25
+    X = np.array([[a, b] for a in g for b in g])
+    X = np.vstack([X, X[[0, 12, 18]]])
+    rng = np.random.default_rng(2)
+    if kind == REAL:
+        return real_dataset(X, rng.normal(size=len(X)))
+    labels = np.concatenate([[1, 2, 3], rng.integers(1, 4, size=len(X) - 3)])
+    return class_dataset(X, labels)
+
+
+class TestExactGeometry:
+    """Duplicate rows, training points exactly on a probe and points exactly
+    h from a probe: the pass agrees with the explicit leave-one-out refit,
+    gate for gate."""
+
+    @pytest.mark.parametrize("h, t", [(0.5, 0.25), (0.25, 0.5), (0.25, 0.25)])
+    @pytest.mark.parametrize("temperature", [None, 0.5])
+    def test_pass_matches_explicit_leave_one_out(self, h, t, temperature):
+        train = dyadic_grid(REAL if temperature is None else CLASS)
+        spec = KernelSpec(bandwidth=h)
+
+        def plug_in(rest, z):
+            if temperature is None:
+                return kernel_regress(rest, spec, z)
+            return kernel_class_probs(rest, spec, z, temperature)
+
+        passed = gradient_pass(train, spec, t, temperature)
+        want = loo_pass(train, spec, t, plug_in, temperature)
+        np.testing.assert_array_equal(passed.counts, want.counts)
+        np.testing.assert_allclose(passed.outer, want.outer, atol=1e-12)
+        np.testing.assert_allclose(passed.abs_sums, want.abs_sums, atol=1e-12)
+        for sums in (passed.outer, passed.abs_sums):
+            assert np.isfinite(sums).all()
+
+    def test_geometry_is_present(self):
+        """The grid holds each case the class above is about."""
+        train = dyadic_grid(REAL)
+        X = train.features
+        x, t, h = X[6], 0.25, 0.5
+        on_probe = x + np.array([t, 0.0])
+        assert (X == on_probe).all(axis=1).any()
+        rim = np.sqrt(np.sum((X - on_probe) ** 2, axis=1))
+        assert (rim == h).any()
+        assert len(np.unique(X, axis=0)) < train.n
+
+    def test_gate_opens_on_a_point_exactly_h_away(self):
+        """With t > h only the middle sample's probes each hold a point, and
+        that point sits exactly h away; a smaller h closes every gate."""
+        train = real_dataset([[-1.25], [0.0], [1.25]], [1.0, 0.0, 2.0])
+        t = 0.75
+        np.testing.assert_array_equal(gate_mask(train, [0.0], t, 0.5), [True])
+        np.testing.assert_array_equal(gradient_pass(train, KernelSpec(0.5), t).counts, [1.0])
+        with pytest.warns(UserWarning, match="every density gate failed"):
+            closed = gradient_pass(train, KernelSpec(0.4375), t)
+        np.testing.assert_array_equal(closed.counts, [0.0])
 
 
 class TestConsistencyTrend:

@@ -301,9 +301,9 @@ class TestCmdOracle:
 
     def test_estimators_suite_fails_when_queried_point_keeps_weight(self, monkeypatch):
         def keeps_own(spec, sq, own):
-            raw = spec(np.sqrt(np.maximum(sq, 0.0)) / spec.bandwidth)
+            raw = np.maximum(0.0, spec.bandwidth - np.sqrt(np.maximum(sq, 0.0)))
             raw[raw.sum(axis=1) == 0.0] = 1.0
-            return raw / raw.sum(axis=1, keepdims=True)
+            return raw, raw.sum(axis=1)
 
         monkeypatch.setattr(gm, "_loo_weights", keeps_own)
         outcome = run_oracle("estimators", 200)
@@ -513,6 +513,34 @@ class TestCmdRun:
         monkeypatch.setattr(harness, "estimate_egop", broken)
         assert cli.main(["run", "--config", str(config)]) == 1
         assert "run failed: egop: the estimate is not finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_gradient_pass_names_h_and_t(self, tmp_path, capsys):
+        """40 points, each flanked 1e-6 away along x0 by targets of -1e150
+        and 1e150: the plug-in's slope there is near 1e155, so EGOP's summed
+        outer products overflow and the run fails as egop, naming the pass,
+        h and t, with no numpy warning on the way."""
+        centers = np.random.default_rng(0).uniform(size=(40, 3))
+        step = np.array([1e-6, 0.0, 0.0])
+        data = tmp_path / "steep.csv"
+        save_csv(data, Dataset(
+            features=np.vstack([centers, centers + step, centers - step]),
+            labels=np.repeat([0.0, 1e150, -1e150], 40),
+            kind=REAL,
+        ))
+        config = write_config(
+            tmp_path,
+            {"task": "regress", "method": "euclidean, gw, egop", "data.source": "csv",
+             "data.path": str(data), "grid.h": "1e-5", "grid.t": "1e-6", "seed": "0",
+             "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "run failed: egop: the gradient pass at h = 1e-05, t = 1e-06 summed gradient outer "
+            "products that are not finite: its central differences overflow; use a larger t "
+            "or smaller targets"
+        ]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e160, 1e199])
