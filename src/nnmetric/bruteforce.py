@@ -4,11 +4,12 @@ The inference references enumerate candidate neighbor sets outright, so they
 are only usable at small n choose k, but they are obviously correct; the
 eigensolver reference is a plain cyclic Jacobi iteration, and the gradient
 pass reference probes a plug-in refit on the sample without each point.  The
-fast routines elsewhere in the package are validated against these by the
-test suite and by the ``oracle`` CLI command.  Keep these independent of the
-code they check: the pass reference uses only the per-point gate and
-finite-difference helpers of ``gradient_metrics``, which the pass itself
-never calls.
+helpers only references call (set scores, the soft Hamming distance, kernel
+plug-ins, central differences) live here too.  The test suite and the
+oracle suites (:mod:`nnmetric.oracles`) check the fast routines against
+these; no run imports this module.  Keep these independent of the code they
+check: of ``gradient_metrics`` only ``gate_mask`` is used, which the pass
+itself never calls.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import itertools
 
 import numpy as np
 
-from .gradient_metrics import finite_diff_gradient, gate_mask
+from .dataset import CLASS
+from .gradient_metrics import gate_mask
 
 # Jacobi sweep convergence target, relative to the Frobenius norm of the input.
 _JACOBI_TOL = 1e-12
@@ -135,17 +137,96 @@ def brute_neighbor_predict(dists, labels, rule, mode: str):
     return next(int(labels[i]) for i in chosen if counts[int(labels[i])] == top)
 
 
+def score(metric, x, h, train) -> float:
+    """Distance score S(x, h): the negated sum of distances to members of h."""
+    dists = metric.distances(x, train.features[np.asarray(h, dtype=int)])
+    return float(-np.sum(dists))
+
+
+def hamming_score(hasher, x, h, train) -> float:
+    """Inner product of the query code sign(Ux) with the summed codes
+    sign(Vx_j) of h, with sign(0) = +1."""
+    q = np.where(hasher.u @ np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
+    codes = np.where(train.features[np.asarray(h, dtype=int)] @ hasher.v.T >= 0.0, 1.0, -1.0)
+    return float(q @ codes.sum(axis=0))
+
+
+def asym_hamming_distance(projected_query, code, scales) -> float:
+    """Soft distance between a binary code and the squashed query projection."""
+    soft = np.tanh(np.asarray(scales, dtype=float) * np.asarray(projected_query, dtype=float))
+    return float(np.sum((np.asarray(code, dtype=float) - soft) ** 2) / 4.0)
+
+
+def kernel_weights(spec, features, x) -> np.ndarray:
+    """Normalized triangle-kernel weights max(0, 1 - r / h) at ``x``, with h
+    ``spec.bandwidth``; uniform when no mass falls inside the bandwidth ball
+    (counting a point exactly on the rim as massless)."""
+    diffs = np.asarray(features, dtype=float) - np.asarray(x, dtype=float)
+    raw = np.maximum(0.0, 1.0 - np.sqrt(np.sum(diffs**2, axis=1)) / spec.bandwidth)
+    total = raw.sum()
+    if total > 0:
+        return raw / total
+    return np.full(len(raw), 1.0 / len(raw))
+
+
+def kernel_regress(train, spec, x) -> float:
+    """Weighted mean of the targets; far queries get the global mean."""
+    w = kernel_weights(spec, train.features, x)
+    return float(w @ np.asarray(train.labels, dtype=float))
+
+
+def kernel_class_probs(train, spec, x, temperature: float = 1.0) -> np.ndarray:
+    """Softmaxed per-class kernel mass at ``x``.
+
+    The raw vector sums class-indicator weights, so the fallback region
+    softmaxes the empirical class frequencies.  Temperature divides the raw
+    scores before the softmax.
+    """
+    if train.kind != CLASS:
+        raise ValueError("kernel_class_probs needs a classed dataset")
+    if not temperature > 0:
+        raise ValueError("temperature must be positive")
+    w = kernel_weights(spec, train.features, x)
+    raw = np.zeros(train.n_classes)
+    np.add.at(raw, np.asarray(train.labels, dtype=int) - 1, w)
+    scores = raw / temperature
+    e = np.exp(scores - scores.max())
+    return e / e.sum()
+
+
+def finite_diff_gradient(evaluator, x, t: float, mask) -> np.ndarray:
+    """Symmetric differences (f(x + t e_i) - f(x - t e_i)) / 2t per coordinate.
+
+    ``evaluator`` may return a scalar (gradient) or a vector (Jacobian row
+    per coordinate).  Coordinates with a false mask entry are skipped and
+    left at zero.
+    """
+    if not t > 0:
+        raise ValueError("step t must be positive")
+    x = np.asarray(x, dtype=float)
+    d = len(x)
+    values = np.zeros(d)
+    for i in np.flatnonzero(np.asarray(mask, dtype=bool)):
+        step = np.zeros(d)
+        step[i] = t
+        row = (np.asarray(evaluator(x + step), dtype=float)
+               - np.asarray(evaluator(x - step), dtype=float)) / (2.0 * t)
+        if row.ndim and values.ndim == 1:  # the first Jacobian row sets the width
+            values = np.zeros((d,) + row.shape)
+        values[i] = row
+    return values
+
+
 def explicit_loo(train, spec, t, plug_in):
     """(mask, central differences) per sample: the density gate from
-    ``gate_mask`` and ``finite_diff_gradient`` of ``plug_in(rest, z)``, where
-    ``rest`` is the dataset without that sample."""
+    ``gate_mask`` and :func:`finite_diff_gradient` of ``plug_in(rest, z)``,
+    where ``rest`` is the dataset without that sample."""
     out = []
     for idx in range(train.n):
         x = train.features[idx]
         mask = gate_mask(train, x, t, spec.bandwidth)
         rest = train.subset(np.flatnonzero(np.arange(train.n) != idx))
-        values = finite_diff_gradient(lambda z: plug_in(rest, z), x, t, mask).values
-        out.append((mask, values))
+        out.append((mask, finite_diff_gradient(lambda z: plug_in(rest, z), x, t, mask)))
     return out
 
 

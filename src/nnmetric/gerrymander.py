@@ -65,20 +65,6 @@ class AsymmetricMetric:
         db = np.asarray(features, dtype=float) @ self.v.T
         return np.sum((db - query) ** 2, axis=1)
 
-    def block_matrix(self) -> np.ndarray:
-        utu = self.u.T @ self.u
-        vtv = self.v.T @ self.v
-        utv = self.u.T @ self.v
-        top = np.hstack([utu, -utv])
-        bottom = np.hstack([-utv.T, vtv])
-        return np.vstack([top, bottom])
-
-
-def score(metric, x, h, train: Dataset) -> float:
-    """Distance score S(x, h): the negated sum of distances to members of h."""
-    dists = metric.distances(x, train.features[np.asarray(h, dtype=int)])
-    return float(-np.sum(dists))
-
 
 def n_star(n_classes: int, k: int, ties_forbidden: bool) -> int:
     """Minimum number of target-class votes that can still win a k-vote."""
@@ -121,6 +107,8 @@ def _best_sets(dists, cands: _Candidates, targets, k: int, tau: int) -> list:
     the first strict minimum over m wins.  ``cands.order`` is sorted by
     (distance, index), so sorted positions list a set nearest-first.
     """
+    if not cands.n_finite:
+        return [None] * len(targets)
     labs, rank = cands.labels.tolist(), cands.rank.tolist()
     need = n_star(len(cands.classes), k, ties_forbidden=bool(tau))
     sets, owners = [], []
@@ -329,6 +317,15 @@ def sgd_rule(train: Dataset, c: float, variant: str):
     return (lambda rng: first), update
 
 
+def _finite_distances(metric, x, features, updates: int) -> np.ndarray:
+    """``metric.distances(x, features)``, refused when one is not finite."""
+    dists = metric.distances(x, features)
+    if np.isfinite(dists).all():
+        return dists
+    raise ValueError(f"training diverged after {updates} updates: the metric's distances "
+                     "are no longer finite; lower grid.c")
+
+
 def latent_sgd(train: Dataset, config, infer, start, update,
                audit_psd: bool = False) -> TrainResult:
     """Stochastic subgradient descent between latent neighbor sets: the one
@@ -345,7 +342,9 @@ def latent_sgd(train: Dataset, config, infer, start, update,
     were all skipped has a NaN mean.  Training stops after
     ``config.epochs`` or when the epoch-mean surrogate fails to decrease by
     ``config.stop_rel_tol`` relative (or is not finite).  ``audit_psd``
-    records the smallest eigenvalue of every updated W.
+    records the smallest eigenvalue of every updated W.  A metric whose
+    distances overflow (a step scale C too large for the data) raises
+    ``ValueError`` naming the number of updates applied.
     """
     rng = np.random.default_rng(config.seed)
     metric = start(rng)
@@ -353,27 +352,31 @@ def latent_sgd(train: Dataset, config, infer, start, update,
     psd_audit: list[float] = []
     t = 0
     prev_mean = None
-    for epoch in range(config.epochs):
-        losses = []
-        for i in rng.permutation(train.n):
-            x = train.features[i]
-            dists = metric.distances(x, train.features)
-            dists[i] = np.inf
-            try:
-                surrogate, h_hat, h_star = infer(i, dists)
-            except InfeasibleTargetError:
-                continue
-            t += 1
-            metric = update(metric, t, x, h_hat, h_star)
-            if audit_psd and isinstance(metric, MahalanobisMetric):
-                psd_audit.append(float(sym_eig(metric.w).values[-1]))
-            losses.append(surrogate)
-        mean_loss = float(np.mean(losses)) if losses else float("nan")
-        skipped = train.n - len(losses)
-        trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=skipped))
-        if _should_stop(prev_mean, mean_loss, config.stop_rel_tol):
-            break
-        prev_mean = mean_loss
+    # an overflowing update shows as non-finite distances, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            losses = []
+            for i in rng.permutation(train.n):
+                x = train.features[i]
+                dists = _finite_distances(metric, x, train.features, t)
+                dists[i] = np.inf
+                try:
+                    surrogate, h_hat, h_star = infer(i, dists)
+                except InfeasibleTargetError:
+                    continue
+                t += 1
+                metric = update(metric, t, x, h_hat, h_star)
+                if audit_psd and isinstance(metric, MahalanobisMetric):
+                    psd_audit.append(float(sym_eig(metric.w).values[-1]))
+                losses.append(surrogate)
+            mean_loss = float(np.mean(losses)) if losses else float("nan")
+            skipped = train.n - len(losses)
+            trace.append(TraceRow(epoch=epoch, mean_surrogate=mean_loss, skipped=skipped))
+            if _should_stop(prev_mean, mean_loss, config.stop_rel_tol):
+                break
+            prev_mean = mean_loss
+        if t:  # no sample came after the last update
+            _finite_distances(metric, train.features[0], train.features, t)
     return TrainResult(metric=metric, trace=trace, psd_audit=psd_audit)
 
 

@@ -37,53 +37,14 @@ from .numerics import symmetrize, whitening_transform
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Bandwidth of the triangle kernel max(0, 1 - u), which vanishes at 1
-    and is positive below it."""
+    """Bandwidth h of the triangle kernel max(0, 1 - r / h), which vanishes
+    at r = h and is positive below it."""
 
     bandwidth: float
 
     def __post_init__(self):
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
-
-    def __call__(self, u):
-        return np.maximum(0.0, 1.0 - np.asarray(u, dtype=float))
-
-
-def kernel_weights(spec: KernelSpec, features, x) -> np.ndarray:
-    """Normalized kernel weights at ``x``; uniform when no mass falls inside
-    the bandwidth ball (counting a point exactly on the rim as massless)."""
-    diffs = np.asarray(features, dtype=float) - np.asarray(x, dtype=float)
-    raw = spec(np.sqrt(np.sum(diffs**2, axis=1)) / spec.bandwidth)
-    total = raw.sum()
-    if total > 0:
-        return raw / total
-    return np.full(len(raw), 1.0 / len(raw))
-
-
-def kernel_regress(train: Dataset, spec: KernelSpec, x) -> float:
-    """Weighted mean of the targets; far queries get the global mean."""
-    w = kernel_weights(spec, train.features, x)
-    return float(w @ np.asarray(train.labels, dtype=float))
-
-
-def kernel_class_probs(
-    train: Dataset, spec: KernelSpec, x, temperature: float = 1.0
-) -> np.ndarray:
-    """Softmaxed per-class kernel mass at ``x``.
-
-    The raw vector sums class-indicator weights, so the fallback region
-    softmaxes the empirical class frequencies.  Temperature divides the raw
-    scores before the softmax.
-    """
-    if train.kind != CLASS:
-        raise ValueError("kernel_class_probs needs a classed dataset")
-    if not temperature > 0:
-        raise ValueError("temperature must be positive")
-    w = kernel_weights(spec, train.features, x)
-    raw = np.zeros(train.n_classes)
-    np.add.at(raw, np.asarray(train.labels, dtype=int) - 1, w)
-    return _softmax(raw / temperature)
 
 
 def _softmax(scores):
@@ -95,7 +56,8 @@ def _softmax(scores):
 def gate_mask(train: Dataset, x, t: float, h: float) -> np.ndarray:
     """Per-coordinate density gates: both probe balls B(x +- t e_i, h) hold
     a point.  Probe distances are plain sums of squared differences, an
-    arithmetic the gradient pass does not share."""
+    arithmetic the gradient pass does not share.  The gate of
+    :func:`nnmetric.bruteforce.explicit_loo`, the pass's reference."""
     x = np.asarray(x, dtype=float)
     d = len(x)
     probes = np.repeat(x[None, :], 2 * d, axis=0)
@@ -105,45 +67,6 @@ def gate_mask(train: Dataset, x, t: float, h: float) -> np.ndarray:
     sq = np.sum((probes[:, None, :] - train.features[None, :, :]) ** 2, axis=2)
     inside = np.any(sq <= h * h + 1e-12, axis=1)
     return inside[:d] & inside[d:]
-
-
-@dataclass(frozen=True)
-class GradientEstimate:
-    """Central-difference gradient (or Jacobian, one row per coordinate)
-    with gated rows pinned to zero."""
-
-    values: np.ndarray
-    mask: np.ndarray
-
-    def __post_init__(self):
-        gated = self.values[~self.mask]
-        if gated.size and np.any(gated != 0.0):
-            raise ValueError("gated coordinates must be exactly zero")
-
-
-def finite_diff_gradient(evaluator, x, t: float, mask) -> GradientEstimate:
-    """Symmetric differences (f(x + t e_i) - f(x - t e_i)) / 2t per coordinate.
-
-    ``evaluator`` may return a scalar (gradient) or a vector (Jacobian row
-    per coordinate).  Coordinates with a false mask entry are skipped and
-    left at zero.  :func:`nnmetric.bruteforce.explicit_loo`, the reference
-    of the gradient pass, probes each sample with it.
-    """
-    if not t > 0:
-        raise ValueError("step t must be positive")
-    x = np.asarray(x, dtype=float)
-    d = len(x)
-    mask = np.asarray(mask, dtype=bool)
-    values = np.zeros(d)
-    for i in np.flatnonzero(mask):
-        step = np.zeros(d)
-        step[i] = t
-        row = (np.asarray(evaluator(x + step), dtype=float)
-               - np.asarray(evaluator(x - step), dtype=float)) / (2.0 * t)
-        if row.ndim and values.ndim == 1:  # the first Jacobian row sets the width
-            values = np.zeros((d,) + row.shape)
-        values[i] = row
-    return GradientEstimate(values=values, mask=mask)
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,15 @@ classification inference routines run unchanged on Hamming distances.
 
 Training is :func:`nnmetric.gerrymander.latent_sgd`, the loop of every
 trainer, with a Hamming update.  Gradients relax the differentiated sign
-through tanh while the other side stays binarized.  Each step adds a
-zero-mean code penalty, descends with eta(t) = 1/t and no momentum, and
-renormalizes the hash matrices to unit Frobenius norm.
+through tanh while the other side stays binarized.  Each step descends with
+eta(t) = 1/t and no momentum, and renormalizes the hash matrices to unit
+Frobenius norm.
 
 Training infers on hard Hamming distances.  Retrieval ranks database codes
 by the soft distance |code - tanh(s * Ux)|^2 / 4 instead, since short codes
 tie constantly, with s calibrated so projections average |tanh| of 0.4.
+The set score and one code's soft distance, which only references use, are
+in :mod:`nnmetric.bruteforce`.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .dataset import CLASS, Dataset
 from .gerrymander import TrainResult, check_trainer_config, latent_sgd, surrogate_core
 from .predictors import NeighborRule, predict_each
 
-# weight of the zero-mean code penalty
-_PENALTY = 0.1
 # the mean |tanh| that calibrate_scales aims at, and how close it must come
 _SCALE_TARGET = 0.4
 _SCALE_TOL = 1e-2
@@ -65,19 +65,6 @@ class HammingHasher:
         """Hard Hamming distances between the query code and database codes."""
         q = binarize(self.u, x)
         return (self.c - encode(self.v, features) @ q) / 2.0
-
-
-def hamming_score(hasher: HammingHasher, x, h, train: Dataset) -> float:
-    """Inner product of the query code with the summed codes of h."""
-    q = binarize(hasher.u, x)
-    codes = encode(hasher.v, train.features[np.asarray(h, dtype=int)])
-    return float(q @ codes.sum(axis=0))
-
-
-def asym_hamming_distance(projected_query, code, scales) -> float:
-    """Soft distance between a binary code and the squashed query projection."""
-    soft = np.tanh(np.asarray(scales, dtype=float) * np.asarray(projected_query, dtype=float))
-    return float(np.sum((np.asarray(code, dtype=float) - soft) ** 2) / 4.0)
 
 
 def calibrate_scales(train: Dataset, u):
@@ -134,13 +121,6 @@ def db_side_grad(v, members, query_code) -> np.ndarray:
     return (_tanh_prime(proj) * query_code).T @ xs
 
 
-def zero_mean_grad(m, features) -> np.ndarray:
-    """Gradient of 1/2 |mean_x tanh(Mx)|^2, the relaxed zero-mean code penalty."""
-    feats = np.asarray(features, dtype=float)
-    tanh = np.tanh(feats @ m.T)
-    return ((1.0 - tanh ** 2) * tanh.mean(axis=0)).T @ feats / feats.shape[0]
-
-
 @dataclass(frozen=True)
 class HammingTrainConfig:
     """Knobs for the hash trainer: c bits, k neighbors; epochs, seed and
@@ -180,8 +160,8 @@ def train_hamming(train: Dataset, config: HammingTrainConfig) -> TrainResult:
     Training starts from :func:`random_hasher`, drawn from the generator that
     then permutes the epochs.  Per sample, inference runs on the hard
     Hamming distances of the current hashes; the gradients follow the
-    relaxed-sign formulas plus the zero-mean penalty, and
-    U, V <- normalize(U - eta grad_U, V - eta grad_V) with eta = 1/t.
+    relaxed-sign formulas, and U, V <- normalize(U - eta grad_U, V - eta
+    grad_V) with eta = 1/t.
     """
     if train.kind != CLASS:
         raise ValueError("train_hamming needs a classed dataset")
@@ -195,9 +175,8 @@ def train_hamming(train: Dataset, config: HammingTrainConfig) -> TrainResult:
         q = binarize(u, x)
         # the code sums of the two k-row sets; sums of +-1 are exact
         code_diff = encode(v, feats[h_hat]).sum(axis=0) - encode(v, feats[h_star]).sum(axis=0)
-        grad_u = query_side_grad(u, x, code_diff) + _PENALTY * zero_mean_grad(u, feats)
-        grad_v = (db_side_grad(v, feats[h_hat], q) - db_side_grad(v, feats[h_star], q)
-                  + _PENALTY * zero_mean_grad(v, feats))
+        grad_u = query_side_grad(u, x, code_diff)
+        grad_v = db_side_grad(v, feats[h_hat], q) - db_side_grad(v, feats[h_star], q)
         eta = 1.0 / t
         return HammingHasher(u=_normalize(u - eta * grad_u), v=_normalize(v - eta * grad_v))
 

@@ -16,7 +16,9 @@ from nnmetric.bruteforce import (
     brute_reg_inference,
     brute_targeted,
     brute_unconstrained,
+    hamming_score,
     max_tied_loss,
+    score,
 )
 from nnmetric.dataset import CLASS, REAL, Dataset, kfold, synth_sin
 from nnmetric.gerrymander import (
@@ -29,7 +31,6 @@ from nnmetric.gerrymander import (
     loss_augmented_inference_core,
     metric_predictions,
     n_star,
-    score,
     surrogate_core,
     targeted_inference_core,
     train_sgd,
@@ -46,7 +47,6 @@ from nnmetric.hamming import (
     binarize,
     encode,
     hamming_predictions,
-    hamming_score,
     random_hasher,
     train_hamming,
 )

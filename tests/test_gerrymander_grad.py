@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from nnmetric.bruteforce import score
 from nnmetric.dataset import CLASS, Dataset
 from nnmetric.gerrymander import (
     AsymmetricMetric,
@@ -12,7 +13,6 @@ from nnmetric.gerrymander import (
     asym_reg_grads,
     asym_score_grads,
     feature_map_psi,
-    score,
 )
 
 
@@ -122,7 +122,8 @@ class TestAsymmetricGrads:
         for _ in range(20):
             u = rng.normal(size=(3, 5))
             v = rng.normal(size=(3, 5))
-            block = AsymmetricMetric(u=u, v=v).block_matrix()
+            stacked = np.hstack([u, -v])  # the block is stacked^T stacked
+            block = stacked.T @ stacked
             expected = (
                 np.sum((u.T @ u) ** 2)
                 + 2.0 * np.sum((u.T @ v) ** 2)

@@ -11,6 +11,7 @@ from nnmetric.bruteforce import (
     brute_targeted,
     brute_unconstrained,
     max_tied_loss,
+    score,
     shared_winners,
 )
 from nnmetric.dataset import CLASS, Dataset
@@ -21,7 +22,6 @@ from nnmetric.gerrymander import (
     MahalanobisMetric,
     loss_augmented_inference_core,
     n_star,
-    score,
     surrogate_core,
     targeted_inference_core,
 )
@@ -78,7 +78,8 @@ class TestScore:
         for _ in range(20):
             u = rng.normal(size=(3, 5))
             v = rng.normal(size=(3, 5))
-            block = AsymmetricMetric(u=u, v=v).block_matrix()
+            stacked = np.hstack([u, -v])  # the block is stacked^T stacked
+            block = stacked.T @ stacked
             assert np.min(np.linalg.eigvalsh(block)) >= -1e-9
 
 
@@ -249,6 +250,23 @@ class TestLossAugmentedInference:
         labels = np.array([1, 2, 3])
         h, _ = loss_augmented_inference_core(dists, labels, 3, 1)
         assert labels[h[0]] == 1
+
+
+class TestNoFinitePoint:
+    """A metric that overflowed leaves no finite distance; every core says
+    so with InfeasibleTargetError, not a division by zero."""
+
+    @pytest.mark.parametrize("core", ["targeted", "loss_augmented", "surrogate"])
+    def test_all_infinite_distances_are_infeasible(self, core):
+        dists = np.full(5, np.inf)
+        labels = np.array([1, 2, 1, 2, 1])
+        with pytest.raises(InfeasibleTargetError):
+            if core == "targeted":
+                targeted_inference_core(dists, labels, target=1, k=2, tau=1)
+            elif core == "loss_augmented":
+                loss_augmented_inference_core(dists, labels, 1, 2)
+            else:
+                surrogate_core(dists, labels, 1, 2)
 
 
 class TestSurrogate:

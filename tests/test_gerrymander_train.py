@@ -151,10 +151,23 @@ class TestAsymmetricTraining:
         config = GerryTrainConfig(k=3, epochs=3, stop_rel_tol=None)
         result = train_sgd(train, config, variant="asymmetric")
         assert isinstance(result.metric, AsymmetricMetric)
-        block = result.metric.block_matrix()
+        stacked = np.hstack([result.metric.u, -result.metric.v])
+        block = stacked.T @ stacked  # [[U^T U, -U^T V], [-V^T U, V^T V]]
         assert np.min(np.linalg.eigvalsh(block)) >= -1e-9
         assert np.isfinite(result.metric.u).all()
         assert np.isfinite(result.metric.v).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_raises_with_the_update_count(self):
+        """At C = 20 the cubic penalty step overflows U and V within the
+        first epoch; training stops there with a plain ValueError and no
+        numpy warning."""
+        centers = [[1.7, 0.0, 0.0, 0.0], [0.0, 1.7, 0.0, 0.0], [0.0, 0.0, 1.7, 0.0]]
+        train = gauss_blobs(centers, 20, [1.0, 1.0, 1.0, 3.0], seed=0)
+        config = GerryTrainConfig(k=3, c=20.0, epochs=5)
+        with pytest.raises(ValueError, match=r"^training diverged after \d+ updates: .*"
+                           "lower grid.c$"):
+            train_sgd(train, config, variant="asymmetric")
 
     def test_reduces_surrogate_on_blobs(self):
         train = gauss_blobs([[0.0, 0.0, 0.0], [2.0, 0.5, 0.0]], 20, 1.0, seed=12)

@@ -9,21 +9,20 @@ import numpy as np
 import pytest
 from conftest import gauss_blobs
 
-from nnmetric import bruteforce, cli, gerrymander, harness, predictors
+from nnmetric import bruteforce, cli, gerrymander, harness, oracles, predictors
 from nnmetric import gradient_metrics as gm
 from nnmetric.dataset import CLASS, REAL, Dataset, load_csv, save_csv, synth_sin
 from nnmetric.harness import (
     ConfigError,
     ExperimentConfig,
-    ORACLE_SUITES,
     config_json,
     load_experiment_data,
     parse_config_text,
     run_experiment,
-    run_oracle,
     split_indices,
 )
 from nnmetric.numerics import EigenDecomp, sym_eig, symmetrize
+from nnmetric.oracles import ORACLE_SUITES, run_oracle
 
 
 def write_config(tmp_path, mapping, name="exp.cfg"):
@@ -269,13 +268,13 @@ class TestCmdOracle:
     @pytest.mark.parametrize("suite,check", [("inference", "loss_augmented"),
                                              ("hamming", "hamming_inference")])
     def test_inference_suites_fail_without_the_loss_term(self, monkeypatch, suite, check):
-        original = harness.loss_augmented_inference_core
+        original = oracles.loss_augmented_inference_core
 
         def plain_score(dists, labels, y, k, cands=None):
             h, _ = original(dists, labels, y, k, cands)
             return h, -float(np.asarray(dists, dtype=float)[h].sum())
 
-        monkeypatch.setattr(harness, "loss_augmented_inference_core", plain_score)
+        monkeypatch.setattr(oracles, "loss_augmented_inference_core", plain_score)
         outcome = run_oracle(suite, 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] == check
@@ -339,7 +338,7 @@ class TestCmdOracle:
                 order = np.argsort(-values, kind="stable")
                 return EigenDecomp(vectors=vecs[:, order], values=values[order])
 
-        monkeypatch.setattr(harness, "sym_eig", mutant)
+        monkeypatch.setattr(oracles, "sym_eig", mutant)
         outcome = run_oracle("eig", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] == check
@@ -541,6 +540,29 @@ class TestCmdRun:
             "products that are not finite: its central differences overflow; use a larger t "
             "or smaller targets"
         ]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_training_exits_1_with_one_line(self, tmp_path, capsys):
+        """gerry_asym at grid.c = 20 overflows its projections within the
+        first epoch: the run fails as gerry_asym with one line that counts
+        the updates and says to lower grid.c, and no numpy warning."""
+        centers = [[1.7, 0.0, 0.0, 0.0], [0.0, 1.7, 0.0, 0.0], [0.0, 0.0, 1.7, 0.0]]
+        data = tmp_path / "blobs.csv"
+        save_csv(data, gauss_blobs(centers, 20, [1.0, 1.0, 1.0, 3.0], seed=0))
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": "gerry_asym", "data.source": "csv",
+             "data.path": str(data), "grid.c": "20.0", "train.epochs": "5", "seed": "0",
+             "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert re.fullmatch(
+            r"run failed: gerry_asym: training diverged after \d+ updates: the metric's "
+            r"distances are no longer finite; lower grid\.c",
+            err[0],
+        ), err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e160, 1e199])

@@ -9,8 +9,9 @@ iteration to LAPACK ``eigh``: one EGOP radius string moved in its last digits.
 ``classify`` was re-recorded when the ReliefF start of ``gerry_sym`` and
 ``gerry_asym`` was deleted: their grid lost its ``init`` axis, and every
 run now starts from W = 0 (U = V = I).  It was re-recorded again when the
-Hamming trainer's momentum was deleted; only its ``hamming`` rows and
-``hamming`` model CSVs moved.
+Hamming trainer's momentum was deleted, and again when its zero-mean code
+penalty was deleted; both times only its ``hamming`` rows and ``hamming``
+model CSVs moved.
 """
 
 import csv

@@ -3,7 +3,8 @@ and the package calls it.
 
 ``perfbench/tracer.py`` reports a renamed or removed function as absent and
 its per-layer metrics then read 0, so a refactor could silently blank them.
-A function that only tests and oracles call reads 0 the same way.  The
+A function that only tests and the oracle suites call reads 0 the same way,
+so calls from ``oracles`` and ``bruteforce`` do not count.  The
 tracer's tables are read from its source, without importing it.
 """
 
@@ -58,10 +59,11 @@ def test_harness_binding_resolves(function):
 
 def called_names():
     """Names called as ``f(...)`` or ``module.f(...)`` anywhere in the package
-    outside ``bruteforce``, whose references only tests and oracles run."""
+    outside ``oracles`` and ``bruteforce``, which only tests and the
+    ``oracle`` command run."""
     names = set()
     for path in PACKAGE.glob("*.py"):
-        if path.stem == "bruteforce":
+        if path.stem in ("oracles", "bruteforce"):
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
