@@ -45,8 +45,10 @@ class MahalanobisMetric:
     w: np.ndarray
 
     def distances(self, x, features) -> np.ndarray:
-        diff = np.asarray(features, dtype=float) - np.asarray(x, dtype=float)
-        return np.sum((diff @ self.w) * diff, axis=1)
+        """The n distances from query ``x`` to the rows of ``features``, or,
+        for a (B, d) block of queries, the B x n distances of each row."""
+        diff = np.asarray(features, dtype=float) - np.asarray(x, dtype=float)[..., None, :]
+        return np.sum((diff @ self.w) * diff, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,12 @@ class AsymmetricMetric:
     v: np.ndarray
 
     def distances(self, x, features) -> np.ndarray:
-        query = self.u @ np.asarray(x, dtype=float)
+        """The n distances from query ``x`` to the rows of ``features``, or,
+        for a (B, d) block of queries, the B x n distances of each row; the
+        database side V x' is computed once per call."""
+        query = np.asarray(x, dtype=float) @ self.u.T
         db = np.asarray(features, dtype=float) @ self.v.T
-        return np.sum((db - query) ** 2, axis=1)
+        return np.sum((db - query[..., None, :]) ** 2, axis=-1)
 
 
 def n_star(n_classes: int, k: int, ties_forbidden: bool) -> int:
@@ -403,7 +408,7 @@ def train_sgd(
 
 def metric_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:
     """kNN class predictions under a learned metric (either variant)."""
-    def distances(x):
-        return metric.distances(x, train.features)
+    def distances(block):
+        return metric.distances(block, train.features)
 
     return predict_each(distances, train, queries, NeighborRule("knn", k=k), "classify")

@@ -189,8 +189,8 @@ def hamming_predictions(hasher: HammingHasher, train: Dataset, queries, k: int) 
     codes_db = encode(hasher.v, train.features)
     scales = calibrate_scales(train, hasher.u)
 
-    def distances(x):
-        soft = np.tanh(scales * (hasher.u @ x))
-        return np.sum((codes_db - soft) ** 2, axis=1) / 4.0
+    def distances(block):
+        soft = np.tanh(scales * (block @ hasher.u.T))
+        return np.sum((codes_db - soft[:, None, :]) ** 2, axis=-1) / 4.0
 
     return predict_each(distances, train, queries, NeighborRule("knn", k=k), "classify")

@@ -93,19 +93,60 @@ def vote(labels_selected: np.ndarray, all_labels: np.ndarray) -> int:
     return int(tied.min())
 
 
+# the most distances one block of queries holds (B * n doubles); small
+# enough that the block's matrix product stays on one BLAS thread
+_BLOCK = 16384
+
+
+def _knn_block(dists, rule):
+    """The rows of a block of distances whose k nearest need no fallback,
+    and their k indices in :func:`neighbor_order`.
+
+    A row qualifies when exactly k points lie at or under its k-th value;
+    a tie at the cut, a NaN at the k-th place, ``k >= n`` and the hnn rule
+    leave it to :func:`_selected`.  The k are taken in index order, so a
+    stable sort by distance gives the (distance, index) order."""
+    k = rule.k
+    if rule.kind != "knn" or k >= dists.shape[1]:
+        return np.zeros(len(dists), dtype=bool), np.empty((0, k), dtype=int)
+    near = dists <= np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+    fast = np.count_nonzero(near, axis=1) == k
+    near[~fast] = False
+    cols = (np.flatnonzero(near) % dists.shape[1]).reshape(-1, k)
+    order = np.argsort(dists[np.flatnonzero(fast)[:, None], cols], axis=1, kind="stable")
+    return fast, np.take_along_axis(cols, order, axis=1)
+
+
 def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: str):
-    """The one per-query loop of every predictor: ``distances(x)`` gives one
-    query row's distances to the training rows."""
-    out = []
-    for x in np.atleast_2d(queries):
-        sel = _selected(np.asarray(distances(x), dtype=float), rule)
-        if mode == "classify":
-            out.append(vote(train.labels[sel], train.labels))
-        elif mode == "regress":
-            out.append(float(train.labels[sel].mean()))
+    """The one prediction loop of every predictor, over blocks of queries.
+
+    ``distances(block)`` gives a (B, d) block of query rows' distances to
+    the n training rows as a B x n array, with B at most ``max(1, _BLOCK //
+    n)``.  Rows whose k nearest :func:`_knn_block` settles are selected
+    for the whole block at once; the rest go through :func:`_selected`.
+    Regression averages the selected targets, classification votes per row
+    through :func:`vote`."""
+    if mode not in ("classify", "regress"):
+        raise ValueError(f"unknown mode {mode!r}")
+    queries = np.atleast_2d(queries)
+    labels = train.labels
+    out = np.empty(len(queries), dtype=float if mode == "regress" else int)
+    rows = max(1, _BLOCK // train.n)
+    for start in range(0, len(queries), rows):
+        block = np.asarray(distances(queries[start:start + rows]), dtype=float)
+        fast, sel = _knn_block(block, rule)
+        preds = out[start:start + len(block)]
+        if mode == "regress":
+            if len(sel):
+                preds[fast] = labels[sel].mean(axis=1)
+            for i in np.flatnonzero(~fast):
+                preds[i] = labels[_selected(block[i], rule)].mean()
         else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return np.asarray(out, dtype=float if mode == "regress" else int)
+            picks = iter(sel)
+            for i in range(len(block)):
+                chosen = next(picks) if fast[i] else _selected(block[i], rule)
+                preds[i] = vote(labels[chosen], labels)
+    return out
 
 
 def predict_batch(train: Dataset, transform, queries, rule: NeighborRule, mode: str):
@@ -113,8 +154,14 @@ def predict_batch(train: Dataset, transform, queries, rule: NeighborRule, mode: 
     tx = transform_features(train.features, transform)
     sq_t = np.sum(tx**2, axis=1)
 
-    def distances(row):
-        return np.sqrt(np.maximum(sq_t - 2.0 * (tx @ row) + row @ row, 0.0))
+    def distances(block):
+        # sq_t - 2 q.tx + q.q, summed in place in that order; q.q is one
+        # dot product per row
+        sq = block @ tx.T
+        sq *= -2.0
+        sq += sq_t
+        sq += (block[:, None, :] @ block[..., None])[..., 0]
+        return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
 
     return predict_each(distances, train, tq, rule, mode)
 

@@ -180,7 +180,7 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, audit_psd: bool = Fals
 
 def metric_reg_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:
     """kNN-mean regression predictions under a learned metric."""
-    def distances(x):
-        return metric.distances(x, train.features)
+    def distances(block):
+        return metric.distances(block, train.features)
 
     return predict_each(distances, train, queries, NeighborRule("knn", k=k), "regress")

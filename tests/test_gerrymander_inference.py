@@ -505,3 +505,26 @@ class TestMahalanobisDistances:
         want = np.array([diff @ w @ diff for diff in diffs])
         atol = 1e-12 * np.abs(w).max() * np.sum(diffs ** 2, axis=1)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + atol)
+
+
+class TestBlockDistances:
+    @pytest.mark.parametrize("variant", ["symmetric", "asymmetric"])
+    def test_a_block_gives_each_query_row_its_distances(self, variant):
+        """A (B, d) block returns the B x n distances of its rows: the
+        symmetric metric bit for bit, the asymmetric one up to the rounding
+        of one block product U q against B single ones."""
+        rng = np.random.default_rng(7)
+        d, n = 4, 50
+        features, block = rng.normal(size=(n, d)), rng.normal(size=(9, d))
+        if variant == "symmetric":
+            a = rng.normal(size=(d, d))
+            metric = MahalanobisMetric(w=a.T @ a)
+        else:
+            metric = AsymmetricMetric(u=rng.normal(size=(3, d)), v=rng.normal(size=(3, d)))
+        got = metric.distances(block, features)
+        want = np.array([metric.distances(x, features) for x in block])
+        assert got.shape == (9, n)
+        if variant == "symmetric":
+            np.testing.assert_array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)

@@ -280,12 +280,32 @@ class TestCmdOracle:
         assert outcome.failure["check"] == check
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the mean of an empty ball
-    @pytest.mark.parametrize("broken", ["reversed_index_ties", "no_empty_ball_fallback"])
+    @pytest.mark.parametrize(
+        "broken", ["reversed_index_ties", "no_empty_ball_fallback", "block_accepts_cut_ties"]
+    )
     def test_neighbors_suite_fails_on_broken_selection(self, monkeypatch, broken):
         if broken == "reversed_index_ties":
             monkeypatch.setattr(
                 predictors, "neighbor_order", lambda d: np.lexsort((-np.arange(len(d)), d))
             )
+        elif broken == "block_accepts_cut_ties":
+            original = predictors._knn_block
+
+            def accepts_cut_ties(dists, rule):
+                """Rows with a tie at the k-th place keep the first k points
+                at or under it in index order, dropping nearer later ones."""
+                k = rule.k
+                if rule.kind != "knn" or k >= dists.shape[1]:
+                    return original(dists, rule)
+                near = dists <= np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+                fast = np.count_nonzero(near, axis=1) >= k
+                cols = np.array([np.flatnonzero(row)[:k] for row in near[fast]],
+                                dtype=int).reshape(-1, k)
+                vals = dists[np.flatnonzero(fast)[:, None], cols]
+                return fast, np.take_along_axis(cols, np.argsort(vals, axis=1, kind="stable"),
+                                                axis=1)
+
+            monkeypatch.setattr(predictors, "_knn_block", accepts_cut_ties)
         else:
             def no_fallback(dists, rule):
                 order = predictors.neighbor_order(dists)

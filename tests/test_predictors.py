@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nnmetric import predictors
 from nnmetric.bruteforce import brute_neighbor_predict
@@ -11,6 +14,7 @@ from nnmetric.predictors import (
     evaluate,
     neighbor_order,
     predict_batch,
+    predict_each,
     vote,
 )
 
@@ -115,6 +119,95 @@ class TestSelected:
         dists = np.array([np.nan, 1.0, np.nan])
         got = predictors._selected(dists, NeighborRule("knn", k=2))
         np.testing.assert_array_equal(got, neighbor_order(dists)[:2])
+
+
+def row_distances(dists):
+    """A distances closure over a fixed matrix: each query is its row index."""
+    calls = []
+
+    def distances(block):
+        calls.append(len(block))
+        return dists[np.asarray(block, dtype=int)[:, 0]]
+
+    return distances, calls
+
+
+def per_row(dists, labels, rule, mode):
+    """Predictions from :func:`predictors._selected` row by row."""
+    if mode == "regress":
+        return np.array([labels[predictors._selected(row, rule)].mean() for row in dists])
+    return np.array([vote(labels[predictors._selected(row, rule)], labels) for row in dists])
+
+
+# integer distances tie often, and at the k-th place; some entries are inf or NaN
+_DIST_ENTRIES = st.one_of(st.integers(0, 4).map(float), st.sampled_from([np.inf, np.nan]))
+
+
+class TestPredictEach:
+    @pytest.mark.parametrize("n_queries", [0, 3])
+    def test_unknown_mode_fails_before_any_distance(self, n_queries):
+        train = classed([[0.0], [1.0]], [1, 2])
+        distances, calls = row_distances(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            predict_each(distances, train, np.zeros((n_queries, 1)), NeighborRule("knn", k=1),
+                         "bogus")
+        assert calls == []
+
+    @pytest.mark.parametrize("mode,dtype", [("classify", int), ("regress", float)])
+    def test_no_queries_give_an_empty_array_of_the_mode_dtype(self, mode, dtype):
+        train = classed([[0.0], [1.0]], [1, 2])
+        distances, calls = row_distances(np.zeros((0, 2)))
+        got = predict_each(distances, train, np.zeros((0, 1)), NeighborRule("knn", k=1), mode)
+        assert got.shape == (0,) and got.dtype == dtype
+        assert calls == []
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: hnp.arrays(float, st.tuples(st.integers(1, 30), st.just(n)),
+                                 elements=_DIST_ENTRIES)
+        ),
+        st.integers(1, 14),
+        st.sampled_from([0.5, 1.0, 2.5]),
+        st.integers(1, 40),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_brute_force_over_blocks(self, dists, k, radius, block, random):
+        """Every mode and rule against brute_neighbor_predict, with blocks
+        of max(1, block // n) rows, so most draws end in a remainder block.
+        The reference sorts NaN after inf, as the predictors do."""
+        n = dists.shape[1]
+        labels = [1 + i % 3 for i in range(n)]
+        random.shuffle(labels)
+        labels = np.array(labels)
+        ranked = np.where(np.isnan(dists), 6.0, np.where(np.isinf(dists), 5.0, dists))
+        queries = np.arange(len(dists))[:, None]
+        with mock.patch.object(predictors, "_BLOCK", block):
+            for rule in (NeighborRule("knn", k=k), NeighborRule("hnn", radius=radius)):
+                for mode, ds in (("classify", classed(np.zeros((n, 1)), labels)),
+                                 ("regress", realds(np.zeros((n, 1)), labels))):
+                    distances, calls = row_distances(dists)
+                    got = predict_each(distances, ds, queries, rule, mode)
+                    want = [brute_neighbor_predict(row, ds.labels, rule, mode) for row in ranked]
+                    np.testing.assert_array_equal(got, want)
+                    assert sum(calls) == len(dists)
+                    assert max(calls) <= max(1, block // n)
+
+    @pytest.mark.parametrize("n", [2000, predictors._BLOCK + 1])
+    @pytest.mark.parametrize("mode", ["classify", "regress"])
+    def test_blocks_stay_within_the_bound(self, n, mode):
+        """Three full blocks plus a remainder, none over max(1, _BLOCK // n)
+        rows, predict as _selected row by row does."""
+        rng = np.random.default_rng(n)
+        rows = max(1, predictors._BLOCK // n)
+        dists = rng.integers(0, 40, size=(3 * rows + 1, n)).astype(float)
+        labels = rng.integers(1, 4, size=n)
+        train = (classed if mode == "classify" else realds)(np.zeros((n, 1)), labels)
+        for rule in (NeighborRule("knn", k=5), NeighborRule("hnn", radius=0.5)):
+            distances, calls = row_distances(dists)
+            got = predict_each(distances, train, np.arange(len(dists))[:, None], rule, mode)
+            assert calls == [rows, rows, rows, 1]
+            np.testing.assert_array_equal(got, per_row(dists, train.labels, rule, mode))
 
 
 class TestEvaluate:
