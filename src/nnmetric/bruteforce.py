@@ -4,12 +4,12 @@ The inference references enumerate candidate neighbor sets outright, so they
 are only usable at small n choose k, but they are obviously correct; the
 eigensolver reference is a plain cyclic Jacobi iteration, and the gradient
 pass reference probes a plug-in refit on the sample without each point.  The
-helpers only references call (set scores, the soft Hamming distance, kernel
-plug-ins, central differences) live here too.  The test suite and the
-oracle suites (:mod:`nnmetric.oracles`) check the fast routines against
-these; no run imports this module.  Keep these independent of the code they
-check: of ``gradient_metrics`` only ``gate_mask`` is used, which the pass
-itself never calls.
+helpers only references call (set scores, the feature map Psi, the soft
+Hamming distance, kernel plug-ins, central differences) live here too.  The
+test suite and the oracle suites (:mod:`nnmetric.oracles`) check the fast
+routines against these; no run imports this module.  Keep these independent
+of the code they check: of ``gradient_metrics`` only ``gate_mask`` is used,
+which the pass itself never calls.
 """
 
 from __future__ import annotations
@@ -141,6 +141,14 @@ def score(metric, x, h, train) -> float:
     """Distance score S(x, h): the negated sum of distances to members of h."""
     dists = metric.distances(x, train.features[np.asarray(h, dtype=int)])
     return float(-np.sum(dists))
+
+
+def feature_map_psi(x, h, train) -> np.ndarray:
+    """Psi(x, h) = -sum_{j in h} (x - x_j)(x - x_j)^T, the W-gradient of S,
+    with the upper triangle mirrored onto the lower."""
+    diffs = np.asarray(x, dtype=float) - train.features[np.asarray(h, dtype=int)]
+    psi = -diffs.T @ diffs
+    return np.triu(psi) + np.triu(psi, 1).T
 
 
 def hamming_score(hasher, x, h, train) -> float:

@@ -48,7 +48,7 @@ class MahalanobisMetric:
         """The n distances from query ``x`` to the rows of ``features``, or,
         for a (B, d) block of queries, the B x n distances of each row."""
         diff = np.asarray(features, dtype=float) - np.asarray(x, dtype=float)[..., None, :]
-        return np.sum((diff @ self.w) * diff, axis=-1)
+        return ((diff @ self.w) * diff).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -213,12 +213,6 @@ def surrogate_core(dists, labels, y: int, k: int):
     return augmented + float(dists[h_star].sum()), h_hat, h_star
 
 
-def feature_map_psi(x, h, train: Dataset) -> np.ndarray:
-    """Psi(x, h) = -sum_{j in h} (x - x_j)(x - x_j)^T, the W-gradient of S."""
-    diffs = np.asarray(x, dtype=float) - train.features[np.asarray(h, dtype=int)]
-    return symmetrize(-diffs.T @ diffs)
-
-
 def asym_score_grads(u, v, x, h, train: Dataset):
     """Partials of the asymmetric score wrt U (query side) and V (database side)."""
     xs = train.features[np.asarray(h, dtype=int)]
@@ -303,7 +297,13 @@ def sgd_rule(train: Dataset, c: float, variant: str):
         first = MahalanobisMetric(w=np.zeros((train.d, train.d)))
 
         def update(metric, t, x, h_hat, h_star):
-            delta = feature_map_psi(x, h_hat, train) - feature_map_psi(x, h_star, train)
+            # Psi(x, h) = -D^T D over h's rows D of x - x_j, the W-gradient of
+            # S; both sets' rows come from one gather.  (-D^T) @ D keeps each
+            # product a general matrix product: numpy hands D.T @ D to BLAS
+            # syrk, which rounds differently in the last bits
+            diffs = x - train.features[np.concatenate((h_hat, h_star))]
+            neg, m = -diffs.T, len(h_hat)
+            delta = symmetrize(neg[:, :m] @ diffs[:m] - neg[:, m:] @ diffs[m:])
             return MahalanobisMetric(w=psd_project((1.0 - 1.0 / t) * metric.w - c * delta))
     elif variant == "asymmetric":
         # zero projections cannot break symmetry, so the start is U = V = I

@@ -5,9 +5,12 @@ canonicalized with :func:`symmetrize` (upper triangle authoritative), so the
 decompositions below never see an asymmetric residue.
 
 The eigensolver is LAPACK's symmetric driver behind ``np.linalg.eigh``, with
-the output put in a fixed form (values descending, each vector's
-largest-magnitude entry positive).  Its slow independent oracle, a cyclic
-Jacobi iteration, is :func:`nnmetric.bruteforce.brute_sym_eig`.
+the values put in descending order by one private helper that
+:func:`sym_eig` and :func:`psd_project` share.  :func:`sym_eig` also fixes
+each vector's sign (largest-magnitude entry positive); :func:`psd_project`
+does not need to, as a column's sign cancels in V diag(lam+) V^T.  The slow
+independent oracle, a cyclic Jacobi iteration, is
+:func:`nnmetric.bruteforce.brute_sym_eig`.
 """
 
 from __future__ import annotations
@@ -41,6 +44,17 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return np.where(_strict_lower(a.shape[0]), a.T, a) + 0.0
 
 
+def _eigh_descending(a: np.ndarray, caller: str):
+    """(values, vectors) of ``symmetrize(a)`` by ``np.linalg.eigh``, values
+    descending (stable order); a non-finite entry raises naming ``caller``."""
+    work = symmetrize(a)
+    if not np.isfinite(work).all():
+        raise ValueError(f"{caller} requires finite entries")
+    values, vecs = np.linalg.eigh(work)
+    order = np.argsort(-values, kind="stable")
+    return values[order], vecs[:, order]
+
+
 def sym_eig(a: np.ndarray) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix by LAPACK (``np.linalg.eigh``).
 
@@ -56,13 +70,7 @@ def sym_eig(a: np.ndarray) -> EigenDecomp:
         sign is fixed so its largest-magnitude entry is positive, which makes
         the output deterministic up to eigenvalue multiplicity.
     """
-    work = symmetrize(a)
-    if not np.all(np.isfinite(work)):
-        raise ValueError("sym_eig requires finite entries")
-    values, vecs = np.linalg.eigh(work)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vecs = vecs[:, order]
+    values, vecs = _eigh_descending(a, "sym_eig")
     lead = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
     vecs[:, flip] = -vecs[:, flip]
@@ -70,10 +78,15 @@ def sym_eig(a: np.ndarray) -> EigenDecomp:
 
 
 def psd_project(a: np.ndarray) -> np.ndarray:
-    """Project onto the PSD cone by zeroing negative eigenvalues."""
-    vecs, values = sym_eig(a)
-    clipped = np.maximum(values, 0.0)
-    projected = (vecs * clipped) @ vecs.T
+    """Project onto the PSD cone by zeroing negative eigenvalues.
+
+    Returns ``symmetrize((V * max(lam, 0)) @ V.T)`` with the descending
+    eigenpairs of :func:`sym_eig` but without its sign fix: negating a
+    column of V negates both factors of each of its products, so the result
+    is the same bit for bit.  Raises ``ValueError`` on a non-finite entry.
+    """
+    values, vecs = _eigh_descending(a, "psd_project")
+    projected = (vecs * np.maximum(values, 0.0)) @ vecs.T
     return symmetrize(projected)
 
 

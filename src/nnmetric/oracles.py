@@ -20,14 +20,16 @@ from . import bruteforce, harness
 from .dataset import CLASS, REAL, Dataset
 from .gerrymander import (
     AsymmetricMetric, GerryTrainConfig, InfeasibleTargetError, MahalanobisMetric,
-    asym_score_grads, feature_map_psi, loss_augmented_inference_core, metric_predictions,
+    asym_score_grads, loss_augmented_inference_core, metric_predictions,
     surrogate_core, targeted_inference_core, train_sgd,
 )
 from .gradient_metrics import KernelSpec
 from .hamming import calibrate_scales, hamming_predictions, random_hasher
 from .numerics import psd_project, sym_eig
 from .predictors import NeighborRule, predict_batch
-from .regression_ml import delta_reg, delta_reg_ub, metric_reg_predictions, reg_inference_core
+from .regression_ml import (
+    delta_reg, delta_reg_ub, metric_reg_predictions, reg_inference_core, reg_surrogate_core,
+)
 
 # the oracle draws' seed stream, apart from the run's split and tuning streams
 _ORACLE_STREAM = 17
@@ -141,7 +143,9 @@ def _suite_regbound(budget, rng):
         h_core = reg_inference_core(dists, targets, y, k, gamma, direction)
         sign = -1.0 if direction == "targeted" else 1.0
         got = -float(dists[h_core].sum()) + sign * gamma * delta_reg_ub(y, h_core, targets)
-        _, want = bruteforce.brute_reg_inference(dists, targets, y, k, gamma, direction)
+        brute = {way: bruteforce.brute_reg_inference(dists, targets, y, k, gamma, way)[1]
+                 for way in ("loss_augmented", "targeted")}
+        want = brute[direction]
         if abs(got - want) > 1e-9:
             return i + 1, {
                 "check": "reg_inference",
@@ -154,6 +158,30 @@ def _suite_regbound(budget, rng):
                 "got": got,
                 "want": want,
             }
+        # the surrogate, whose two inference calls share one gaps array,
+        # against the brute loss-augmented max minus the brute targeted max
+        value, h_hat, h_star = reg_surrogate_core(dists, targets, y, k, gamma)
+        checks = (
+            ("surrogate", value, brute["loss_augmented"] - brute["targeted"]),
+            ("surrogate_h_hat",
+             -float(dists[h_hat].sum()) + gamma * delta_reg_ub(y, h_hat, targets),
+             brute["loss_augmented"]),
+            ("surrogate_h_star",
+             -float(dists[h_star].sum()) - gamma * delta_reg_ub(y, h_star, targets),
+             brute["targeted"]),
+        )
+        for name, got, want in checks:
+            if abs(got - want) > 1e-9:
+                return i + 1, {
+                    "check": name,
+                    "dists": dists,
+                    "targets": targets,
+                    "y": y,
+                    "k": k,
+                    "gamma": gamma,
+                    "got": got,
+                    "want": want,
+                }
     return budget, None
 
 
@@ -167,6 +195,12 @@ def _suite_psd(budget, rng):
         low = float(bruteforce.brute_sym_eig(projected)[1][-1])
         if low < -1e-9:
             return checked + 1, {"check": "projection", "matrix": sym, "min_eig": low}
+        # the nearest PSD matrix in Frobenius norm clips the Jacobi spectrum
+        vecs, values = bruteforce.brute_sym_eig(sym)
+        want = (vecs * np.maximum(values, 0.0)) @ vecs.T
+        if np.linalg.norm(projected - want) > 1e-9 * max(1.0, np.linalg.norm(sym)):
+            return checked + 1, {"check": "nearest", "matrix": sym, "got": projected,
+                                 "want": want}
         checked += 1
     # one short training run per invocation, auditing after every update
     n_per = 20
@@ -242,7 +276,7 @@ def _suite_gradients(budget, rng):
         h = rng.choice(n, size=k, replace=False)
         raw = rng.normal(size=(d, d))
         w = raw.T @ raw
-        psi = feature_map_psi(x, h, train)
+        psi = bruteforce.feature_map_psi(x, h, train)
         direction = rng.normal(size=(d, d))
         direction = (direction + direction.T) / 2.0
         up = bruteforce.score(MahalanobisMetric(w=w + eps * direction), x, h, train)

@@ -80,8 +80,12 @@ def vote(labels_selected: np.ndarray, all_labels: np.ndarray) -> int:
     neighbor whose label is among the tied classes; any remaining tie goes
     to the smallest label id.
     """
-    labels_selected = np.asarray(labels_selected, dtype=int)
-    counts = np.bincount(labels_selected, minlength=int(all_labels.max()) + 1)
+    return _vote(np.asarray(labels_selected, dtype=int), int(all_labels.max()) + 1)
+
+
+def _vote(labels_selected: np.ndarray, n_slots: int) -> int:
+    """:func:`vote` with the label count ``max(all_labels) + 1`` given."""
+    counts = np.bincount(labels_selected, minlength=n_slots)
     top = counts.max()
     tied = np.flatnonzero(counts == top)
     if len(tied) == 1:
@@ -125,13 +129,15 @@ def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: s
     n)``.  Rows whose k nearest :func:`_knn_block` settles are selected
     for the whole block at once; the rest go through :func:`_selected`.
     Regression averages the selected targets, classification votes per row
-    through :func:`vote`."""
+    as :func:`vote` does, with the label maximum taken once per call."""
     if mode not in ("classify", "regress"):
         raise ValueError(f"unknown mode {mode!r}")
     queries = np.atleast_2d(queries)
     labels = train.labels
     out = np.empty(len(queries), dtype=float if mode == "regress" else int)
     rows = max(1, _BLOCK // train.n)
+    if mode == "classify":
+        n_slots = int(labels.max()) + 1
     for start in range(0, len(queries), rows):
         block = np.asarray(distances(queries[start:start + rows]), dtype=float)
         fast, sel = _knn_block(block, rule)
@@ -145,7 +151,7 @@ def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: s
             picks = iter(sel)
             for i in range(len(block)):
                 chosen = next(picks) if fast[i] else _selected(block[i], rule)
-                preds[i] = vote(labels[chosen], labels)
+                preds[i] = _vote(labels[chosen], n_slots)
     return out
 
 

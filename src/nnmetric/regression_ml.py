@@ -44,26 +44,29 @@ def delta_reg_ub(y: float, h, targets) -> float:
     return float(np.mean((y - sel) ** 2))
 
 
-def reg_point_scores(dists, targets, y: float, k: int, gamma: float, direction: str):
-    dists = np.asarray(dists, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if direction == "targeted":
-        sign = -1.0
-    elif direction == "loss_augmented":
-        sign = 1.0
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return -dists + sign * gamma * (y - targets) ** 2 / k
-
-
-def reg_inference_core(dists, targets, y: float, k: int, gamma: float, direction: str):
+def reg_inference_core(dists, targets, y: float, k: int, gamma: float, direction: str,
+                       gaps=None):
     """Top-k by per-point score; exact since the objective is additive.
 
-    Only the points scoring at least the k-th best, ties included, are
-    sorted (by descending score, then index)."""
-    neg = -reg_point_scores(dists, targets, y, k, gamma, direction)
+    The score of point i is -D_i - g_i (targeted) or -D_i + g_i
+    (loss-augmented), with target gaps g = gamma (y - targets)^2 / k;
+    ``gaps`` is that array when the caller already has it, as
+    :func:`reg_surrogate_core` shares one between its two calls, and is
+    computed here when omitted.  Only the points scoring at least the k-th
+    best, ties included, are sorted (by descending score, then index)."""
+    dists = np.asarray(dists, dtype=float)
+    if gaps is None:
+        gaps = gamma * (y - np.asarray(targets, dtype=float)) ** 2 / k
+    # the negated scores; rounding is symmetric under sign, so these are
+    # bit for bit -(-D -+ g)
+    if direction == "targeted":
+        neg = dists + gaps
+    elif direction == "loss_augmented":
+        neg = dists - gaps
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
     kth = np.partition(neg, k - 1)[k - 1] if k <= len(neg) else np.inf
-    cut = np.flatnonzero(neg <= kth)
+    cut = (neg <= kth).nonzero()[0]
     h = cut[np.lexsort((cut, neg[cut]))][:k]
     if len(h) < k or not np.isfinite(neg[h]).all():
         raise InfeasibleTargetError(f"fewer than k={k} candidates")
@@ -72,12 +75,20 @@ def reg_inference_core(dists, targets, y: float, k: int, gamma: float, direction
 
 def reg_surrogate_core(dists, targets, y: float, k: int, gamma: float, h_star=None):
     """(surrogate, loss-augmented h-hat, h*) on per-point distances; h*
-    defaults to the targeted top-k."""
-    h_hat = reg_inference_core(dists, targets, y, k, gamma, "loss_augmented")
+    defaults to the targeted top-k.
+
+    The squared target gaps (y - targets)^2 are formed once: scaled by
+    gamma / k they are the ``gaps`` of both :func:`reg_inference_core`
+    calls, and each set's Delta-hat is the sum of its members' squared gaps
+    over k, the reduction :func:`delta_reg_ub` makes."""
+    targets = np.asarray(targets, dtype=float)
+    sq = (y - targets) ** 2
+    gaps = gamma * sq / k
+    h_hat = reg_inference_core(dists, targets, y, k, gamma, "loss_augmented", gaps)
     if h_star is None:
-        h_star = reg_inference_core(dists, targets, y, k, gamma, "targeted")
-    up = -dists[h_hat].sum() + gamma * delta_reg_ub(y, h_hat, targets)
-    down = -dists[h_star].sum() - gamma * delta_reg_ub(y, h_star, targets)
+        h_star = reg_inference_core(dists, targets, y, k, gamma, "targeted", gaps)
+    up = -dists[h_hat].sum() + gamma * (sq[h_hat].sum() / k)
+    down = -dists[h_star].sum() - gamma * (sq[h_star].sum() / k)
     return float(up - down), h_hat, h_star
 
 

@@ -16,6 +16,7 @@ from nnmetric.bruteforce import (
     brute_reg_inference,
     brute_targeted,
     brute_unconstrained,
+    feature_map_psi,
     hamming_score,
     max_tied_loss,
     score,
@@ -27,7 +28,6 @@ from nnmetric.gerrymander import (
     InfeasibleTargetError,
     MahalanobisMetric,
     asym_score_grads,
-    feature_map_psi,
     loss_augmented_inference_core,
     metric_predictions,
     n_star,

@@ -5,14 +5,13 @@ import time
 import numpy as np
 import pytest
 
-from nnmetric.bruteforce import score
+from nnmetric.bruteforce import feature_map_psi, score
 from nnmetric.dataset import CLASS, Dataset
 from nnmetric.gerrymander import (
     AsymmetricMetric,
     MahalanobisMetric,
     asym_reg_grads,
     asym_score_grads,
-    feature_map_psi,
 )
 
 

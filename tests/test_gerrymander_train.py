@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from conftest import anisotropic_blobs, gauss_blobs
 
+from nnmetric.bruteforce import feature_map_psi
 from nnmetric.dataset import CLASS, REAL, Dataset
 from nnmetric.gerrymander import (
     AsymmetricMetric,
@@ -11,9 +12,11 @@ from nnmetric.gerrymander import (
     MahalanobisMetric,
     latent_sgd,
     metric_predictions,
+    sgd_rule,
     train_sgd,
 )
 from nnmetric.hamming import HammingTrainConfig, train_hamming
+from nnmetric.numerics import psd_project
 from nnmetric.predictors import NeighborRule, predict_batch
 from nnmetric.regression_ml import RegTrainConfig, train_reg_sgd
 
@@ -126,6 +129,27 @@ class TestSymmetricTraining:
         # the informative coordinate should carry the dominant weight
         w = result.metric.w
         assert w[0, 0] > np.max(np.abs(np.diag(w)[1:]))
+
+
+class TestSymmetricUpdate:
+    def test_bytes_match_feature_map_route(self):
+        """The update's one gather and one symmetrize give W bit for bit as
+        psd_project((1 - 1/t) W - C (Psi(x, h-hat) - Psi(x, h*)))."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n, d, k = int(rng.integers(8, 40)), int(rng.integers(1, 21)), int(rng.integers(1, 8))
+            train = Dataset(features=rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-2, 2),
+                            labels=np.ones(n, dtype=int), kind=CLASS)
+            c, t = float(rng.uniform(0.1, 3.0)), int(rng.integers(1, 50))
+            b = rng.standard_normal((d, d))
+            metric = MahalanobisMetric(w=psd_project(b @ b.T))
+            x = train.features[int(rng.integers(0, n))]
+            h_hat, h_star = (rng.choice(n, size=k, replace=False) for _ in range(2))
+            _, update = sgd_rule(train, c, "symmetric")
+            got = update(metric, t, x, h_hat, h_star).w
+            delta = feature_map_psi(x, h_hat, train) - feature_map_psi(x, h_star, train)
+            want = psd_project((1.0 - 1.0 / t) * metric.w - c * delta)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSharedEpochLoop:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import gauss_blobs
 
-from nnmetric import bruteforce, cli, gerrymander, harness, oracles, predictors
+from nnmetric import bruteforce, cli, gerrymander, harness, oracles, predictors, regression_ml
 from nnmetric import gradient_metrics as gm
 from nnmetric.dataset import CLASS, REAL, Dataset, load_csv, save_csv, synth_sin
 from nnmetric.harness import (
@@ -362,6 +362,34 @@ class TestCmdOracle:
         outcome = run_oracle("eig", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] == check
+
+    def test_psd_suite_fails_on_zero_projection(self, monkeypatch):
+        """Zeros are PSD, so only the comparison with the clipped Jacobi
+        spectrum can catch this."""
+        monkeypatch.setattr(oracles, "psd_project", np.zeros_like)
+        outcome = run_oracle("psd", 200)
+        assert outcome.failure is not None
+        assert outcome.failure["check"] == "nearest"
+
+    @pytest.mark.parametrize("broken", ["swapped_sign", "gaps_without_over_k"])
+    def test_regbound_suite_fails_on_broken_shared_gaps(self, monkeypatch, broken):
+        """The suite's direct inference check passes no gaps; only the
+        surrogate's shared-gaps calls run the mutant."""
+        original = regression_ml.reg_inference_core
+        swap = {"targeted": "loss_augmented", "loss_augmented": "targeted"}
+
+        def mutant(dists, targets, y, k, gamma, direction, gaps=None):
+            if gaps is not None:
+                if broken == "swapped_sign":
+                    direction = swap[direction]
+                else:
+                    gaps = gaps * k
+            return original(dists, targets, y, k, gamma, direction, gaps)
+
+        monkeypatch.setattr(regression_ml, "reg_inference_core", mutant)
+        outcome = run_oracle("regbound", 200)
+        assert outcome.failure is not None
+        assert outcome.failure["check"].startswith("surrogate")
 
     @pytest.mark.parametrize("broken", ["k_minus_1_per_class", "cap_off_by_one"])
     def test_inference_suite_fails_on_broken_candidates(self, monkeypatch, broken):

@@ -159,6 +159,31 @@ class TestPsdProject:
             oracle = (q * np.maximum(lam, 0.0)) @ q.T
             np.testing.assert_allclose(psd_project(a), oracle, atol=1e-9)
 
+    @pytest.mark.parametrize("case", ["zero", "repeated", "rank_deficient", "d1", "random"])
+    def test_bytes_match_sym_eig_route(self, case):
+        """psd_project skips sym_eig's sign fix: a column's sign cancels in
+        V diag(lam+) V^T, so the result is the sym_eig route's bit for bit."""
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            d = 1 if case == "d1" else int(rng.integers(2, 12))
+            if case == "zero":
+                a = np.zeros((d, d))
+            elif case == "repeated":
+                q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+                a = (q * rng.integers(-2, 3, size=d)) @ q.T
+            elif case == "rank_deficient":
+                b = rng.standard_normal((d, max(1, d // 3)))
+                a = b @ b.T - 2.0 * np.outer(b[:, 0], b[:, 0])
+            else:
+                a = random_symmetric(rng, d, scale=10.0 ** rng.uniform(-3, 3))
+            vecs, values = sym_eig(a)
+            want = symmetrize((vecs * np.maximum(values, 0.0)) @ vecs.T)
+            assert psd_project(a).tobytes() == want.tobytes()
+
+    def test_rejects_nonfinite_naming_itself(self):
+        with pytest.raises(ValueError, match="psd_project"):
+            psd_project(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
     @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
     def test_always_psd(self, d, seed):

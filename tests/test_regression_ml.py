@@ -157,6 +157,73 @@ class TestSurrogate:
         assert reg_surrogate_core(dists, train.labels, 0.5, 2, 0.0)[0] == pytest.approx(0.0)
 
 
+def old_formula_top_k(dists, targets, y, k, gamma, direction):
+    """The top-k by (descending score, index) of the per-point scores
+    -D -+ gamma (y - y_i)^2 / k, formed in one expression and sorted
+    explicitly; None when fewer than k are finite."""
+    sign = -1.0 if direction == "targeted" else 1.0
+    scores = -dists + sign * gamma * (y - targets) ** 2 / k
+    ranked = sorted((i for i in range(len(scores)) if np.isfinite(scores[i])),
+                    key=lambda i: (-scores[i], i))
+    return ranked[:k] if len(ranked) >= k else None
+
+
+# few distinct values, so scores tie; inf marks an excluded point
+_tie_floats = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                        st.floats(-100.0, 100.0, allow_nan=False))
+
+
+@st.composite
+def shared_gap_instances(draw):
+    n = draw(st.integers(1, 9))
+    dists = np.array(draw(st.lists(st.one_of(_tie_floats.map(abs), st.just(np.inf)),
+                                   min_size=n, max_size=n)))
+    targets = np.array(draw(st.lists(_tie_floats, min_size=n, max_size=n)))
+    y = draw(_tie_floats)
+    k = draw(st.integers(1, n + 1))
+    gamma = draw(st.one_of(st.sampled_from([0.0, 1.0, 3.0]), st.floats(0.01, 10.0)))
+    return dists, targets, y, k, gamma
+
+
+class TestSharedGaps:
+    """reg_surrogate_core forms gamma (y - targets)^2 / k once and hands it
+    to both inference calls; its sets and value must be bit for bit those of
+    the one-expression scores and delta_reg_ub."""
+
+    @given(shared_gap_instances(), st.sampled_from(["targeted", "loss_augmented"]))
+    @settings(max_examples=300, deadline=None)
+    def test_inference_with_and_without_gaps(self, instance, direction):
+        dists, targets, y, k, gamma = instance
+        gaps = gamma * (y - targets) ** 2 / k
+        want = old_formula_top_k(dists, targets, y, k, gamma, direction)
+        for kwargs in ({}, {"gaps": gaps}):
+            if want is None:
+                with pytest.raises(InfeasibleTargetError):
+                    reg_inference_core(dists, targets, y, k, gamma, direction, **kwargs)
+            else:
+                got = reg_inference_core(dists, targets, y, k, gamma, direction, **kwargs)
+                assert got.tolist() == want
+
+    @given(shared_gap_instances(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_surrogate_bytes_match_delta_reg_ub_formula(self, instance, given_h_star):
+        dists, targets, y, k, gamma = instance
+        if old_formula_top_k(dists, targets, y, k, gamma, "targeted") is None:
+            return
+        h_star = None
+        if given_h_star:  # as the alternate h* rules hand one in
+            h_star = np.array(sorted(np.flatnonzero(np.isfinite(dists))[::-1][:k]))
+        value, h_hat, h_star_out = reg_surrogate_core(dists, targets, y, k, gamma, h_star)
+        want_hat = reg_inference_core(dists, targets, y, k, gamma, "loss_augmented")
+        want_star = (reg_inference_core(dists, targets, y, k, gamma, "targeted")
+                     if h_star is None else h_star)
+        assert h_hat.tolist() == want_hat.tolist()
+        assert h_star_out.tolist() == want_star.tolist()
+        up = -dists[want_hat].sum() + gamma * delta_reg_ub(y, want_hat, targets)
+        down = -dists[want_star].sum() - gamma * delta_reg_ub(y, want_star, targets)
+        assert np.float64(value).tobytes() == np.float64(float(up - down)).tobytes()
+
+
 def swap_loop_hstar(dists, targets, y, k, kind, eps):
     """hstar_alternate with one delta_reg call per swap candidate, in
     (distance, index) order: the reference for its vectorized swap scan."""
