@@ -176,7 +176,10 @@ def load_csv(path, label_column: str, label_kind: str) -> Dataset:
                 value = _parse_real(path, cell, row_num, header[col_idx])
                 values.append(value)
             rows.append(values)
-            raw_labels.append(row[label_idx].strip())
+            raw = row[label_idx].strip()
+            raw_labels.append(
+                raw if label_kind == CLASS else _parse_real(path, raw, row_num, label_column)
+            )
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
 
@@ -187,12 +190,7 @@ def load_csv(path, label_column: str, label_kind: str) -> Dataset:
         for i, raw in enumerate(raw_labels):
             labels[i] = seen.setdefault(raw, len(seen) + 1)
     else:
-        labels = np.array(
-            [
-                _parse_real(path, raw, row_num, label_column)
-                for row_num, raw in enumerate(raw_labels, start=1)
-            ]
-        )
+        labels = np.array(raw_labels)
     name = getattr(path, "name", str(path))
     return Dataset(features=features, labels=labels, kind=label_kind, name=name,
                    label_names=tuple(seen))

@@ -511,7 +511,8 @@ class OracleOutcome:
     failure: dict | None
 
 
-def run_oracle(suite: str, budget: int, seed: int = 0) -> OracleOutcome:
+def _check_usage(suite: str, budget: int, seed: int) -> None:
+    """Raise ValueError on a bad suite name, budget or seed."""
     if suite not in ORACLE_SUITES:
         raise ValueError(
             f"unknown oracle suite {suite!r}; available: {', '.join(sorted(ORACLE_SUITES))}"
@@ -520,6 +521,10 @@ def run_oracle(suite: str, budget: int, seed: int = 0) -> OracleOutcome:
         raise ValueError("budget must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+
+
+def run_oracle(suite: str, budget: int, seed: int = 0) -> OracleOutcome:
+    _check_usage(suite, budget, seed)
     stream, suite_fn = ORACLE_SUITES[suite]
     rng = np.random.default_rng([_ORACLE_STREAM, stream, seed])
     checked, failure = suite_fn(budget, rng)
@@ -527,12 +532,18 @@ def run_oracle(suite: str, budget: int, seed: int = 0) -> OracleOutcome:
 
 
 def cmd_oracle(suite: str, budget: int = 200, seed: int = 0, out: str = ".") -> int:
-    """Exit 0 when every check passes, 1 on a violation, 2 on bad usage."""
+    """Exit 0 when every check passes, 1 on a violation or an error raised
+    while the suite runs, 2 on bad usage."""
     try:
-        outcome = run_oracle(suite, budget, seed)
+        _check_usage(suite, budget, seed)
     except ValueError as exc:
         print(f"oracle error: {exc}", file=sys.stderr)
         return 2
+    try:
+        outcome = run_oracle(suite, budget, seed)
+    except Exception as exc:
+        print(f"{suite}: the suite raised {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     if outcome.failure is None:
         print(f"{suite}: {outcome.checked} checks passed")
         return 0

@@ -3,7 +3,7 @@
 Neighbor search is brute force.  The tie order everywhere is total and
 deterministic: distance first, then training index.  Classification votes
 resolve ties by the label of the nearest selected neighbor among the tied
-classes, and any remaining tie by the smallest label id.
+classes.
 """
 
 from __future__ import annotations
@@ -48,77 +48,42 @@ def transform_features(features: np.ndarray, transform) -> np.ndarray:
     return np.asarray(features, dtype=float) @ np.asarray(transform, dtype=float).T
 
 
-def neighbor_order(dists: np.ndarray) -> np.ndarray:
-    """Indices sorted by (distance, index): a total, deterministic order."""
-    return np.argsort(dists, kind="stable")
-
-
-def _selected(dists, rule):
-    """The selected indices in :func:`neighbor_order`: the first k, or the
-    radius ball (every point when the ball is empty).  Only the points
-    within the cut distance are sorted."""
-    if rule.kind == "knn":
-        if rule.k >= len(dists):
-            return neighbor_order(dists)
-        cut = np.partition(dists, rule.k - 1)[rule.k - 1]
-    else:
-        cut = rule.radius
-    near = np.flatnonzero(dists <= cut)
-    if rule.kind == "hnn":
-        if not len(near):
-            return neighbor_order(dists)  # empty ball: global fallback
-        return near[neighbor_order(dists[near])]
-    if len(near) < rule.k:  # a NaN distance reached the k-th place
-        return neighbor_order(dists)[: rule.k]
-    return near[neighbor_order(dists[near])][: rule.k]
-
-
-def vote(labels_selected: np.ndarray, all_labels: np.ndarray) -> int:
-    """Majority vote over selected labels (in nearness order).
-
-    Ties between classes with equal counts go to the nearest selected
-    neighbor whose label is among the tied classes; any remaining tie goes
-    to the smallest label id.
-    """
-    return _vote(np.asarray(labels_selected, dtype=int), int(all_labels.max()) + 1)
-
-
-def _vote(labels_selected: np.ndarray, n_slots: int) -> int:
-    """:func:`vote` with the label count ``max(all_labels) + 1`` given."""
-    counts = np.bincount(labels_selected, minlength=n_slots)
-    top = counts.max()
-    tied = np.flatnonzero(counts == top)
-    if len(tied) == 1:
-        return int(tied[0])
-    tied_set = set(int(t) for t in tied)
-    for lab in labels_selected:
-        if int(lab) in tied_set:
-            return int(lab)
-    return int(tied.min())
-
-
 # the most distances one block of queries holds (B * n doubles); small
 # enough that the block's matrix product stays on one BLAS thread
 _BLOCK = 16384
 
 
-def _knn_block(dists, rule):
-    """The rows of a block of distances whose k nearest need no fallback,
-    and their k indices in :func:`neighbor_order`.
+def _select(dists, rule):
+    """Every row's selected columns of a B x n block of distances, in
+    (distance, index) order, flat and row after row, and each row's count.
 
-    A row qualifies when exactly k points lie at or under its k-th value;
-    a tie at the cut, a NaN at the k-th place, ``k >= n`` and the hnn rule
-    leave it to :func:`_selected`.  The k are taken in index order, so a
-    stable sort by distance gives the (distance, index) order."""
-    k = rule.k
-    if rule.kind != "knn" or k >= dists.shape[1]:
-        return np.zeros(len(dists), dtype=bool), np.empty((0, k), dtype=int)
-    near = dists <= np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-    fast = np.count_nonzero(near, axis=1) == k
-    near[~fast] = False
-    cols = (np.flatnonzero(near) % dists.shape[1]).reshape(-1, k)
-    order = np.argsort(dists[np.flatnonzero(fast)[:, None], cols], axis=1, kind="stable")
-    return fast, np.take_along_axis(cols, order, axis=1)
+    knn takes the points at or under the row's k-th value.  On a row with a
+    tie there, or a NaN there (NaN sorts last, so the row's NaNs are at the
+    cut), it takes the points under the cut and fills up to k from the
+    points at the cut in index order; k >= n takes every point.  hnn takes
+    the radius ball, or every point when the ball is empty."""
+    if rule.kind == "hnn":
+        take = dists <= rule.radius
+        take[~take.any(axis=1)] = True
+    else:
+        k = min(rule.k, dists.shape[1])
+        cut = np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+        take = dists <= cut
+        odd = np.flatnonzero(np.count_nonzero(take, axis=1) != k)
+        if len(odd):
+            d, c = dists[odd], cut[odd]
+            nan_cut = np.isnan(c)
+            under = (d < c) | (nan_cut & ~np.isnan(d))
+            at = (d == c) | (nan_cut & np.isnan(d))
+            room = k - np.count_nonzero(under, axis=1, keepdims=True)
+            take[odd] = under | (at & (np.cumsum(at, axis=1) <= room))
+    flat = np.flatnonzero(take)
+    rows, cols = np.divmod(flat, dists.shape[1])
+    # by distance, then stably by row: a block has at most _BLOCK < 2**15
+    # rows, so int16 row ids take numpy's radix sort
+    order = np.argsort(dists.ravel()[flat], kind="stable")
+    order = order[np.argsort(rows[order].astype(np.int16), kind="stable")]
+    return cols[order], np.bincount(rows, minlength=len(dists))
 
 
 def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: str):
@@ -126,10 +91,11 @@ def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: s
 
     ``distances(block)`` gives a (B, d) block of query rows' distances to
     the n training rows as a B x n array, with B at most ``max(1, _BLOCK //
-    n)``.  Rows whose k nearest :func:`_knn_block` settles are selected
-    for the whole block at once; the rest go through :func:`_selected`.
-    Regression averages the selected targets, classification votes per row
-    as :func:`vote` does, with the label maximum taken once per call."""
+    n)``.  Each block's neighbours come from one :func:`_select` call.
+    Regression averages each row's selected targets.  Classification
+    counts the whole block's votes with one bincount; a row goes to its
+    most frequent label, a tie to the tied label of its nearest selected
+    neighbour."""
     if mode not in ("classify", "regress"):
         raise ValueError(f"unknown mode {mode!r}")
     queries = np.atleast_2d(queries)
@@ -140,18 +106,21 @@ def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: s
         n_slots = int(labels.max()) + 1
     for start in range(0, len(queries), rows):
         block = np.asarray(distances(queries[start:start + rows]), dtype=float)
-        fast, sel = _knn_block(block, rule)
+        picked, counts = _select(block, rule)
+        labs = labels[picked]
         preds = out[start:start + len(block)]
-        if mode == "regress":
-            if len(sel):
-                preds[fast] = labels[sel].mean(axis=1)
-            for i in np.flatnonzero(~fast):
-                preds[i] = labels[_selected(block[i], rule)].mean()
+        if mode == "classify":
+            row = np.repeat(np.arange(len(block)), counts)
+            tally = np.bincount(row * n_slots + labs, minlength=len(block) * n_slots)
+            tally = tally.reshape(len(block), n_slots)
+            # members whose label has their row's top count; each row's
+            # first such member is its nearest
+            won = np.flatnonzero(tally[row, labs] == tally.max(axis=1)[row])
+            preds[:] = labs[won[np.diff(row[won], prepend=-1) != 0]]
+        elif rule.kind == "knn":
+            preds[:] = labs.reshape(len(block), -1).mean(axis=1)
         else:
-            picks = iter(sel)
-            for i in range(len(block)):
-                chosen = next(picks) if fast[i] else _selected(block[i], rule)
-                preds[i] = _vote(labels[chosen], n_slots)
+            preds[:] = [run.mean() for run in np.split(labs, np.cumsum(counts)[:-1])]
     return out
 
 

@@ -65,6 +65,15 @@ class TestLoadCsv:
         with pytest.raises(DatasetFormatError, match="row 2, column 'f1'"):
             load_csv(p, "y", "real")
 
+    def test_bad_label_after_a_blank_line_reports_its_row(self, tmp_path):
+        """A blank line counts as a row for a real label as for a feature."""
+        p = write(tmp_path, "x1,label\n1.0,2.0\n\n2.0,3.0\n3.0,oops\n")
+        with pytest.raises(DatasetFormatError, match="row 4, column 'label'"):
+            load_csv(p, "label", "real")
+        p = write(tmp_path, "x1,label\n1.0,2.0\n\n2.0,3.0\noops,4.0\n", name="feature.csv")
+        with pytest.raises(DatasetFormatError, match="row 4, column 'x1'"):
+            load_csv(p, "label", "real")
+
     def test_empty_file(self, tmp_path):
         p = write(tmp_path, "")
         with pytest.raises(DatasetFormatError, match="empty"):

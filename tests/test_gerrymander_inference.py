@@ -26,7 +26,7 @@ from nnmetric.gerrymander import (
     targeted_inference_core,
 )
 from nnmetric.numerics import psd_project
-from nnmetric.predictors import vote
+from nnmetric.predictors import NeighborRule, predict_each
 
 
 def make_class_dataset(features, labels):
@@ -478,12 +478,19 @@ class TestBruteForceInternals:
         assert s == pytest.approx(-1.5)
 
     def test_vote_agreement_with_predictor(self):
+        """The predictor's 3-NN vote over h, nearest first; three far points
+        labelled 1..3 make the class ids contiguous and are never selected."""
         rng = np.random.default_rng(61)
+        rule = NeighborRule("knn", k=3)
         for _ in range(100):
             labels = rng.integers(1, 4, size=6)
             h = rng.choice(6, size=3, replace=False)
             y = int(rng.integers(1, 4))
-            predicted = vote(labels[h], labels)
+            train = make_class_dataset(np.zeros((9, 1)), np.concatenate([labels, [1, 2, 3]]))
+            dists = np.full(9, 10.0)
+            dists[h] = [0.0, 1.0, 2.0]
+            predicted = predict_each(lambda block: dists[None], train, np.zeros((1, 1)), rule,
+                                     "classify")[0]
             assert predicted in shared_winners(labels[h], 3)
             assert max_tied_loss(y, labels[h]) >= float(predicted != y)
             assert (max_tied_loss(y, labels[h]) == 0.0) == (shared_winners(labels[h], 3) == [y])

@@ -283,37 +283,44 @@ class TestCmdOracle:
     @pytest.mark.parametrize(
         "broken", ["reversed_index_ties", "no_empty_ball_fallback", "block_accepts_cut_ties"]
     )
-    def test_neighbors_suite_fails_on_broken_selection(self, monkeypatch, broken):
-        if broken == "reversed_index_ties":
-            monkeypatch.setattr(
-                predictors, "neighbor_order", lambda d: np.lexsort((-np.arange(len(d)), d))
-            )
-        elif broken == "block_accepts_cut_ties":
-            original = predictors._knn_block
+    def test_neighbors_suite_fails_on_broken_selection(self, monkeypatch, tmp_path, capsys,
+                                                       broken):
+        original = predictors._select
 
-            def accepts_cut_ties(dists, rule):
-                """Rows with a tie at the k-th place keep the first k points
-                at or under it in index order, dropping nearer later ones."""
-                k = rule.k
-                if rule.kind != "knn" or k >= dists.shape[1]:
-                    return original(dists, rule)
-                near = dists <= np.partition(dists, k - 1, axis=1)[:, k - 1:k]
-                fast = np.count_nonzero(near, axis=1) >= k
-                cols = np.array([np.flatnonzero(row)[:k] for row in near[fast]],
-                                dtype=int).reshape(-1, k)
-                vals = dists[np.flatnonzero(fast)[:, None], cols]
-                return fast, np.take_along_axis(cols, np.argsort(vals, axis=1, kind="stable"),
-                                                axis=1)
+        def reversed_index_ties(dists, rule):
+            """Equal distances ordered, and cut at the k-th place, by
+            descending index."""
+            picked, counts = original(dists[:, ::-1], rule)
+            return dists.shape[1] - 1 - picked, counts
 
-            monkeypatch.setattr(predictors, "_knn_block", accepts_cut_ties)
-        else:
-            def no_fallback(dists, rule):
-                order = predictors.neighbor_order(dists)
-                if rule.kind == "knn":
-                    return order[: rule.k]
-                return order[dists[order] <= rule.radius]
+        def no_empty_ball_fallback(dists, rule):
+            """A query outside every ball selects no point."""
+            picked, counts = original(dists, rule)
+            if rule.kind == "knn":
+                return picked, counts
+            row = np.repeat(np.arange(len(dists)), counts)
+            inside = dists[row, picked] <= rule.radius
+            return picked[inside], np.bincount(row[inside], minlength=len(dists))
 
-            monkeypatch.setattr(predictors, "_selected", no_fallback)
+        def block_accepts_cut_ties(dists, rule):
+            """Rows with a tie at the k-th place keep the first k points at
+            or under it in index order, dropping nearer later ones."""
+            k = rule.k
+            if rule.kind != "knn" or k >= dists.shape[1]:
+                return original(dists, rule)
+            near = dists <= np.partition(dists, k - 1, axis=1)[:, k - 1:k]
+            tied = np.count_nonzero(near, axis=1) > k
+            dropped = tied[:, None] & near & (np.cumsum(near, axis=1) > k)
+            return original(np.where(dropped, np.nan, dists), rule)
+
+        mutants = (reversed_index_ties, no_empty_ball_fallback, block_accepts_cut_ties)
+        monkeypatch.setattr(predictors, "_select", {m.__name__: m for m in mutants}[broken])
+        if broken == "no_empty_ball_fallback":
+            # a class vote over no neighbour is never cast: the suite raises,
+            # and the CLI reports it as a fault of the checked code
+            assert oracles.cmd_oracle("neighbors", 200, out=str(tmp_path)) == 1
+            assert capsys.readouterr().err.startswith("neighbors: the suite raised ")
+            return
         outcome = run_oracle("neighbors", 200)
         assert outcome.failure is not None
         assert outcome.failure["got"] != outcome.failure["want"]
@@ -413,6 +420,20 @@ class TestCmdOracle:
 
     def test_bad_budget_exits_2(self):
         assert cli.main(["oracle", "--suite", "inference", "--budget", "0"]) == 2
+
+    @pytest.mark.parametrize("error", [ValueError, gerrymander.InfeasibleTargetError])
+    def test_error_in_checked_code_exits_1(self, tmp_path, monkeypatch, capsys, error):
+        """A ValueError from the checked code is a fault, not bad usage."""
+        def broken(*args):
+            raise error("fast routine broke")
+
+        monkeypatch.setattr(oracles, "predict_batch", broken)
+        code = cli.main(["oracle", "--suite", "neighbors", "--budget", "5", "--out",
+                         str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"neighbors: the suite raised {error.__name__}: fast routine broke\n"
+        assert not list(tmp_path.iterdir())
 
     def test_violation_writes_replay_file(self, tmp_path, monkeypatch, capsys):
         def broken(budget, rng):

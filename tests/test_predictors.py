@@ -9,14 +9,7 @@ from hypothesis.extra import numpy as hnp
 from nnmetric import predictors
 from nnmetric.bruteforce import brute_neighbor_predict
 from nnmetric.dataset import Dataset
-from nnmetric.predictors import (
-    NeighborRule,
-    evaluate,
-    neighbor_order,
-    predict_batch,
-    predict_each,
-    vote,
-)
+from nnmetric.predictors import NeighborRule, evaluate, predict_batch, predict_each
 
 
 def classed(features, labels):
@@ -82,43 +75,69 @@ class TestNeighborPredict:
         singles = [brute_neighbor_predict(d, train.labels, rule, "regress") for d in dists]
         np.testing.assert_allclose(batch, singles, atol=1e-9)
 
-    def test_vote_remaining_tie_smallest_label(self):
-        assert vote(np.array([2, 1]), np.array([1, 2])) == 2  # nearest wins
-        assert vote(np.array([1, 2]), np.array([1, 2])) == 1
+
+# integer distances tie often, and at the k-th place; some entries are inf or NaN
+_DIST_ENTRIES = st.one_of(st.integers(0, 4).map(float), st.sampled_from([np.inf, np.nan]))
+
+
+def selected_rows(dists, rule):
+    """:func:`predictors._select` on a block, split into its rows."""
+    picked, counts = predictors._select(np.asarray(dists, dtype=float), rule)
+    assert len(counts) == len(dists)
+    return np.split(picked, np.cumsum(counts)[:-1])
 
 
 class TestSelected:
     @settings(deadline=None, max_examples=300)
     @given(
-        st.lists(st.integers(0, 4), min_size=1, max_size=25).map(
-            lambda ints: np.asarray(ints, dtype=float)
+        st.integers(1, 25).flatmap(
+            lambda n: hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(n)),
+                                 elements=_DIST_ENTRIES)
         ),
         st.integers(1, 30),
         st.sampled_from([0.5, 1.0, 2.5]),
     )
     def test_matches_full_stable_sort(self, dists, k, radius):
         """Integer distances repeat, so k often cuts a run of exact ties;
-        the partition-then-sort selection still returns the first k of the
-        full (distance, index) order, and the radius ball in that order."""
-        np.testing.assert_array_equal(
-            predictors._selected(dists, NeighborRule("knn", k=k)), neighbor_order(dists)[:k]
-        )
-        order = neighbor_order(dists)
-        ball = order[dists[order] <= radius]
-        np.testing.assert_array_equal(
-            predictors._selected(dists, NeighborRule("hnn", radius=radius)),
-            ball if len(ball) else order,
-        )
+        every row of the block still selects the first k of its full
+        (distance, index) order, NaN after inf, and the radius ball in that
+        order, or the whole order when the ball is empty."""
+        knn = selected_rows(dists, NeighborRule("knn", k=k))
+        hnn = selected_rows(dists, NeighborRule("hnn", radius=radius))
+        for row, got_knn, got_hnn in zip(dists, knn, hnn):
+            order = np.argsort(row, kind="stable")
+            np.testing.assert_array_equal(got_knn, order[:k])
+            ball = order[row[order] <= radius]
+            np.testing.assert_array_equal(got_hnn, ball if len(ball) else order)
 
     def test_tie_cut_keeps_lowest_indices(self):
-        dists = np.array([2.0, 1.0, 2.0, 0.0, 2.0, 2.0])
-        got = predictors._selected(dists, NeighborRule("knn", k=4))
-        np.testing.assert_array_equal(got, [3, 1, 0, 2])
+        """The first row ties four points at its k-th value, the second none."""
+        dists = [[2.0, 1.0, 2.0, 0.0, 2.0, 2.0], [5.0, 0.0, 1.0, 3.0, 4.0, 2.0]]
+        got = selected_rows(dists, NeighborRule("knn", k=4))
+        np.testing.assert_array_equal(got[0], [3, 1, 0, 2])
+        np.testing.assert_array_equal(got[1], [1, 2, 5, 3])
 
     def test_nan_at_the_cut_falls_back_to_full_order(self):
-        dists = np.array([np.nan, 1.0, np.nan])
-        got = predictors._selected(dists, NeighborRule("knn", k=2))
-        np.testing.assert_array_equal(got, neighbor_order(dists)[:2])
+        """A row with fewer than k non-NaN distances fills from its NaNs in
+        index order."""
+        dists = [[np.nan, 1.0, np.nan, np.inf], [np.nan, 1.0, 0.0, 2.0]]
+        got = selected_rows(dists, NeighborRule("knn", k=3))
+        np.testing.assert_array_equal(got[0], [1, 3, 0])
+        np.testing.assert_array_equal(got[1], [2, 1, 3])
+
+    def test_k_at_least_n_takes_every_point(self):
+        dists = [[2.0, np.nan, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0]]
+        for k in (4, 9):
+            got = selected_rows(dists, NeighborRule("knn", k=k))
+            np.testing.assert_array_equal(got[0], [2, 0, 3, 1])
+            np.testing.assert_array_equal(got[1], [0, 1, 2, 3])
+
+    def test_empty_ball_takes_every_point(self):
+        """Only the second row's ball is empty."""
+        dists = [[0.5, 3.0, 0.0], [3.0, 2.0, 2.0]]
+        got = selected_rows(dists, NeighborRule("hnn", radius=1.0))
+        np.testing.assert_array_equal(got[0], [2, 0])
+        np.testing.assert_array_equal(got[1], [1, 2, 0])
 
 
 def row_distances(dists):
@@ -133,14 +152,8 @@ def row_distances(dists):
 
 
 def per_row(dists, labels, rule, mode):
-    """Predictions from :func:`predictors._selected` row by row."""
-    if mode == "regress":
-        return np.array([labels[predictors._selected(row, rule)].mean() for row in dists])
-    return np.array([vote(labels[predictors._selected(row, rule)], labels) for row in dists])
-
-
-# integer distances tie often, and at the k-th place; some entries are inf or NaN
-_DIST_ENTRIES = st.one_of(st.integers(0, 4).map(float), st.sampled_from([np.inf, np.nan]))
+    """Predictions from :func:`brute_neighbor_predict` row by row."""
+    return np.array([brute_neighbor_predict(row, labels, rule, mode) for row in dists])
 
 
 class TestPredictEach:
@@ -197,7 +210,7 @@ class TestPredictEach:
     @pytest.mark.parametrize("mode", ["classify", "regress"])
     def test_blocks_stay_within_the_bound(self, n, mode):
         """Three full blocks plus a remainder, none over max(1, _BLOCK // n)
-        rows, predict as _selected row by row does."""
+        rows, predict as brute_neighbor_predict does row by row."""
         rng = np.random.default_rng(n)
         rows = max(1, predictors._BLOCK // n)
         dists = rng.integers(0, 40, size=(3 * rows + 1, n)).astype(float)
