@@ -5,11 +5,12 @@ are only usable at small n choose k, but they are obviously correct; the
 eigensolver reference is a plain cyclic Jacobi iteration, and the gradient
 pass reference probes a plug-in refit on the sample without each point.  The
 helpers only references call (set scores, the feature map Psi, the soft
-Hamming distance, kernel plug-ins, central differences) live here too.  The
-test suite and the oracle suites (:mod:`nnmetric.oracles`) check the fast
-routines against these; no run imports this module.  Keep these independent
-of the code they check: of ``gradient_metrics`` only ``gate_mask`` is used,
-which the pass itself never calls.
+Hamming distance, the relaxed Hamming gradients of one member set, kernel
+plug-ins, central differences) live here too.  The test suite and the oracle
+suites (:mod:`nnmetric.oracles`) check the fast routines against these; no
+run imports this module.  Keep these independent of the code they check: of
+``gradient_metrics`` only ``gate_mask`` is used, which the pass itself never
+calls.
 """
 
 from __future__ import annotations
@@ -163,6 +164,25 @@ def asym_hamming_distance(projected_query, code, scales) -> float:
     """Soft distance between a binary code and the squashed query projection."""
     soft = np.tanh(np.asarray(scales, dtype=float) * np.asarray(projected_query, dtype=float))
     return float(np.sum((np.asarray(code, dtype=float) - soft) ** 2) / 4.0)
+
+
+def _tanh_prime(z):
+    return 1.0 - np.tanh(z) ** 2
+
+
+def query_side_grad(u, x, other_code_sum_diff) -> np.ndarray:
+    """[tanh'(Ux) o (sum of h-hat codes - sum of h* codes)] x^T: the
+    U-gradient of the relaxed set score."""
+    x = np.asarray(x, dtype=float)
+    return np.outer(_tanh_prime(u @ x) * other_code_sum_diff, x)
+
+
+def db_side_grad(v, members, query_code) -> np.ndarray:
+    """sum over members of (query_code o tanh'(V x_j)) x_j^T: the
+    V-gradient of the relaxed score of one member set."""
+    xs = np.atleast_2d(np.asarray(members, dtype=float))
+    proj = xs @ v.T
+    return (_tanh_prime(proj) * query_code).T @ xs
 
 
 def kernel_weights(spec, features, x) -> np.ndarray:

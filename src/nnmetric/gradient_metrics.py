@@ -12,7 +12,11 @@ boundary noise out of the averages.  No optimization is involved anywhere.
 
 GW, EGOP and EJOP are reductions of one pass (:func:`gradient_pass`): per
 sample, one probe-distance matrix gives both the gates and the plug-in
-weights.  The squared distances come from the exact expansion
+weights.  One loop over the sample serves a whole grid of (h, t) points
+(:func:`gradient_passes`): what no h changes (the sample's differences and,
+per t, the probe distances, their minima and roots) is formed once, and each
+point gets the pass it would get alone, to the bit.  The squared distances
+come from the exact expansion
 |x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i), with no matrix
 product and none of the cancellation of |p|^2 - 2 p.f + |f|^2, and the
 triangle weights stay unnormalized (max(0, h - r)) until the plug-in sums
@@ -81,80 +85,110 @@ class GradientMetricEstimate:
         return whitening_transform(self.g)
 
 
-def _loo_weights(spec: KernelSpec, sq, own: int):
-    """Unnormalized triangle weights max(0, h - r) of squared probe distances
-    r^2, in place, with the queried column ``own`` zeroed, and their row sums.
+def _loo_weights(h: float, dists, own: int, out):
+    """Unnormalized triangle weights max(0, h - r) of probe distances r,
+    written to ``out``, with the queried column ``own`` zeroed, and their
+    row sums.
 
     The kernel's 1/h cancels once a row is divided by its sum, so it is never
     applied.  A row with no other point in reach falls back to uniform
     weights over the other points.
     """
-    np.maximum(sq, 0.0, out=sq)
-    np.sqrt(sq, out=sq)
-    np.subtract(spec.bandwidth, sq, out=sq)
-    np.maximum(sq, 0.0, out=sq)
-    sq[:, own] = 0.0
-    total = sq.sum(axis=1)
+    np.subtract(h, dists, out=out)
+    np.maximum(out, 0.0, out=out)
+    out[:, own] = 0.0
+    total = out.sum(axis=1)
     empty = total == 0.0
     if empty.any():
-        sq[empty] = np.arange(sq.shape[1]) != own
-        total = sq.sum(axis=1)
-    return sq, total
+        out[empty] = np.arange(out.shape[1]) != own
+        total = out.sum(axis=1)
+    return out, total
 
 
-def _gradient_pass(train: Dataset, spec: KernelSpec, t, targets, temperature):
-    """Yield ``(mask, central differences)`` for each sample with an open gate.
+def _gradient_pass(train: Dataset, points, targets, temperature):
+    """Yield ``(j, mask, central differences)`` for each sample and each
+    point ``j`` of ``points``, a sequence of ``(KernelSpec, t)``, whose gate
+    opened on it.
 
-    Per sample x, the 2d x n squared probe distances come from the exact
-    expansion |x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i): one
-    difference x - f, its column sums of squares plus t^2, then one add and
-    one subtract of 2t (x_i - f_i), written into reused buffers.  The
-    queried point sits at exactly t^2.
-    They give the density gates (as :func:`gate_mask`) and, on the gated
-    rows, the leave-one-out weights of :func:`_loo_weights`.  The plug-in
-    value at a probe is ``(raw @ targets) / total``, softmaxed at
-    ``temperature`` unless that is None.
+    Per sample x, the 2d x n squared probe distances at a step t come from
+    the exact expansion |x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i).
+    What no h changes is formed once and shared: per sample, the difference
+    x - f and its column sums of squares; per distinct t, the probe
+    distances (the queried point sits at exactly t^2), their row minima and
+    their square roots, taken the first time a gate of that t opens.  Per
+    point, the minima give the density gates (as :func:`gate_mask`) and, on
+    the gated rows, :func:`_loo_weights` writes the leave-one-out weights
+    to a buffer of its own, leaving the shared roots for the next h.  The
+    plug-in value at a probe is ``(raw @ targets) / total``, softmaxed at
+    ``temperature`` unless that is None.  Each point gets the arithmetic a
+    pass of that point alone gets, to the bit.  A point whose every gate
+    stayed closed warns once, after the loop.
     """
     if train.n < 2:
         raise ValueError("need at least two points")
     feats = train.features
     n, d = feats.shape
-    h = spec.bandwidth
+    # the points of each distinct t, each with its h and its gate's reach
+    by_t = {}
+    for j, (spec, t) in enumerate(points):
+        h = spec.bandwidth
+        by_t.setdefault(t, []).append((j, h, h * h + 1e-12))
     columns = np.ascontiguousarray(feats.T)
     cross = np.empty((d, n))
+    scaled = np.empty((d, n))
     base = np.empty(n)
-    sq = np.empty((2 * d, n))
+    shifted = np.empty(n)
+    dists = np.empty((2 * d, n))
+    weights = np.empty((2 * d, n))
     nearest = np.empty(2 * d)
-    any_gate = False
+    opened = [False] * len(points)
     for idx in range(n):
         np.subtract(feats[idx][:, None], columns, out=cross)
-        # sq[:d] holds the squares until the + probes overwrite it
-        np.sum(np.square(cross, out=sq[:d]), axis=0, out=base)
-        base += t * t
-        cross *= 2.0 * t
-        np.add(base, cross, out=sq[:d])
-        np.subtract(base, cross, out=sq[d:])
-        # features are finite, so "some point within h" is "the nearest is"
-        inside = np.min(sq, axis=1, out=nearest) <= h * h + 1e-12
-        mask = inside[:d] & inside[d:]
-        if not mask.any():
-            continue
-        any_gate = True
-        active = np.flatnonzero(mask)
-        m = len(active)
-        rows = sq if m == d else sq[np.concatenate([active, d + active])]
-        raw, total = _loo_weights(spec, rows, idx)
-        vals = raw @ targets
-        vals /= total if vals.ndim == 1 else total[:, None]
-        if temperature is not None:
-            vals = _softmax(vals / temperature)
-        diffs = np.zeros((d,) + vals.shape[1:])
-        diffs[active] = (vals[:m] - vals[m:]) / (2.0 * t)
-        yield mask, diffs
-    if not any_gate:
-        warnings.warn(
-            f"every density gate failed on {n} rows at h = {h:g}, t = {t:g}; estimate is zero"
-        )
+        # scaled holds the squares until the first t overwrites it
+        np.sum(np.square(cross, out=scaled), axis=0, out=base)
+        for t, group in by_t.items():
+            np.add(base, t * t, out=shifted)
+            np.multiply(cross, 2.0 * t, out=scaled)
+            np.add(shifted, scaled, out=dists[:d])
+            np.subtract(shifted, scaled, out=dists[d:])
+            # features are finite, so "some point within h" is "the nearest is"
+            np.min(dists, axis=1, out=nearest)
+            rooted = False
+            for j, h, reach in group:
+                inside = nearest <= reach
+                mask = inside[:d] & inside[d:]
+                if not mask.any():
+                    continue
+                opened[j] = True
+                if not rooted:
+                    # rounding can take a squared distance just below 0
+                    if nearest.min() < 0.0:
+                        np.maximum(dists, 0.0, out=dists)
+                    np.sqrt(dists, out=dists)
+                    rooted = True
+                if mask.all():
+                    active, m, rows = None, d, dists
+                else:
+                    active = np.flatnonzero(mask)
+                    m = len(active)
+                    rows = dists[np.concatenate([active, d + active])]
+                raw, total = _loo_weights(h, rows, idx, weights[: 2 * m])
+                vals = raw @ targets
+                vals /= total if vals.ndim == 1 else total[:, None]
+                if temperature is not None:
+                    vals = _softmax(vals / temperature)
+                diffs = (vals[:m] - vals[m:]) / (2.0 * t)
+                if active is not None:
+                    full = np.zeros((d,) + vals.shape[1:])
+                    full[active] = diffs
+                    diffs = full
+                yield j, mask, diffs
+    for j, (spec, t) in enumerate(points):
+        if not opened[j]:
+            warnings.warn(
+                f"every density gate failed on {n} rows at h = {spec.bandwidth:g}, t = {t:g}; "
+                "estimate is zero"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,16 +210,18 @@ class GradientPass:
     counts: np.ndarray
 
 
-def gradient_pass(train: Dataset, spec: KernelSpec, t: float, temperature=None) -> GradientPass:
-    """One pass over the sample, in sample order: the one per-sample loop of
-    GW, EGOP and EJOP.
+def gradient_passes(train: Dataset, points, temperature=None) -> list[GradientPass]:
+    """One pass over the sample, in sample order, for every ``(KernelSpec,
+    t)`` of ``points``: the one per-sample loop of GW, EGOP and EJOP.  The
+    i-th :class:`GradientPass` is what :func:`gradient_pass` returns for
+    the i-th point, bit for bit.
 
     With ``temperature`` None it probes the leave-one-out kernel regression
     of the labels, the surface GW and EGOP share; otherwise the class mass
     softmaxed at that temperature, the surface of EJOP.
     """
     d = train.d
-    outer, abs_sums, counts = np.zeros((d, d)), np.zeros(d), np.zeros(d)
+    sums = [(np.zeros((d, d)), np.zeros(d), np.zeros(d)) for _ in points]
     if temperature is None:
         targets = np.asarray(train.labels, dtype=float)
     else:
@@ -194,14 +230,23 @@ def gradient_pass(train: Dataset, spec: KernelSpec, t: float, temperature=None) 
     # central differences over a tiny t, or of a huge slope, overflow these
     # sums; the estimators check them and name the pass, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for mask, grad in _gradient_pass(train, spec, t, targets, temperature):
+        for j, mask, grad in _gradient_pass(train, points, targets, temperature):
+            outer, abs_sums, counts = sums[j]
             counts += mask
             if temperature is None:
                 abs_sums += np.abs(grad)
-                outer += np.outer(grad, grad)
+                outer += grad[:, None] * grad
             else:
                 outer += grad @ grad.T
-    return GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)
+    return [
+        GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)
+        for (spec, t), (outer, abs_sums, counts) in zip(points, sums)
+    ]
+
+
+def gradient_pass(train: Dataset, spec: KernelSpec, t: float, temperature=None) -> GradientPass:
+    """:func:`gradient_passes` of the one point (``spec``, ``t``)."""
+    return gradient_passes(train, [(spec, t)], temperature)[0]
 
 
 def _check_class_surface(train: Dataset, temperature) -> None:

@@ -14,8 +14,8 @@ Frobenius norm.
 Training infers on hard Hamming distances.  Retrieval ranks database codes
 by the soft distance |code - tanh(s * Ux)|^2 / 4 instead, since short codes
 tie constantly, with s calibrated so projections average |tanh| of 0.4.
-The set score and one code's soft distance, which only references use, are
-in :mod:`nnmetric.bruteforce`.
+The set score, one code's soft distance and the relaxed gradients of one
+member set, which only references use, are in :mod:`nnmetric.bruteforce`.
 """
 
 from __future__ import annotations
@@ -108,19 +108,6 @@ def _tanh_prime(z):
     return 1.0 - np.tanh(z) ** 2
 
 
-def query_side_grad(u, x, other_code_sum_diff) -> np.ndarray:
-    """[tanh'(Ux) o (sum of h-hat codes - sum of h* codes)] x^T."""
-    x = np.asarray(x, dtype=float)
-    return np.outer(_tanh_prime(u @ x) * other_code_sum_diff, x)
-
-
-def db_side_grad(v, members, query_code) -> np.ndarray:
-    """sum over members of (query_code o tanh'(V x_j)) x_j^T."""
-    xs = np.atleast_2d(np.asarray(members, dtype=float))
-    proj = xs @ v.T
-    return (_tanh_prime(proj) * query_code).T @ xs
-
-
 @dataclass(frozen=True)
 class HammingTrainConfig:
     """Knobs for the hash trainer: c bits, k neighbors; epochs, seed and
@@ -172,11 +159,20 @@ def train_hamming(train: Dataset, config: HammingTrainConfig) -> TrainResult:
 
     def update(hasher, t, x, h_hat, h_star):
         u, v = hasher.u, hasher.v
-        q = binarize(u, x)
+        k = len(h_hat)
+        # the 2k member rows of both sets, projected once for codes and gradients
+        rows = feats[np.concatenate([h_hat, h_star])]
+        proj = rows @ v.T
+        ux = u @ x
+        q = sign_pm1(ux)
         # the code sums of the two k-row sets; sums of +-1 are exact
-        code_diff = encode(v, feats[h_hat]).sum(axis=0) - encode(v, feats[h_star]).sum(axis=0)
-        grad_u = query_side_grad(u, x, code_diff)
-        grad_v = db_side_grad(v, feats[h_hat], q) - db_side_grad(v, feats[h_star], q)
+        codes = sign_pm1(proj)
+        code_diff = codes[:k].sum(axis=0) - codes[k:].sum(axis=0)
+        # [tanh'(Ux) o code_diff] x^T, and the sums over members of
+        # (q o tanh'(V x_j)) x_j^T, h-hat's minus h*'s
+        grad_u = np.outer(_tanh_prime(ux) * code_diff, x)
+        pulled = _tanh_prime(proj) * q
+        grad_v = pulled[:k].T @ rows[:k] - pulled[k:].T @ rows[k:]
         eta = 1.0 / t
         return HammingHasher(u=_normalize(u - eta * grad_u), v=_normalize(v - eta * grad_v))
 

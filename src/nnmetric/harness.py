@@ -50,7 +50,7 @@ from .gradient_metrics import (
     estimate_egop,
     estimate_ejop,
     estimate_gw,
-    gradient_pass,
+    gradient_passes,
     relieff_weights,
 )
 from .hamming import HammingTrainConfig, hamming_predictions, train_hamming
@@ -368,26 +368,20 @@ def _objective(predictions, truth, task: str) -> float:
     return float(np.mean(diff**2))
 
 
-def _radius_from_quantile(feats: np.ndarray, q: float) -> float:
+def _radii(feats: np.ndarray) -> dict:
+    """The hnn radius of each of _RADIUS_QUANTILES on transformed features:
+    that quantile of their pairwise distances, or the largest distance
+    (1 when all are 0) where the quantile is 0."""
     n = feats.shape[0]
     if n > _RADIUS_SAMPLE:
         feats = feats[:: -(-n // _RADIUS_SAMPLE)]
     sq_norms = np.sum(feats**2, axis=1)
     sq = np.maximum(sq_norms[:, None] - 2.0 * feats @ feats.T + sq_norms[None, :], 0.0)
     upper = np.sqrt(sq[np.triu_indices(feats.shape[0], k=1)])
-    radius = float(np.quantile(upper, q))
-    if radius > 0:
-        return radius
+    quantiles = np.quantile(upper, _RADIUS_QUANTILES)
     top = float(upper.max())
-    return top if top > 0 else 1.0
-
-
-def _make_rule(config: ExperimentConfig, params: dict, transformed_feats):
-    """The neighbor rule for one grid point; hnn resolves its radius here."""
-    if config.rule == "knn":
-        return NeighborRule("knn", k=int(params["k"])), {}
-    radius = _radius_from_quantile(transformed_feats, float(params["q"]))
-    return NeighborRule("hnn", radius=radius), {"radius": radius}
+    fallback = top if top > 0 else 1.0
+    return {q: float(r) if r > 0 else fallback for q, r in zip(_RADIUS_QUANTILES, quantiles)}
 
 
 def _indicator_dataset(ds: Dataset, method: str) -> Dataset:
@@ -448,7 +442,7 @@ def _memoised(memo: dict, key, compute):
 
 
 def _fit_transform(
-    method: str, ds: Dataset, params: dict, config: ExperimentConfig, memo: dict
+    method: str, ds: Dataset, params: dict, config: ExperimentConfig, memo: dict, grid=()
 ):
     """Returns (transform matrix or None, raw estimate to save or None).
 
@@ -456,7 +450,12 @@ def _fit_transform(
     content, h, t, and the EJOP temperature), shared by GW and EGOP because
     they probe the same real surface, one result per method and pass, and
     the ReliefF weights of each fit split (see :func:`_relieff_weights_for`);
-    the ``grid.k`` and hnn quantile axes reuse them.
+    the ``grid.k`` and hnn quantile axes reuse them.  A pass the memo lacks
+    comes from one :func:`gradient_passes` call over the (h, t) of
+    ``params`` and every (h, t) of ``grid`` not yet memoised, each memoised
+    under its own key: a tuning split passes its method's whole grid, so
+    one loop over its samples serves every point, and the refit passes
+    none and computes only its chosen point.
     """
     if method == "euclidean":
         return None, None
@@ -469,12 +468,19 @@ def _fit_transform(
         surface, temperature = ds, config.temperature
     else:
         surface, temperature = _indicator_dataset(ds, method), None
-    key = (_content_key(surface), spec.bandwidth, t, temperature)
+    content = _content_key(surface)
+    key = (content, spec.bandwidth, t, temperature)
 
     def estimate():
-        passed = _memoised(
-            memo, ("pass", *key), lambda: gradient_pass(surface, spec, t, temperature)
-        )
+        if ("pass", *key) not in memo:
+            points = dict.fromkeys([(spec.bandwidth, t), *grid])
+            missing = [p for p in points if ("pass", content, *p, temperature) not in memo]
+            passes = gradient_passes(
+                surface, [(KernelSpec(bandwidth=h), pt) for h, pt in missing], temperature
+            )
+            for point, passed in zip(missing, passes):
+                memo["pass", content, *point, temperature] = passed
+        passed = memo["pass", *key]
         if method == "gw":
             weights = estimate_gw(surface, spec, t, passed=passed)
             return np.diag(np.sqrt(weights)), weights[None, :]
@@ -516,12 +522,27 @@ def _transform_family(method, train, config, memo):
         grid = [{"k": k} for k in config.grid_k]
     else:
         grid = [{"q": q} for q in _RADIUS_QUANTILES]
+    points = ()
     if method not in ("euclidean", "relieff"):
         grid = [{"h": h, "t": t, **r} for h in config.grid_h for t in config.grid_t for r in grid]
+        points = tuple(dict.fromkeys((float(p["h"]), float(p["t"])) for p in grid))
 
     def fit(ds, params):
-        transform, estimate = _fit_transform(method, ds, params, config, memo)
-        rule, extra = _make_rule(config, params, transform_features(ds.features, transform))
+        # a tuning split runs its whole (h, t) grid in one pass; the refit its point alone
+        transform, estimate = _fit_transform(
+            method, ds, params, config, memo, () if ds is train else points
+        )
+        if config.rule == "knn":
+            rule, extra = NeighborRule("knn", k=int(params["k"])), {}
+        else:
+            # one set of radii per transformed split serves every quantile
+            radii = _memoised(
+                memo,
+                ("radii", method, _content_key(ds), params.get("h"), params.get("t")),
+                lambda: _radii(transform_features(ds.features, transform)),
+            )
+            radius = radii[params["q"]]
+            rule, extra = NeighborRule("hnn", radius=radius), {"radius": radius}
         artifacts = {"transform": transform if transform is not None else np.eye(ds.d)}
         meta = {}
         if estimate is not None:

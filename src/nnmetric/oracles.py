@@ -435,10 +435,13 @@ def _suite_neighbors(budget, rng):
 
 
 def _suite_estimators(budget, rng):
-    """GW, EGOP and EJOP as the harness fits them (one memo per instance, so
-    EGOP reduces the pass GW ran) against bruteforce.explicit_loo.  Odd
-    instances draw t < h, where every gate is open; even ones t > h, where
-    gates close for some samples or coordinates, or for all of them."""
+    """GW, EGOP and EJOP as the harness tunes them against
+    bruteforce.explicit_loo.  Each instance fits a 2 x 2 grid of two h and
+    two t through one memo, as a tuning split does: the first fit runs one
+    pass over every point, EGOP reduces the passes GW ran, and each point is
+    checked.  One t lies below both h, where every gate is open; the other
+    above both, where gates close for some samples or coordinates, or for
+    all of them.  So the two h of each t share that t's probe distances."""
     for i in range(budget):
         n_classes = int(rng.integers(2, 4))
         n, d = int(rng.integers(2 * n_classes, 13)), int(rng.integers(1, 4))
@@ -447,46 +450,50 @@ def _suite_estimators(budget, rng):
                                 + [rng.integers(1, n_classes + 1, size=n - 2 * n_classes)])
         classed = Dataset(features=feats, labels=labels[rng.permutation(n)], kind=CLASS)
         real = Dataset(features=feats, labels=rng.normal(size=n), kind=REAL)
-        h = float(rng.uniform(0.2, 0.6))
-        t = h * float(rng.uniform(0.2, 0.9) if i % 2 else rng.uniform(1.1, 2.0))
+        hs = tuple(float(h) for h in rng.uniform(0.2, 0.6, size=2))
+        ts = (min(hs) * float(rng.uniform(0.2, 0.9)), max(hs) * float(rng.uniform(1.1, 2.0)))
         temperature = float(rng.choice([0.5, 1.0, 2.0]))
-        spec = KernelSpec(bandwidth=h)
-        params = {"h": h, "t": t}
+        points = tuple((h, t) for h in hs for t in ts)
         config = harness.ExperimentConfig(
             task="classify", methods=("ejop",), temperature=temperature
         )
         memo = {}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # every gate may fail on purpose
-            got = {method: harness._fit_transform(method, ds, params, config, memo)[1]
-                   for method, ds in (("gw", real), ("egop", real), ("ejop", classed))}
-        loo = bruteforce.explicit_loo(
-            real, spec, t, lambda rest, z: bruteforce.kernel_regress(rest, spec, z)
-        )
-        jac = bruteforce.explicit_loo(
-            classed, spec, t,
-            lambda rest, z: bruteforce.kernel_class_probs(rest, spec, z, temperature),
-        )
-        counts = sum(mask for mask, _ in loo)
-        want = {
-            "gw": sum(np.abs(g) for _, g in loo) / np.maximum(counts, 1.0),
-            "egop": sum(np.outer(g, g) for _, g in loo) / n,
-            # a sample with every gate closed yields a zero gradient, not a Jacobian
-            "ejop": sum(j.reshape(d, -1) @ j.reshape(d, -1).T for _, j in jac) / n,
-        }
-        for method in want:
-            value, ref = np.asarray(got[method]).reshape(want[method].shape), want[method]
-            if not np.abs(value - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max()):
-                return i + 1, {
-                    "check": method,
-                    "features": feats,
-                    "labels": (real if method != "ejop" else classed).labels,
-                    "h": h,
-                    "t": t,
-                    "temperature": temperature,
-                    "got": value,
-                    "want": ref,
-                }
+        for h, t in points:
+            params = {"h": h, "t": t}
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # every gate may fail on purpose
+                got = {method: harness._fit_transform(method, ds, params, config, memo,
+                                                      points)[1]
+                       for method, ds in (("gw", real), ("egop", real), ("ejop", classed))}
+            spec = KernelSpec(bandwidth=h)
+            loo = bruteforce.explicit_loo(
+                real, spec, t, lambda rest, z: bruteforce.kernel_regress(rest, spec, z)
+            )
+            jac = bruteforce.explicit_loo(
+                classed, spec, t,
+                lambda rest, z: bruteforce.kernel_class_probs(rest, spec, z, temperature),
+            )
+            counts = sum(mask for mask, _ in loo)
+            want = {
+                "gw": sum(np.abs(g) for _, g in loo) / np.maximum(counts, 1.0),
+                "egop": sum(np.outer(g, g) for _, g in loo) / n,
+                # a sample with every gate closed yields a zero gradient, not a Jacobian
+                "ejop": sum(j.reshape(d, -1) @ j.reshape(d, -1).T for _, j in jac) / n,
+            }
+            for method in want:
+                value, ref = np.asarray(got[method]).reshape(want[method].shape), want[method]
+                if not np.abs(value - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max()):
+                    return i + 1, {
+                        "check": method,
+                        "features": feats,
+                        "labels": (real if method != "ejop" else classed).labels,
+                        "h": h,
+                        "t": t,
+                        "grid": points,
+                        "temperature": temperature,
+                        "got": value,
+                        "want": ref,
+                    }
     return budget, None
 
 

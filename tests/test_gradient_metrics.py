@@ -2,6 +2,8 @@
 ``bruteforce``), and the averaged-outer-product metric estimators, checked
 against hand values, oracles, and known geometry."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import loo_pass, probed_pass
@@ -24,6 +26,7 @@ from nnmetric.gradient_metrics import (
     estimate_gw,
     gate_mask,
     gradient_pass,
+    gradient_passes,
     relieff_weights,
 )
 from nnmetric.numerics import sym_eig
@@ -468,6 +471,51 @@ class TestGradientPass:
             estimate(train, spec, t, passed=broken)
 
 
+class TestGridPass:
+    """One loop over the sample for several (h, t) points gives each point
+    the pass it gets alone, to the bit.  On :func:`partly_gated` data the
+    points cover a shared t with several h, a repeated point, a point whose
+    every gate closes, partly gated samples (some coordinates open, some
+    closed) and rows that fall back to uniform weights."""
+
+    POINTS = [(0.35, 0.4), (0.5, 0.4), (0.05, 0.4), (0.35, 0.4), (0.1, 0.05), (0.5, 0.05)]
+
+    @pytest.mark.parametrize("kind, temperature", [(REAL, None), (CLASS, 0.5)])
+    def test_grid_pass_equals_one_point_passes(self, kind, temperature):
+        train, _, _ = partly_gated(kind)
+        points = [(KernelSpec(bandwidth=h), t) for h, t in self.POINTS]
+        with pytest.warns(UserWarning, match=r"at h = 0\.05, t = 0\.4;") as caught:
+            grid = gradient_passes(train, points, temperature)
+        assert len(caught) == 1
+        for (spec, t), got in zip(points, grid):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = gradient_pass(train, spec, t, temperature)
+            assert (got.n, got.h, got.t, got.temperature) == (
+                want.n, want.h, want.t, want.temperature
+            )
+            for sums in ("outer", "abs_sums", "counts"):
+                assert getattr(got, sums).tobytes() == getattr(want, sums).tobytes()
+
+    def test_points_cover_closed_partial_and_fallback_cases(self):
+        train, _, _ = partly_gated()
+        X, d = train.features, train.d
+        masks = {
+            (h, t): np.array([gate_mask(train, x, t, h) for x in X]) for h, t in self.POINTS
+        }
+        assert not masks[0.05, 0.4].any()
+        partial = masks[0.35, 0.4]
+        assert (partial.any(axis=1) & ~partial.all(axis=1)).any()
+        # an open gate whose probe holds no point but its own sample
+        h, t = 0.1, 0.05
+        fallback = 0
+        for idx, x in enumerate(X):
+            probes = np.vstack([x + t * np.eye(d), x - t * np.eye(d)])
+            sq = np.sum((probes[:, None, :] - np.delete(X, idx, axis=0)[None]) ** 2, axis=2)
+            fallback += int(np.sum(~np.any(sq <= h * h, axis=1)))
+        assert masks[h, t].all() and fallback > 0
+
+
 def dyadic_grid(kind):
     """25 points on the 0.25-spaced grid of [0, 1]^2, three of them doubled:
     with t and h multiples of 0.25 every probe of every sample lands on a
@@ -483,6 +531,14 @@ def dyadic_grid(kind):
     return class_dataset(X, labels)
 
 
+def kernel_plug_in(spec, temperature):
+    """The kernel regression (``temperature`` None) or the softmaxed class
+    mass the pass probes, refit on ``rest``."""
+    if temperature is None:
+        return lambda rest, z: kernel_regress(rest, spec, z)
+    return lambda rest, z: kernel_class_probs(rest, spec, z, temperature)
+
+
 class TestExactGeometry:
     """Duplicate rows, training points exactly on a probe and points exactly
     h from a probe: the pass agrees with the explicit leave-one-out refit,
@@ -494,18 +550,34 @@ class TestExactGeometry:
         train = dyadic_grid(REAL if temperature is None else CLASS)
         spec = KernelSpec(bandwidth=h)
 
-        def plug_in(rest, z):
-            if temperature is None:
-                return kernel_regress(rest, spec, z)
-            return kernel_class_probs(rest, spec, z, temperature)
-
         passed = gradient_pass(train, spec, t, temperature)
-        want = loo_pass(train, spec, t, plug_in, temperature)
+        want = loo_pass(train, spec, t, kernel_plug_in(spec, temperature), temperature)
         np.testing.assert_array_equal(passed.counts, want.counts)
         np.testing.assert_allclose(passed.outer, want.outer, atol=1e-12)
         np.testing.assert_allclose(passed.abs_sums, want.abs_sums, atol=1e-12)
         for sums in (passed.outer, passed.abs_sums):
             assert np.isfinite(sums).all()
+
+    @pytest.mark.parametrize("temperature", [None, 0.5])
+    def test_probe_on_a_rounded_point_stays_finite(self, temperature):
+        """0.15 + 0.3 rounds down, so the expansion puts that point a
+        squared distance of -2.8e-17 from the first sample's + probe; the
+        pass clamps it at 0 before its root."""
+        x, t = 0.15, 0.3
+        cross = x - (x + t)
+        assert cross * cross + t * t + 2.0 * t * cross < 0.0
+        features = [[x], [x + t], [1.0]]
+        if temperature is None:
+            train = real_dataset(features, [0.0, 1.0, 3.0])
+        else:
+            train = class_dataset(features, [1, 2, 2])
+        spec = KernelSpec(bandwidth=0.5)
+
+        passed = gradient_pass(train, spec, t, temperature)
+        want = loo_pass(train, spec, t, kernel_plug_in(spec, temperature), temperature)
+        assert np.isfinite(passed.outer).all() and np.isfinite(passed.abs_sums).all()
+        np.testing.assert_allclose(passed.outer, want.outer, atol=1e-12)
+        np.testing.assert_allclose(passed.abs_sums, want.abs_sums, atol=1e-12)
 
     def test_geometry_is_present(self):
         """The grid holds each case the class above is about."""

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from nnmetric import bruteforce
-from nnmetric.bruteforce import asym_hamming_distance, hamming_score
+from nnmetric.bruteforce import (
+    asym_hamming_distance,
+    db_side_grad,
+    hamming_score,
+    query_side_grad,
+)
 from nnmetric.dataset import CLASS, REAL, Dataset
 from nnmetric.gerrymander import surrogate_core
 from nnmetric.hamming import (
@@ -13,10 +18,8 @@ from nnmetric.hamming import (
     HammingTrainConfig,
     binarize,
     calibrate_scales,
-    db_side_grad,
     encode,
     hamming_predictions,
-    query_side_grad,
     random_hasher,
     sign_pm1,
     train_hamming,

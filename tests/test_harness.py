@@ -326,12 +326,25 @@ class TestCmdOracle:
         assert outcome.failure["got"] != outcome.failure["want"]
 
     def test_estimators_suite_fails_when_queried_point_keeps_weight(self, monkeypatch):
-        def keeps_own(spec, sq, own):
-            raw = np.maximum(0.0, spec.bandwidth - np.sqrt(np.maximum(sq, 0.0)))
-            raw[raw.sum(axis=1) == 0.0] = 1.0
-            return raw, raw.sum(axis=1)
+        def keeps_own(h, dists, own, out):
+            np.maximum(0.0, h - dists, out=out)
+            out[out.sum(axis=1) == 0.0] = 1.0
+            return out, out.sum(axis=1)
 
         monkeypatch.setattr(gm, "_loo_weights", keeps_own)
+        outcome = run_oracle("estimators", 200)
+        assert outcome.failure is not None
+        assert outcome.failure["check"] in ("gw", "egop", "ejop")
+
+    def test_estimators_suite_fails_when_an_h_overwrites_shared_roots(self, monkeypatch):
+        """Weights written over the probe distances that every h of a t
+        shares: the next h of that t weighs the first h's weights."""
+        original = gm._loo_weights
+
+        def in_place(h, dists, own, out):
+            return original(h, dists, own, dists)
+
+        monkeypatch.setattr(gm, "_loo_weights", in_place)
         outcome = run_oracle("estimators", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] in ("gw", "egop", "ejop")
@@ -858,25 +871,32 @@ def output_bytes(out_dir):
 
 class TestEstimatorMemo:
     def test_one_pass_per_split_h_and_t(self, tmp_path, monkeypatch):
-        """GW and EGOP share each pass, and the two k values reuse it: the
-        2 folds x 2 h of tuning plus the refit (h) of each method."""
-        passes, egop_calls = [], []
-        pass_fn, egop_fn = harness.gradient_pass, harness.estimate_egop
+        """GW and EGOP share each pass, and the two k values reuse it: each
+        tuning split computes its 2 h x 2 t in one call, each refit its
+        chosen (h, t) alone, and no (split, h, t) is computed twice."""
+        calls, egop_calls = [], []
+        passes_fn, egop_fn = harness.gradient_passes, harness.estimate_egop
 
-        def counted_pass(train, spec, t, temperature=None):
-            passes.append((harness._content_key(train), spec.bandwidth, t, temperature))
-            return pass_fn(train, spec, t, temperature)
+        def counted_passes(train, points, temperature=None):
+            key = harness._content_key(train)
+            calls.append([(key, spec.bandwidth, t, temperature) for spec, t in points])
+            return passes_fn(train, points, temperature)
 
         def counted_egop(train, spec, t, **kwargs):
             egop_calls.append(1)
             return egop_fn(train, spec, t, **kwargs)
 
-        monkeypatch.setattr(harness, "gradient_pass", counted_pass)
+        monkeypatch.setattr(harness, "gradient_passes", counted_passes)
         monkeypatch.setattr(harness, "estimate_egop", counted_egop)
-        result = run_experiment(read_config(estimator_config(tmp_path, "m", 2)))
-        refits = {result.models[m].params["h"] for m in ("gw", "egop")}
-        assert len(passes) == len(set(passes)) == 4 + len(refits)
-        assert len(egop_calls) == 4 + 1
+        result = run_experiment(
+            read_config(estimator_config(tmp_path, "m", 2, **{"grid.t": "0.5, 0.75"}))
+        )
+        refits = {(result.models[m].params["h"], result.models[m].params["t"])
+                  for m in ("gw", "egop")}
+        points = [point for call in calls for point in call]
+        assert len(points) == len(set(points)) == 2 * 4 + len(refits)
+        assert sorted(len(call) for call in calls) == [1] * len(refits) + [4, 4]
+        assert len(egop_calls) == 2 * 4 + 1
 
     def test_runs_in_one_process_match_fresh_runs(self, tmp_path):
         """A run after another run on other data writes what a run in a
