@@ -4,11 +4,12 @@ The inference references enumerate candidate neighbor sets outright, so they
 are only usable at small n choose k, but they are obviously correct; the
 eigensolver reference is a plain cyclic Jacobi iteration, and the gradient
 pass reference probes a plug-in refit on the sample without each point.  The
-helpers only references call (set scores, the feature map Psi, the soft
-Hamming distance, the relaxed Hamming gradients of one member set, kernel
-plug-ins, central differences) live here too.  The test suite and the oracle
-suites (:mod:`nnmetric.oracles`) check the fast routines against these; no
-run imports this module.  Keep these independent of the code they check: of
+helpers only references call (set scores, the feature map Psi, the
+asymmetric score partials of one member set, the soft Hamming distance, the
+relaxed Hamming gradients of one member set, kernel plug-ins, central
+differences) live here too.  The test suite and the oracle suites
+(:mod:`nnmetric.oracles`) check the fast routines against these; no run
+imports this module.  Keep these independent of the code they check: of
 ``gradient_metrics`` only ``gate_mask`` is used, which the pass itself never
 calls.
 """
@@ -150,6 +151,17 @@ def feature_map_psi(x, h, train) -> np.ndarray:
     diffs = np.asarray(x, dtype=float) - train.features[np.asarray(h, dtype=int)]
     psi = -diffs.T @ diffs
     return np.triu(psi) + np.triu(psi, 1).T
+
+
+def asym_score_grads(u, v, x, h, train):
+    """Partials of the asymmetric score S(x, h) = -sum_j |Ux - Vx_j|^2 wrt U
+    (query side) and V (database side), from h's own gather."""
+    xs = train.features[np.asarray(h, dtype=int)]
+    x = np.asarray(x, dtype=float)
+    k = xs.shape[0]
+    grad_u = -2.0 * np.outer(k * (u @ x) - v @ xs.sum(axis=0), x)
+    grad_v = -2.0 * (v @ (xs.T @ xs) - np.outer(u @ x, xs.sum(axis=0)))
+    return grad_u, grad_v
 
 
 def hamming_score(hasher, x, h, train) -> float:

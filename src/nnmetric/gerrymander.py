@@ -20,6 +20,7 @@ distance |Ux - Vx_j|^2 (asymmetric variant).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,61 +78,125 @@ def n_star(n_classes: int, k: int, ties_forbidden: bool) -> int:
     return -(-(k + tau * (n_classes - 1)) // n_classes)
 
 
-def _finite_order(dists):
-    order = np.argsort(dists, kind="stable")
-    return order[np.isfinite(dists[order])]
-
-
 class _Candidates(NamedTuple):
-    order: np.ndarray  # the k nearest finite points of each class, by (distance, index)
-    labels: np.ndarray
-    rank: np.ndarray  # each point's rank among the finite points of its class
+    """The k nearest finite points of each class, as positions 0..p-1 in
+    (distance, index) order, and every (tau, class, m) set of them."""
+
+    order: np.ndarray  # each position's index into the distances
     n_finite: int
-    classes: np.ndarray  # the classes with a finite point, ascending
+    classes: list  # the classes with a finite point, ascending
+    sets: np.ndarray | None  # (tau, class, m) -> the set's positions, ascending
+    totals: list | None  # (tau, class, m) -> the set's distance sum in member order
+    rescored: list | None  # (class, m) -> the tau=0 set's sum in nearest-first order
+    feasible: tuple  # (tau, class) -> the indices on the m axis of the feasible sets
+
+
+@lru_cache(maxsize=None)
+def _tiers(n_classes: int, k: int) -> np.ndarray:
+    """The tier of every candidate code in every (tau, class, m) set, m
+    from the tie-allowing minimum n_star up to k.
+
+    A candidate's code is (its class's row among the candidate classes) * k
+    + its rank in its class.  Tier 0 holds the set's class's points of rank
+    below m, tier 1 the other points of rank below m - tau, tiers 2 and 3
+    the rest of the set's class and of the others.
+    """
+    row, rank = np.divmod(np.arange(n_classes * k), k)
+    tau = np.arange(2)[:, None, None, None]
+    other = row != np.arange(n_classes)[:, None, None]
+    m = np.arange(n_star(n_classes, k, ties_forbidden=False), k + 1)[:, None]
+    tiers = other + 2 * (rank + tau * other >= m)
+    tiers.flags.writeable = False
+    return tiers
+
+
+@lru_cache(maxsize=4096)
+def _feasible(sizes: tuple, k: int) -> tuple:
+    """Per tau and class, the indices on the m axis of :func:`_tiers` whose
+    set exists: the class has m candidates, and the others have k - m of
+    rank below m - tau between them.  ``sizes`` holds each class's number of
+    candidates."""
+    least = n_star(len(sizes), k, ties_forbidden=False)
+    return tuple(
+        tuple(
+            tuple(m - least for m in range(least, size + 1)
+                  if sum(min(m - tau, other) for other in sizes) - min(m - tau, size) >= k - m)
+            for size in sizes
+        )
+        for tau in (0, 1)
+    )
 
 
 def _candidates(dists, labels, k: int) -> _Candidates:
-    order = _finite_order(dists)
-    labs = labels[order]
-    counts = np.bincount(labs)
-    by_class = np.argsort(labs, kind="stable")
-    rank = np.empty(len(order), dtype=int)
-    rank[by_class] = np.arange(len(order)) - (np.cumsum(counts) - counts)[labs[by_class]]
-    keep = rank < k
-    return _Candidates(order[keep], labs[keep], rank[keep], len(order), np.flatnonzero(counts))
+    """The candidate list of every set a class can win, the k nearest
+    finite points of each class, and all those sets, scored.
 
+    One stable argsort orders the points by (distance, index); -inf sorts
+    first and +inf and NaN last, so the finite points are one block of it.
+    The block is scanned from its start, in prefixes that double in width,
+    until every class holds min(k, its finite points); the finite points
+    per class are the class counts less the non-finite points.
 
-def _best_sets(dists, cands: _Candidates, targets, k: int, tau: int) -> list:
-    """Per class of ``targets``, the best size-k set that class wins, as a
-    sorted list of positions in ``cands.order``, or None.
-
-    Every feasible (class, m) set of :func:`targeted_inference_core` is
-    listed in the member order of its greedy fill (the m nearest target
-    points, then the capped others) and all of them are scored with one
-    gather-and-sum, so each sum adds its terms in that order.  Per class
-    the first strict minimum over m wins.  ``cands.order`` is sorted by
-    (distance, index), so sorted positions list a set nearest-first.
+    Every (tau, class, m) set of :func:`targeted_inference_core` then comes
+    from one stable argsort of the candidates' tiers (:func:`_tiers`): its
+    first k positions are the set in the member order of its greedy fill
+    (the m nearest target points, then the capped others).  All sets are
+    scored with one gather-and-sum, so each sum adds its terms in that
+    member order; then each set is sorted, which lists it nearest-first,
+    and the tau=0 sets of :func:`loss_augmented_inference_core` are scored
+    again in that order.
     """
-    if not cands.n_finite:
-        return [None] * len(targets)
-    labs, rank = cands.labels.tolist(), cands.rank.tolist()
-    need = n_star(len(cands.classes), k, ties_forbidden=bool(tau))
-    sets, owners = [], []
-    for slot, target in enumerate(targets):
-        own = [p for p, lab in enumerate(labs) if lab == target]
-        others = [(p, r) for p, (lab, r) in enumerate(zip(labs, rank)) if lab != target]
-        for m in range(need, min(k, len(own)) + 1):
-            fill = [p for p, r in others if r < m - tau][: k - m]
-            if len(fill) == k - m:
-                sets.append(own[:m] + fill)
-                owners.append(slot)
-    best, best_total = [None] * len(targets), [np.inf] * len(targets)
-    if sets:
-        totals = dists[cands.order[np.array(sets)]].sum(axis=1).tolist()
-        for h, slot, total in zip(sets, owners, totals):
-            if total < best_total[slot]:
-                best[slot], best_total[slot] = h, total
-    return [None if h is None else sorted(h) for h in best]
+    order = dists.argsort(kind="stable")
+    n_finite = int(np.count_nonzero(np.isfinite(dists)))
+    lead = 0
+    if len(order) and dists[order[0]] == -np.inf:
+        lead = int(np.count_nonzero(dists == -np.inf))
+    sizes = np.bincount(labels).tolist()
+    for j in order[:lead].tolist() + order[lead + n_finite:].tolist():
+        sizes[labels[j]] -= 1
+    sizes = [min(size, k) for size in sizes]
+    classes = [c for c, size in enumerate(sizes) if size]
+    code_base = [0] * len(sizes)
+    for row, c in enumerate(classes):
+        code_base[c] = row * k
+    missing = sum(sizes) if n_finite >= k else 0  # no size-k set exists otherwise
+    seen = [0] * len(sizes)
+    near, codes = [], []
+    # 8 k points per class id hold every class's k nearest in most samples
+    # of mixed classes; a rare or distant class widens the prefix
+    start, width, end = lead, 8 * k * len(sizes), lead + n_finite
+    while missing and start < end:
+        block = order[start:min(start + width, end)]
+        for j, lab in zip(block.tolist(), labels[block].tolist()):
+            rank = seen[lab]
+            if rank < k:
+                seen[lab] = rank + 1
+                near.append(j)
+                codes.append(code_base[lab] + rank)
+                missing -= 1
+                if not missing:
+                    break
+        start, width = start + width, 2 * width
+    near = np.array(near, dtype=int)
+    if not codes:
+        return _Candidates(near, n_finite, classes, None, None, None, ((), ()))
+    near_dists = dists[near]
+    sets = _tiers(len(classes), k).take(codes, axis=-1).argsort(axis=-1, kind="stable")[..., :k]
+    totals = near_dists[sets].sum(axis=-1).tolist()
+    sets.sort(axis=-1)
+    rescored = near_dists[sets[0]].sum(axis=-1).tolist()
+    feasible = _feasible(tuple(sizes[c] for c in classes), k)
+    return _Candidates(near, n_finite, classes, sets, totals, rescored, feasible)
+
+
+def _first_minimum(totals, feasible):
+    """The first index of ``feasible`` where ``totals`` is strictly least,
+    or None when no total there is below inf."""
+    best, best_total = None, np.inf
+    for m in feasible:
+        if totals[m] < best_total:
+            best, best_total = m, totals[m]
+    return best
 
 
 def targeted_inference_core(dists, labels, target: int, k: int, tau: int,
@@ -143,27 +208,28 @@ def targeted_inference_core(dists, labels, target: int, k: int, tau: int,
     target share the maximum count.  For each m the best set takes the m
     nearest target points plus the nearest others, each non-target class
     capped at m - tau members; greedy filling under per-class caps is exact
-    because caps form a partition matroid.  The sets of every m are scored
-    together and the first strict minimum of the distance sum wins.  As m
-    and every cap are at most k, no set uses a point outside the k nearest
-    of its class, so only those are candidates.  ``cands`` is that list as
-    :func:`_candidates` builds it from ``dists``; one list serves every call
+    because caps form a partition matroid.  The first strict minimum of the
+    distance sum over m wins.  As m and every cap are at most k, no set
+    uses a point outside the k nearest of its class, so only those are
+    candidates.  ``cands`` is that list, with every set built and scored,
+    as :func:`_candidates` makes it from ``dists``; one serves both calls
     of a sample, and it is built here when omitted.
 
     Works on per-point distances, so any metric whose set score is additive
     over members can reuse it.  Excluded points carry infinite distance.
     Returns indices sorted nearest-first, ties by index.
     """
-    dists = np.asarray(dists, dtype=float)
     if cands is None:
-        cands = _candidates(dists, np.asarray(labels, dtype=int), k)
-    (h,) = _best_sets(dists, cands, [target], k, tau)
-    if h is None:
-        raise InfeasibleTargetError(
-            f"no size-{k} set of the {cands.n_finite} finite points lets class "
-            f"{target} win with tau={tau}"
-        )
-    return cands.order[h]
+        cands = _candidates(np.asarray(dists, dtype=float), np.asarray(labels, dtype=int), k)
+    if cands.sets is not None and target in cands.classes:
+        row = cands.classes.index(target)
+        m = _first_minimum(cands.totals[tau][row], cands.feasible[tau][row])
+        if m is not None:
+            return cands.order[cands.sets[tau, row, m]]
+    raise InfeasibleTargetError(
+        f"no size-{k} set of the {cands.n_finite} finite points lets class "
+        f"{target} win with tau={tau}"
+    )
 
 
 def loss_augmented_inference_core(dists, labels, y: int, k: int,
@@ -171,29 +237,24 @@ def loss_augmented_inference_core(dists, labels, y: int, k: int,
     """Argmax of score + 0/1 loss of the worst vote winner, by class reduction.
 
     For each feasible class r, the best r-winning set (ties allowed, tau=0)
-    is found as in :func:`targeted_inference_core`, the sets of every class
-    and m scored with one gather-and-sum.  The winners are scored again on
-    their nearest-first order, and the class maximizing score + [r != y]
-    wins (a win y shares is also a win of the other class, at loss 1).
-    Ties between classes go to the smallest id.  ``cands`` is as in
+    is found as in :func:`targeted_inference_core`.  The winners are scored
+    again on their nearest-first order, and the class maximizing score +
+    [r != y] wins (a win y shares is also a win of the other class, at loss
+    1).  Ties between classes go to the smallest id.  ``cands`` is as in
     :func:`targeted_inference_core`.
     """
-    labels = np.asarray(labels, dtype=int)
-    dists = np.asarray(dists, dtype=float)
     if cands is None:
-        cands = _candidates(dists, labels, k)
-    classes = cands.classes.tolist()
-    feasible = [(r, h) for r, h in zip(classes, _best_sets(dists, cands, classes, k, 0))
-                if h is not None]
-    if not feasible:
+        cands = _candidates(np.asarray(dists, dtype=float), np.asarray(labels, dtype=int), k)
+    best, best_value = None, -np.inf
+    for row, feasible in enumerate(cands.feasible[0]):
+        m = _first_minimum(cands.totals[0][row], feasible)
+        if m is not None:
+            value = -cands.rescored[row][m] + float(cands.classes[row] != y)
+            if value > best_value:
+                best, best_value = (row, m), value
+    if best is None:
         raise InfeasibleTargetError("no class admits a feasible neighbor set")
-    scores = (-dists[cands.order[np.array([h for _, h in feasible])]].sum(axis=1)).tolist()
-    best_h, best_value = None, -np.inf
-    for (r, h), s in zip(feasible, scores):
-        value = s + float(r != y)
-        if value > best_value:
-            best_h, best_value = h, value
-    return cands.order[best_h], best_value
+    return cands.order[cands.sets[0][best]], best_value
 
 
 def surrogate_core(dists, labels, y: int, k: int):
@@ -202,8 +263,9 @@ def surrogate_core(dists, labels, y: int, k: int):
 
     The surrogate max_h [S + loss] - max_{h votes y} S, with the 0/1 loss of
     the worst vote winner, is nonnegative and upper-bounds that loss at the
-    plain top-k neighbor set.  Per sample it builds one candidate list and
-    makes one loss-augmented and one targeted (tau=1) inference call.
+    plain top-k neighbor set.  Per sample it builds one candidate structure,
+    which holds every set both calls choose from, already scored, and makes
+    one loss-augmented and one targeted (tau=1) inference call.
     """
     dists = np.asarray(dists, dtype=float)
     labels = np.asarray(labels, dtype=int)
@@ -213,20 +275,25 @@ def surrogate_core(dists, labels, y: int, k: int):
     return augmented + float(dists[h_star].sum()), h_hat, h_star
 
 
-def asym_score_grads(u, v, x, h, train: Dataset):
-    """Partials of the asymmetric score wrt U (query side) and V (database side)."""
-    xs = train.features[np.asarray(h, dtype=int)]
-    x = np.asarray(x, dtype=float)
-    k = xs.shape[0]
-    grad_u = -2.0 * np.outer(k * (u @ x) - v @ xs.sum(axis=0), x)
-    grad_v = -2.0 * (v @ (xs.T @ xs) - np.outer(u @ x, xs.sum(axis=0)))
+def _asym_partials(v, x, ux, sets):
+    """Partials wrt U (query side) and V (database side) of the asymmetric
+    score of each set in ``sets``, an (s, k, d) stack of member rows, given
+    ``ux`` = U x.  The stack's products are batched products, which give
+    each set's own products bit for bit (a V-product of each row sum, and
+    each Gram matrix as BLAS forms X^T X), and the outer products are
+    broadcast products, which give np.outer's bits."""
+    totals = sets.sum(axis=1)
+    grad_u = -2.0 * ((sets.shape[1] * ux - (v @ totals[:, :, None])[..., 0])[:, :, None] * x)
+    grad_v = -2.0 * (v @ (sets.transpose(0, 2, 1) @ sets) - ux[:, None] * totals[:, None, :])
     return grad_u, grad_v
 
 
 def asym_reg_grads(u, v):
-    """Gradient terms of the joint-matrix Frobenius penalty."""
-    grad_u = 2.0 * (u @ u.T) @ u + 4.0 * (v @ v.T) @ u
-    grad_v = 2.0 * (v @ v.T) @ v + 4.0 * (u @ u.T) @ v
+    """Gradient terms of the joint-matrix Frobenius penalty, each Gram
+    product formed once."""
+    uu, vv = u @ u.T, v @ v.T
+    grad_u = 2.0 * uu @ u + 4.0 * vv @ u
+    grad_v = 2.0 * vv @ v + 4.0 * uu @ v
     return grad_u, grad_v
 
 
@@ -310,9 +377,11 @@ def sgd_rule(train: Dataset, c: float, variant: str):
         first = AsymmetricMetric(u=np.eye(train.d), v=np.eye(train.d))
 
         def update(metric, t, x, h_hat, h_star):
+            # the score partials of h-hat and h* take their 2k member rows
+            # from one gather, stacked, and share one U x
             eta = 1.0 / (t + _ASYM_LR_OFFSET)
-            gu_hat, gv_hat = asym_score_grads(metric.u, metric.v, x, h_hat, train)
-            gu_star, gv_star = asym_score_grads(metric.u, metric.v, x, h_star, train)
+            sets = train.features[np.concatenate((h_hat, h_star))].reshape(2, len(h_hat), -1)
+            (gu_hat, gu_star), (gv_hat, gv_star) = _asym_partials(metric.v, x, metric.u @ x, sets)
             reg_u, reg_v = asym_reg_grads(metric.u, metric.v)
             u = metric.u - eta * (c * (gu_hat - gu_star) + reg_u)
             v = metric.v - eta * (c * (gv_hat - gv_star) + reg_v)

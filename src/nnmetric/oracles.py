@@ -20,7 +20,7 @@ from . import bruteforce, harness
 from .dataset import CLASS, REAL, Dataset
 from .gerrymander import (
     AsymmetricMetric, GerryTrainConfig, InfeasibleTargetError, MahalanobisMetric,
-    asym_score_grads, loss_augmented_inference_core, metric_predictions,
+    _asym_partials, loss_augmented_inference_core, metric_predictions,
     surrogate_core, targeted_inference_core, train_sgd,
 )
 from .gradient_metrics import KernelSpec
@@ -52,17 +52,37 @@ def _random_vote_instance(rng, n_max=12):
     return feats, labels, metric, x, k, n_classes
 
 
+def _nearest_first_by_class(h, dists, labels) -> bool:
+    """Whether ``h`` lists its members by (distance, index) and holds, of
+    each class, that class's nearest finite points by (distance, index), as
+    every set the inference cores return does."""
+    key = [(float(dists[i]), int(i)) for i in h]
+    if key != sorted(key):
+        return False
+    pool = sorted((float(dists[i]), int(i)) for i in np.flatnonzero(np.isfinite(dists)))
+    for lab in set(labels[h].tolist()):
+        members = {i for _, i in key if labels[i] == lab}
+        nearest = [i for _, i in pool if labels[i] == lab][:len(members)]
+        if members != set(nearest):
+            return False
+    return True
+
+
 def _suite_inference(budget, rng):
+    """Odd draws floor their distances, so that ties are common and the
+    tie order by index is checked."""
     for i in range(budget):
         feats, labels, metric, x, k, n_classes = _random_vote_instance(rng)
         dists = metric.distances(x, feats)
+        if i % 2:
+            dists = np.floor(dists)
         y = int(rng.integers(1, n_classes + 1))
         tau = int(rng.integers(0, 2))
         try:
             h = targeted_inference_core(dists, labels, y, k, tau)
             got = -float(dists[h].sum())
         except InfeasibleTargetError:
-            got = None
+            h, got = None, None
         expected = bruteforce.brute_targeted(dists, labels, y, k, tau)
         want = None if expected is None else float(expected[1])
         bad = (got is None) != (want is None) or (
@@ -79,7 +99,7 @@ def _suite_inference(budget, rng):
                 "got": got,
                 "want": want,
             }
-        _, value = loss_augmented_inference_core(dists, labels, y, k)
+        h_hat, value = loss_augmented_inference_core(dists, labels, y, k)
         expected = bruteforce.brute_loss_augmented(dists, labels, y, k)
         if expected is None or abs(value - float(expected[1])) > 1e-9:
             return i + 1, {
@@ -91,6 +111,17 @@ def _suite_inference(budget, rng):
                 "got": value,
                 "want": None if expected is None else expected[1],
             }
+        for name, got_h in (("targeted_order", h), ("loss_augmented_order", h_hat)):
+            if got_h is not None and not _nearest_first_by_class(got_h, dists, labels):
+                return i + 1, {
+                    "check": name,
+                    "dists": dists,
+                    "labels": labels,
+                    "y": y,
+                    "k": k,
+                    "tau": tau,
+                    "h": got_h,
+                }
     return budget, None
 
 
@@ -295,7 +326,7 @@ def _suite_gradients(budget, rng):
         c = int(rng.integers(2, 5))
         u = rng.normal(size=(c, d))
         v = rng.normal(size=(c, d))
-        grad_u, grad_v = asym_score_grads(u, v, x, h, train)
+        (grad_u,), (grad_v,) = _asym_partials(v, x, u @ x, feats[h][None])
         for name, grad in (("u", grad_u), ("v", grad_v)):
             direction = rng.normal(size=(c, d))
             up, down = (AsymmetricMetric(u=u + step, v=v) if name == "u"

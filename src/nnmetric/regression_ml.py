@@ -25,7 +25,6 @@ from .gerrymander import (
     GerryTrainConfig,
     InfeasibleTargetError,
     TrainResult,
-    _finite_order,
     latent_sgd,
     sgd_rule,
 )
@@ -113,7 +112,8 @@ def hstar_alternate(dists, targets, y: float, k: int, kind: str, eps: float):
     """
     targets = np.asarray(targets, dtype=float)
     dists = np.asarray(dists, dtype=float)
-    near = _finite_order(dists)
+    order = np.argsort(dists, kind="stable")
+    near = order[np.isfinite(dists[order])]  # the finite points, nearest first
     if len(near) < k:
         raise InfeasibleTargetError(f"fewer than k={k} candidates")
     if kind == "eps_insensitive":

@@ -12,6 +12,7 @@ import numpy as np
 from conftest import probed_pass
 
 from nnmetric.bruteforce import (
+    asym_score_grads,
     brute_loss_augmented,
     brute_reg_inference,
     brute_targeted,
@@ -27,7 +28,6 @@ from nnmetric.gerrymander import (
     GerryTrainConfig,
     InfeasibleTargetError,
     MahalanobisMetric,
-    asym_score_grads,
     loss_augmented_inference_core,
     metric_predictions,
     n_star,

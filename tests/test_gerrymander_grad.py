@@ -5,13 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from nnmetric.bruteforce import feature_map_psi, score
+from nnmetric.bruteforce import asym_score_grads, feature_map_psi, score
 from nnmetric.dataset import CLASS, Dataset
 from nnmetric.gerrymander import (
+    _ASYM_LR_OFFSET,
     AsymmetricMetric,
     MahalanobisMetric,
     asym_reg_grads,
-    asym_score_grads,
+    sgd_rule,
 )
 
 
@@ -143,3 +144,30 @@ class TestAsymmetricGrads:
         gu, gv = asym_reg_grads(np.zeros((2, 3)), np.zeros((2, 3)))
         assert not gu.any()
         assert not gv.any()
+
+
+class TestAsymmetricUpdate:
+    def test_bytes_equal_the_two_call_form(self):
+        """One gather of both sets, one U x and each Gram product formed
+        once give, byte for byte, the update from two partials calls that
+        each gather their own rows and a penalty that forms each Gram
+        product twice, at k up to 12 and d and the number of projections up
+        to 11."""
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            n, d = int(rng.integers(6, 30)), int(rng.integers(1, 12))
+            k, rows = int(rng.integers(1, min(n // 2, 12) + 1)), int(rng.integers(1, 12))
+            train = make_train(rng.normal(size=(n, d)))
+            u, v = rng.normal(size=(rows, d)), rng.normal(size=(rows, d))
+            h_hat, h_star = (rng.choice(n, size=k, replace=False) for _ in range(2))
+            x = train.features[int(rng.integers(n))]
+            t, c = int(rng.integers(1, 500)), float(rng.uniform(0.1, 10.0))
+            _, update = sgd_rule(train, c, "asymmetric")
+            got = update(AsymmetricMetric(u=u, v=v), t, x, h_hat, h_star)
+            gu_hat, gv_hat = asym_score_grads(u, v, x, h_hat, train)
+            gu_star, gv_star = asym_score_grads(u, v, x, h_star, train)
+            reg_u = 2.0 * (u @ u.T) @ u + 4.0 * (v @ v.T) @ u
+            reg_v = 2.0 * (v @ v.T) @ v + 4.0 * (u @ u.T) @ v
+            eta = 1.0 / (t + _ASYM_LR_OFFSET)
+            assert got.u.tobytes() == (u - eta * (c * (gu_hat - gu_star) + reg_u)).tobytes()
+            assert got.v.tobytes() == (v - eta * (c * (gv_hat - gv_star) + reg_v)).tobytes()

@@ -419,7 +419,11 @@ class TestLeaveOneOutInstances:
         for _ in range(300):
             dists, labels, y, k, r = loo_instance(rng)
             cands = _candidates(dists, labels, k)
-            assert np.all(cands.rank < k)
+            if cands.n_finite >= k:  # the k nearest finite points of each class
+                finite = [i for i in np.argsort(dists, kind="stable") if np.isfinite(dists[i])]
+                want = [i for pos, i in enumerate(finite)
+                        if [labels[j] for j in finite[:pos]].count(labels[i]) < k]
+                assert cands.order.tolist() == want
             for target in range(1, r + 1):
                 for tau in (0, 1):
                     want = loop_targeted(dists, labels, target, k, tau)
@@ -468,6 +472,113 @@ class TestLeaveOneOutInstances:
             assert surrogate.hex() == (want_value + float(dists[want_star].sum())).hex()
             pairwise["h_star"] += k >= 8
         assert min(pairwise.values()) >= 50, pairwise
+
+    def test_tied_integer_distances_at_n_100_and_more(self):
+        """Hamming-style distances (integers 0..8, and their tenths) where
+        one class has only k to k + 2 points, so that its k nearest often
+        lie past the scan's first window of 8 k (max label + 1) points."""
+        rng = np.random.default_rng(89)
+        widened = 0
+        for _ in range(80):
+            n, k = int(rng.integers(100, 301)), int(rng.choice([3, 5, 9]))
+            rare = int(rng.integers(1, 4))
+            labels = rng.choice([c for c in (1, 2, 3) if c != rare], size=n)
+            labels[rng.choice(n, size=k + int(rng.integers(0, 3)), replace=False)] = rare
+            i = int(rng.integers(n))
+            dists = rng.integers(0, 9, size=n) * (0.1 if rng.random() < 0.5 else 1.0)
+            dists[rng.choice(n, size=int(rng.integers(0, 4)), replace=False)] = np.inf
+            dists[i] = np.inf
+            widened += scan_end(dists, labels, k) > 8 * k * (labels.max() + 1)
+            assert_cores_equal_the_loop(dists, labels, int(labels[i]), k)
+        assert widened >= 20, widened
+
+    def test_a_class_wholly_beyond_the_first_window(self):
+        """Every point of a rare class lies farther than every other point,
+        so its k nearest lie past the scan's first window."""
+        rng = np.random.default_rng(97)
+        for _ in range(30):
+            n, k = int(rng.integers(200, 301)), int(rng.choice([3, 5]))
+            far = int(rng.integers(1, 4))
+            weights = np.full(3, 0.45)
+            weights[far - 1] = 0.1
+            labels = np.concatenate([[1, 2, 3], 1 + rng.choice(3, size=n - 3, p=weights)])
+            dists = rng.integers(0, 9, size=n).astype(float)
+            dists[labels == far] += 9
+            i = int(rng.integers(n))
+            dists[i] = np.inf
+            finite = [j for j in np.argsort(dists, kind="stable") if np.isfinite(dists[j])]
+            first = min(pos for pos, j in enumerate(finite) if labels[j] == far)
+            assert first >= 8 * k * (labels.max() + 1)
+            for y in (far, int(labels[i])):
+                assert_cores_equal_the_loop(dists, labels, y, k)
+
+    def test_a_class_whose_only_point_is_excluded(self):
+        """The queried point is its class's only member: that class has no
+        candidate, no set can vote for it, and the other classes alone set
+        the number of classes that n_star counts."""
+        rng = np.random.default_rng(101)
+        for _ in range(200):
+            n, r = int(rng.integers(6, 40)), int(rng.integers(3, 5))
+            k = int(rng.integers(1, 6))
+            labels = np.concatenate([np.arange(1, r), rng.integers(1, r, size=n - r + 1)])
+            labels = np.insert(labels, int(rng.integers(n)), r)  # class r's only point
+            i = int(np.flatnonzero(labels == r)[0])
+            dists = (rng.integers(0, 4, size=n + 1) * 0.1 if rng.random() < 0.5
+                     else rng.random(n + 1))
+            dists[i] = np.inf
+            with pytest.raises(InfeasibleTargetError):
+                targeted_inference_core(dists, labels, r, k, 0)
+            with pytest.raises(InfeasibleTargetError):
+                surrogate_core(dists, labels, r, k)
+            assert_cores_equal_the_loop(dists, labels, r, k)
+
+    def test_minus_inf_and_nan_are_excluded_as_inf_is(self):
+        """Excluded points may carry -inf or NaN as well as +inf: -inf sorts
+        first and NaN last, and the cores skip both."""
+        rng = np.random.default_rng(103)
+        for _ in range(200):
+            dists, labels, y, k, _ = loo_instance(rng, n_max=14)
+            excluded = np.flatnonzero(~np.isfinite(dists))
+            dists[excluded] = rng.choice([-np.inf, np.nan, np.inf], size=len(excluded))
+            assert_cores_equal_the_loop(dists, labels, y, k)
+
+def scan_end(dists, labels, k):
+    """One past the position, in the finite (distance, index) order, of the
+    last point that is among the k nearest of its class."""
+    finite = [j for j in np.argsort(dists, kind="stable") if np.isfinite(dists[j])]
+    seen, end = {}, 0
+    for pos, j in enumerate(finite):
+        seen[labels[j]] = seen.get(labels[j], 0) + 1
+        if seen[labels[j]] <= k:
+            end = pos + 1
+    return end
+
+
+def assert_cores_equal_the_loop(dists, labels, y, k):
+    """Every targeted call, the loss-augmented call and the surrogate give
+    the plain loop's sets and float bits, or all say the set is infeasible."""
+    for target in sorted(set(labels.tolist())):
+        for tau in (0, 1):
+            want = loop_targeted(dists, labels, target, k, tau)
+            if want is None:
+                with pytest.raises(InfeasibleTargetError):
+                    targeted_inference_core(dists, labels, target, k, tau)
+            else:
+                assert np.array_equal(targeted_inference_core(dists, labels, target, k, tau), want)
+    want_hat, want_value, want_star = loop_inference(dists, labels, y, k)
+    if want_hat is None:
+        with pytest.raises(InfeasibleTargetError):
+            loss_augmented_inference_core(dists, labels, y, k)
+        return
+    h_hat, value = loss_augmented_inference_core(dists, labels, y, k)
+    assert np.array_equal(h_hat, want_hat) and value.hex() == want_value.hex()
+    if want_star is None:
+        with pytest.raises(InfeasibleTargetError):
+            surrogate_core(dists, labels, y, k)
+        return
+    surrogate, h_hat, h_star = surrogate_core(dists, labels, y, k)
+    assert np.array_equal(h_hat, want_hat) and np.array_equal(h_star, want_star)
+    assert surrogate.hex() == (want_value + float(dists[want_star].sum())).hex()
 
 
 class TestBruteForceInternals:

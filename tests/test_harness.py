@@ -411,21 +411,33 @@ class TestCmdOracle:
         assert outcome.failure is not None
         assert outcome.failure["check"].startswith("surrogate")
 
-    @pytest.mark.parametrize("broken", ["k_minus_1_per_class", "cap_off_by_one"])
+    @pytest.mark.parametrize("broken", ["k_minus_1_per_class", "cap_off_by_one",
+                                        "index_ties_reversed"])
     def test_inference_suite_fails_on_broken_candidates(self, monkeypatch, broken):
+        """Three broken candidate builders: k - 1 candidates per class; the
+        tie-allowing and tie-forbidding tiers swapped, so every cap is off by
+        one; and ties broken by descending index, whose sets score the same,
+        so that only the suite's floored draws and its order check catch it."""
         original = gerrymander._candidates
         if broken == "k_minus_1_per_class":
             def mutant(dists, labels, k):
                 return original(dists, labels, k - 1)
+        elif broken == "cap_off_by_one":
+            tiers = gerrymander._tiers
+            monkeypatch.setattr(gerrymander, "_tiers", lambda n, k: tiers(n, k)[::-1])
+            mutant = original
         else:
             def mutant(dists, labels, k):
-                cands = original(dists, labels, k)
-                return cands._replace(rank=cands.rank + 1)
+                cands = original(dists[::-1], labels[::-1], k)
+                return cands._replace(order=len(dists) - 1 - cands.order)
 
         monkeypatch.setattr(gerrymander, "_candidates", mutant)
         outcome = run_oracle("inference", 200)
         assert outcome.failure is not None
-        assert outcome.failure["check"] in ("targeted", "loss_augmented")
+        checks = ("targeted", "loss_augmented")
+        if broken == "index_ties_reversed":
+            checks = tuple(f"{check}_order" for check in checks)
+        assert outcome.failure["check"] in checks
 
     def test_unknown_suite_exits_2(self, capsys):
         assert cli.main(["oracle", "--suite", "nope", "--budget", "5"]) == 2
