@@ -480,4 +480,4 @@ def metric_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:
     def distances(block):
         return metric.distances(block, train.features)
 
-    return predict_each(distances, train, queries, NeighborRule("knn", k=k), "classify")
+    return predict_each(distances, train, queries, NeighborRule("knn", k=k))

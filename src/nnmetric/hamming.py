@@ -189,4 +189,4 @@ def hamming_predictions(hasher: HammingHasher, train: Dataset, queries, k: int) 
         soft = np.tanh(scales * (block @ hasher.u.T))
         return np.sum((codes_db - soft[:, None, :]) ** 2, axis=-1) / 4.0
 
-    return predict_each(distances, train, queries, NeighborRule("knn", k=k), "classify")
+    return predict_each(distances, train, queries, NeighborRule("knn", k=k))

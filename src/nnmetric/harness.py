@@ -557,7 +557,7 @@ def _transform_family(method, train, config, memo):
             }
 
         def predictor(queries):
-            return predict_batch(ds, transform, queries, rule, config.task)
+            return predict_batch(ds, transform, queries, rule)
 
         return predictor, {**params, **extra}, artifacts, meta
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import CLASS, Dataset
 
 
 @dataclass(frozen=True)
@@ -86,30 +86,29 @@ def _select(dists, rule):
     return cols[order], np.bincount(rows, minlength=len(dists))
 
 
-def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: str):
+def predict_each(distances, train: Dataset, queries, rule: NeighborRule):
     """The one prediction loop of every predictor, over blocks of queries.
 
     ``distances(block)`` gives a (B, d) block of query rows' distances to
     the n training rows as a B x n array, with B at most ``max(1, _BLOCK //
     n)``.  Each block's neighbours come from one :func:`_select` call.
-    Regression averages each row's selected targets.  Classification
-    counts the whole block's votes with one bincount; a row goes to its
-    most frequent label, a tie to the tied label of its nearest selected
-    neighbour."""
-    if mode not in ("classify", "regress"):
-        raise ValueError(f"unknown mode {mode!r}")
+    The training set's kind sets the prediction: real targets average each
+    row's selected targets; class labels are voted, the whole block's votes
+    counted with one bincount, and a row goes to its most frequent label, a
+    tie to the tied label of its nearest selected neighbour."""
     queries = np.atleast_2d(queries)
     labels = train.labels
-    out = np.empty(len(queries), dtype=float if mode == "regress" else int)
+    vote = train.kind == CLASS
+    out = np.empty(len(queries), dtype=int if vote else float)
     rows = max(1, _BLOCK // train.n)
-    if mode == "classify":
+    if vote:
         n_slots = int(labels.max()) + 1
     for start in range(0, len(queries), rows):
         block = np.asarray(distances(queries[start:start + rows]), dtype=float)
         picked, counts = _select(block, rule)
         labs = labels[picked]
         preds = out[start:start + len(block)]
-        if mode == "classify":
+        if vote:
             row = np.repeat(np.arange(len(block)), counts)
             tally = np.bincount(row * n_slots + labs, minlength=len(block) * n_slots)
             tally = tally.reshape(len(block), n_slots)
@@ -124,7 +123,7 @@ def predict_each(distances, train: Dataset, queries, rule: NeighborRule, mode: s
     return out
 
 
-def predict_batch(train: Dataset, transform, queries, rule: NeighborRule, mode: str):
+def predict_batch(train: Dataset, transform, queries, rule: NeighborRule):
     tq = transform_features(np.atleast_2d(queries), transform)
     tx = transform_features(train.features, transform)
     sq_t = np.sum(tx**2, axis=1)
@@ -138,7 +137,7 @@ def predict_batch(train: Dataset, transform, queries, rule: NeighborRule, mode: 
         sq += (block[:, None, :] @ block[..., None])[..., 0]
         return np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
 
-    return predict_each(distances, train, tq, rule, mode)
+    return predict_each(distances, train, tq, rule)
 
 
 def evaluate(predictions, truth, task: str) -> EvalReport:

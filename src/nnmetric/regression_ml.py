@@ -194,4 +194,4 @@ def metric_reg_predictions(metric, train: Dataset, queries, k: int) -> np.ndarra
     def distances(block):
         return metric.distances(block, train.features)
 
-    return predict_each(distances, train, queries, NeighborRule("knn", k=k), "regress")
+    return predict_each(distances, train, queries, NeighborRule("knn", k=k))

@@ -195,7 +195,7 @@ def test_criterion_06_learned_metric_cuts_blob_error():
     for seed in range(5):
         train = anisotropic_blobs(seed, 100)
         test = anisotropic_blobs(seed + 100, 50)
-        base = predict_batch(train, None, test.features, rule, "classify")
+        base = predict_batch(train, None, test.features, rule)
         base_err = float(np.mean(base != test.labels))
         assert base_err > 0
         config = GerryTrainConfig(k=3, c=10.0, epochs=30, seed=seed, stop_rel_tol=None)
@@ -266,7 +266,7 @@ def _radius_by_cv(train, transform, seed):
         for f in range(2):
             fit = train.subset(np.flatnonzero(folds.assignment != f))
             val = train.subset(folds.fold_indices(f))
-            preds = predict_batch(fit, transform, val.features, rule, "regress")
+            preds = predict_batch(fit, transform, val.features, rule)
             mses.append(float(np.mean((preds - val.labels) ** 2)))
         mean = float(np.mean(mses))
         if mean < best_mse:
@@ -277,7 +277,7 @@ def _radius_by_cv(train, transform, seed):
 def _ball_nmse(train, test, transform, seed):
     radius = _radius_by_cv(train, transform, seed)
     rule = NeighborRule("hnn", radius=radius)
-    preds = predict_batch(train, transform, test.features, rule, "regress")
+    preds = predict_batch(train, transform, test.features, rule)
     return float(np.mean((preds - test.labels) ** 2) / np.var(test.labels))
 
 
@@ -345,11 +345,11 @@ def test_criterion_11_ejop_helps_multiclass():
     for seed in range(5):
         train = three_class_blobs(seed, 150)
         test = three_class_blobs(seed + 100, 60)
-        base = predict_batch(train, None, test.features, rule, "classify")
+        base = predict_batch(train, None, test.features, rule)
         errs_eucl.append(float(np.mean(base != test.labels)))
         est = estimate_ejop(train, KernelSpec(bandwidth=8.0), t=1.0, temperature=0.1)
         assert sym_eig(est.g).values[-1] >= -1e-9
-        preds = predict_batch(train, est.transform(), test.features, rule, "classify")
+        preds = predict_batch(train, est.transform(), test.features, rule)
         errs_ejop.append(float(np.mean(preds != test.labels)))
     med_e, med_j = float(np.median(errs_eucl)), float(np.median(errs_ejop))
     print(f"criterion 11: median error euclidean {med_e:.3f} vs ejop {med_j:.3f}")

@@ -600,8 +600,7 @@ class TestBruteForceInternals:
             train = make_class_dataset(np.zeros((9, 1)), np.concatenate([labels, [1, 2, 3]]))
             dists = np.full(9, 10.0)
             dists[h] = [0.0, 1.0, 2.0]
-            predicted = predict_each(lambda block: dists[None], train, np.zeros((1, 1)), rule,
-                                     "classify")[0]
+            predicted = predict_each(lambda block: dists[None], train, np.zeros((1, 1)), rule)[0]
             assert predicted in shared_winners(labels[h], 3)
             assert max_tied_loss(y, labels[h]) >= float(predicted != y)
             assert (max_tied_loss(y, labels[h]) == 0.0) == (shared_winners(labels[h], 3) == [y])

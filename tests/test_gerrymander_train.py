@@ -27,7 +27,7 @@ def knn_error(metric, train, test, k=3):
 
 
 def euclidean_error(train, test, k=3):
-    pred = predict_batch(train, None, test.features, NeighborRule("knn", k=k), "classify")
+    pred = predict_batch(train, None, test.features, NeighborRule("knn", k=k))
     return float(np.mean(pred != test.labels))
 
 
@@ -207,6 +207,6 @@ class TestMetricPredictions:
         train = gauss_blobs([[0.0, 0.0], [3.0, 0.0]], 10, 1.0, seed=13)
         queries = np.random.default_rng(14).normal(size=(10, 2)) * 2.0
         rule = NeighborRule("knn", k=3)
-        expected = predict_batch(train, None, queries, rule, "classify")
+        expected = predict_batch(train, None, queries, rule)
         got = metric_predictions(MahalanobisMetric(w=np.eye(2)), train, queries, 3)
         assert np.array_equal(got, expected)

@@ -243,6 +243,14 @@ class TestCmdSynth:
         assert not out.exists()
 
 
+def rechecks(suite, failure) -> bool:
+    """Whether a failure record, read back from the JSON text the CLI saves,
+    re-checks to the same check, got and want."""
+    record = json.loads(harness._json_text(failure))
+    saved = [record.pop(key) for key in ("check", "got", "want")]
+    return harness._json_text(ORACLE_SUITES[suite][2](**record)) == harness._json_text(saved)
+
+
 class TestCmdOracle:
     def test_inference_suite_passes(self, capsys):
         assert cli.main(["oracle", "--suite", "inference", "--budget", "200"]) == 0
@@ -278,6 +286,7 @@ class TestCmdOracle:
         outcome = run_oracle(suite, 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] == check
+        assert rechecks(suite, outcome.failure)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the mean of an empty ball
     @pytest.mark.parametrize(
@@ -324,6 +333,7 @@ class TestCmdOracle:
         outcome = run_oracle("neighbors", 200)
         assert outcome.failure is not None
         assert outcome.failure["got"] != outcome.failure["want"]
+        assert rechecks("neighbors", outcome.failure)
 
     def test_estimators_suite_fails_when_queried_point_keeps_weight(self, monkeypatch):
         def keeps_own(h, dists, own, out):
@@ -335,6 +345,7 @@ class TestCmdOracle:
         outcome = run_oracle("estimators", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] in ("gw", "egop", "ejop")
+        assert rechecks("estimators", outcome.failure)
 
     def test_estimators_suite_fails_when_an_h_overwrites_shared_roots(self, monkeypatch):
         """Weights written over the probe distances that every h of a t
@@ -348,6 +359,7 @@ class TestCmdOracle:
         outcome = run_oracle("estimators", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] in ("gw", "egop", "ejop")
+        assert rechecks("estimators", outcome.failure)
 
     def test_estimators_suite_draws_closed_partial_and_open_gates(self, monkeypatch):
         masks = []
@@ -382,6 +394,7 @@ class TestCmdOracle:
         outcome = run_oracle("eig", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] == check
+        assert rechecks("eig", outcome.failure)
 
     def test_psd_suite_fails_on_zero_projection(self, monkeypatch):
         """Zeros are PSD, so only the comparison with the clipped Jacobi
@@ -390,6 +403,7 @@ class TestCmdOracle:
         outcome = run_oracle("psd", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"] == "nearest"
+        assert rechecks("psd", outcome.failure)
 
     @pytest.mark.parametrize("broken", ["swapped_sign", "gaps_without_over_k"])
     def test_regbound_suite_fails_on_broken_shared_gaps(self, monkeypatch, broken):
@@ -410,6 +424,7 @@ class TestCmdOracle:
         outcome = run_oracle("regbound", 200)
         assert outcome.failure is not None
         assert outcome.failure["check"].startswith("surrogate")
+        assert rechecks("regbound", outcome.failure)
 
     @pytest.mark.parametrize("broken", ["k_minus_1_per_class", "cap_off_by_one",
                                         "index_ties_reversed"])
@@ -438,6 +453,7 @@ class TestCmdOracle:
         if broken == "index_ties_reversed":
             checks = tuple(f"{check}_order" for check in checks)
         assert outcome.failure["check"] in checks
+        assert rechecks("inference", outcome.failure)
 
     def test_unknown_suite_exits_2(self, capsys):
         assert cli.main(["oracle", "--suite", "nope", "--budget", "5"]) == 2
@@ -448,7 +464,8 @@ class TestCmdOracle:
 
     @pytest.mark.parametrize("error", [ValueError, gerrymander.InfeasibleTargetError])
     def test_error_in_checked_code_exits_1(self, tmp_path, monkeypatch, capsys, error):
-        """A ValueError from the checked code is a fault, not bad usage."""
+        """A ValueError from the checked code is a fault, not bad usage.  The
+        instance it was checking is saved with the error."""
         def broken(*args):
             raise error("fast routine broke")
 
@@ -458,13 +475,33 @@ class TestCmdOracle:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"neighbors: the suite raised {error.__name__}: fast routine broke\n"
+        payload = json.loads((tmp_path / "oracle_neighbors_failure.json").read_text("utf-8"))
+        assert payload["check"] == "raised"
+        assert payload["error"] == f"{error.__name__}: fast routine broke"
+        _, draw, _ = ORACLE_SUITES["neighbors"]
+        assert set(payload) == {"check", "error", *draw(np.random.default_rng(0), 0)}
+
+    def test_error_in_draw_code_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("draw broke")
+
+        monkeypatch.setattr(oracles, "random_hasher", broken)
+        code = cli.main(["oracle", "--suite", "neighbors", "--budget", "5", "--out",
+                         str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "neighbors: the suite raised ValueError: draw broke\n"
         assert not list(tmp_path.iterdir())
 
     def test_violation_writes_replay_file(self, tmp_path, monkeypatch, capsys):
-        def broken(budget, rng):
-            return 3, {"check": "fake", "got": 1.0, "want": np.float64(2.0)}
+        """The record is the failing instance with the check's name, got
+        and want; its draw number is reported."""
+        def draw(rng, i):
+            return {"x": np.arange(2) + i}
 
-        monkeypatch.setitem(ORACLE_SUITES, "broken", (99, broken))
+        def check(x):
+            return None if x[0] < 2 else ("fake", 1.0, np.float64(2.0))
+
+        monkeypatch.setitem(ORACLE_SUITES, "broken", (99, draw, check))
         code = cli.main(
             ["oracle", "--suite", "broken", "--budget", "5", "--out", str(tmp_path)]
         )
@@ -472,7 +509,7 @@ class TestCmdOracle:
         replay = tmp_path / "oracle_broken_failure.json"
         assert replay.exists()
         payload = json.loads(replay.read_text(encoding="utf-8"))
-        assert payload == {"check": "fake", "got": 1.0, "want": 2.0}
+        assert payload == {"check": "fake", "x": [2, 3], "got": 1.0, "want": 2.0}
         assert "violation on check 3" in capsys.readouterr().err
 
     def test_run_oracle_validates_arguments(self):

@@ -1,6 +1,7 @@
 """The oracle suites stand apart from the runtime: importing the harness or
 the CLI loads neither the suites nor their brute-force references, and CI
-runs every suite.  The suites themselves are exercised through the CLI in
+runs every suite.  Every instance re-checks from its JSON text, so a saved
+failure replays.  The suites themselves are exercised through the CLI in
 ``test_harness.py::TestCmdOracle``."""
 
 import json
@@ -10,10 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nnmetric
-from nnmetric.oracles import ORACLE_SUITES
+from nnmetric import harness, oracles
+from nnmetric.oracles import ORACLE_SUITES, suite_steps
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +50,16 @@ def test_ci_runs_every_suite():
     loops = re.findall(r"^\s*for suite in ([^;\n]+); do$", workflow, flags=re.MULTILINE)
     assert len(loops) == 1, loops
     assert loops[0].split() == list(ORACLE_SUITES)
+
+
+@pytest.mark.parametrize("suite", list(ORACLE_SUITES))
+def test_instances_recheck_from_their_json(suite):
+    """The first ten instances at seed 0, and psd's closing training run,
+    check the same from their JSON text as from the draw; a field the
+    text lacked would raise a TypeError."""
+    rng = np.random.default_rng([oracles._ORACLE_STREAM, ORACLE_SUITES[suite][0], 0])
+    for i, (draw, check) in enumerate(suite_steps(suite, 10)):
+        instance = draw(rng, i)
+        replayed = json.loads(harness._json_text(instance))
+        assert harness._json_text(check(**replayed)) == harness._json_text(check(**instance))
+

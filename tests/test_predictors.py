@@ -20,23 +20,23 @@ def realds(features, targets):
     return Dataset(np.asarray(features, dtype=float), np.asarray(targets, dtype=float), "real")
 
 
-def predict_one(train, transform, query, rule, mode):
-    return predict_batch(train, transform, [query], rule, mode)[0]
+def predict_one(train, transform, query, rule):
+    return predict_batch(train, transform, [query], rule)[0]
 
 
 class TestNeighborPredict:
     def test_one_nn(self):
         train = classed([[0.0], [10.0]], [1, 2])
-        assert predict_one(train, None, [1.0], NeighborRule("knn", k=1), "classify") == 1
+        assert predict_one(train, None, [1.0], NeighborRule("knn", k=1)) == 1
 
     def test_tie_broken_by_nearest(self):
         """A 1-1 vote goes to the class of the nearer selected neighbor."""
         train = classed([[1.0], [-2.0]], [1, 2])
-        assert predict_one(train, None, [0.0], NeighborRule("knn", k=2), "classify") == 1
+        assert predict_one(train, None, [0.0], NeighborRule("knn", k=2)) == 1
 
     def test_regression_mean(self):
         train = realds([[0.0], [1.0], [2.0], [50.0]], [1.0, 2.0, 3.0, 99.0])
-        pred = predict_one(train, None, [1.0], NeighborRule("knn", k=3), "regress")
+        pred = predict_one(train, None, [1.0], NeighborRule("knn", k=3))
         assert pred == pytest.approx(2.0)
 
     def test_matches_bruteforce_under_transform(self):
@@ -49,28 +49,28 @@ class TestNeighborPredict:
             q = rng.standard_normal(d)
             dists = np.linalg.norm(train.features @ t.T - t @ q, axis=1)
             brute_label = train.labels[np.argsort(dists, kind="stable")[0]]
-            got = predict_one(train, t, q, NeighborRule("knn", k=1), "classify")
+            got = predict_one(train, t, q, NeighborRule("knn", k=1))
             assert got == brute_label
 
     def test_hnn_fallback_to_global(self):
         train = classed([[0.0], [1.0], [2.0]], [2, 2, 1])
         rule = NeighborRule("hnn", radius=1e-6)
         # query far outside every ball: global majority
-        assert predict_one(train, None, [100.0], rule, "classify") == 2
+        assert predict_one(train, None, [100.0], rule) == 2
         train_r = realds([[0.0], [1.0]], [4.0, 8.0])
-        assert predict_one(train_r, None, [100.0], rule, "regress") == pytest.approx(6.0)
+        assert predict_one(train_r, None, [100.0], rule) == pytest.approx(6.0)
 
     def test_hnn_in_ball(self):
         train = realds([[0.0], [0.5], [5.0]], [1.0, 3.0, 100.0])
         rule = NeighborRule("hnn", radius=1.0)
-        assert predict_one(train, None, [0.25], rule, "regress") == pytest.approx(2.0)
+        assert predict_one(train, None, [0.25], rule) == pytest.approx(2.0)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
         train = realds(rng.standard_normal((30, 3)), rng.standard_normal(30))
         queries = rng.standard_normal((8, 3))
         rule = NeighborRule("knn", k=4)
-        batch = predict_batch(train, None, queries, rule, "regress")
+        batch = predict_batch(train, None, queries, rule)
         dists = [np.linalg.norm(train.features - q, axis=1) for q in queries]
         singles = [brute_neighbor_predict(d, train.labels, rule, "regress") for d in dists]
         np.testing.assert_allclose(batch, singles, atol=1e-9)
@@ -157,20 +157,11 @@ def per_row(dists, labels, rule, mode):
 
 
 class TestPredictEach:
-    @pytest.mark.parametrize("n_queries", [0, 3])
-    def test_unknown_mode_fails_before_any_distance(self, n_queries):
-        train = classed([[0.0], [1.0]], [1, 2])
-        distances, calls = row_distances(np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-            predict_each(distances, train, np.zeros((n_queries, 1)), NeighborRule("knn", k=1),
-                         "bogus")
-        assert calls == []
-
     @pytest.mark.parametrize("mode,dtype", [("classify", int), ("regress", float)])
     def test_no_queries_give_an_empty_array_of_the_mode_dtype(self, mode, dtype):
-        train = classed([[0.0], [1.0]], [1, 2])
+        train = (classed if mode == "classify" else realds)([[0.0], [1.0]], [1, 2])
         distances, calls = row_distances(np.zeros((0, 2)))
-        got = predict_each(distances, train, np.zeros((0, 1)), NeighborRule("knn", k=1), mode)
+        got = predict_each(distances, train, np.zeros((0, 1)), NeighborRule("knn", k=1))
         assert got.shape == (0,) and got.dtype == dtype
         assert calls == []
 
@@ -200,7 +191,7 @@ class TestPredictEach:
                 for mode, ds in (("classify", classed(np.zeros((n, 1)), labels)),
                                  ("regress", realds(np.zeros((n, 1)), labels))):
                     distances, calls = row_distances(dists)
-                    got = predict_each(distances, ds, queries, rule, mode)
+                    got = predict_each(distances, ds, queries, rule)
                     want = [brute_neighbor_predict(row, ds.labels, rule, mode) for row in ranked]
                     np.testing.assert_array_equal(got, want)
                     assert sum(calls) == len(dists)
@@ -218,7 +209,7 @@ class TestPredictEach:
         train = (classed if mode == "classify" else realds)(np.zeros((n, 1)), labels)
         for rule in (NeighborRule("knn", k=5), NeighborRule("hnn", radius=0.5)):
             distances, calls = row_distances(dists)
-            got = predict_each(distances, train, np.arange(len(dists))[:, None], rule, mode)
+            got = predict_each(distances, train, np.arange(len(dists))[:, None], rule)
             assert calls == [rows, rows, rows, 1]
             np.testing.assert_array_equal(got, per_row(dists, train.labels, rule, mode))
 

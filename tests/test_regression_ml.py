@@ -345,7 +345,7 @@ class TestTrainer:
         config = RegTrainConfig(k=5, gamma=1.0, c=1.0, epochs=10, seed=0)
         result = train_reg_sgd(train, config)
         rule = NeighborRule("knn", k=5)
-        base_pred = predict_batch(train, None, test.features, rule, "regress")
+        base_pred = predict_batch(train, None, test.features, rule)
         base = evaluate(base_pred, test.labels, "regress").value
         learned_pred = metric_reg_predictions(result.metric, train, test.features, 5)
         learned = evaluate(learned_pred, test.labels, "regress").value
