@@ -188,7 +188,6 @@ class ExperimentConfig:
     grid_t: tuple = (0.25,)
     grid_c: tuple = (1.0,)
     grid_gamma: tuple = (1.0,)
-    grid_eps: tuple = (0.0,)
     epochs: int = 20
     bits: int = 8
     temperature: float = 1.0
@@ -233,14 +232,10 @@ _SCHEMA = {
     "grid.t": ("grid_t", lambda r, k: _as_float_list(r, k, lo=0.0, strict=True)),
     "grid.c": ("grid_c", lambda r, k: _as_float_list(r, k, lo=0.0, strict=True)),
     "grid.gamma": ("grid_gamma", lambda r, k: _as_float_list(r, k, lo=0.0, strict=True)),
-    "grid.eps": ("grid_eps", lambda r, k: _as_float_list(r, k, lo=0.0)),
     "train.epochs": ("epochs", lambda r, k: _as_int(r, k, lo=0)),
     "hamming.bits": ("bits", lambda r, k: _as_int(r, k, lo=1)),
     "ejop.temperature": ("temperature", lambda r, k: _as_float(r, k, lo=0.0, strict=True)),
-    "reg.hstar": (
-        "hstar",
-        lambda r, k: _as_choice(r, k, ("upper_bound", "eps_insensitive", "min_loss")),
-    ),
+    "reg.hstar": ("hstar", lambda r, k: _as_choice(r, k, ("upper_bound", "min_loss"))),
 }
 _REQUIRED_KEYS = ("task", "method", "data.source")
 _SYNTH_KEYS = ("data.n", "data.d", "data.c1", "data.decay", "data.rotate", "data.noise_std")
@@ -587,19 +582,17 @@ def _gerry_family(method, train, config, memo):
 
 
 def _gerry_reg_family(method, train, config, memo):
-    eps_axis = config.grid_eps if config.hstar == "eps_insensitive" else (0.0,)
     grid = [
-        {"k": k, "gamma": g, "c": c, "eps": e}
+        {"k": k, "gamma": g, "c": c}
         for k in config.grid_k
         for g in config.grid_gamma
         for c in config.grid_c
-        for e in eps_axis
     ]
 
     def fit(ds, params):
         rcfg = RegTrainConfig(
             k=params["k"], c=params["c"], epochs=config.epochs, seed=config.seed,
-            gamma=params["gamma"], hstar=config.hstar, eps=params["eps"],
+            gamma=params["gamma"], hstar=config.hstar,
         )
         metric = train_reg_sgd(ds, rcfg).metric
 
@@ -647,7 +640,19 @@ def _fit_method(method, train, config, rows, memo) -> FittedModel:
     else:
         family = _hamming_family
     grid, splits, fit = family(method, train, config, memo)
+    if min(val.n for _, val in splits) == 0:
+        # only the 75/25 split of 2 training rows holds out none
+        raise ConfigError(
+            f"data: {method} tunes on a 75/25 split of the training rows, which needs at "
+            f"least 3 of them; got {train.n} training rows"
+        )
     n_fit = min(fit_ds.n for fit_ds, _ in splits)
+    if method in _TRANSFORM_METHODS and config.rule == "hnn" and n_fit < 2:
+        raise ConfigError(
+            f"predict.rule: {method} takes its hnn radii from the pairwise distances of "
+            f"each fit split, which needs at least 2 rows, and its smallest fit split has "
+            f"{n_fit} training row; use more training rows or fewer cv.folds"
+        )
     for params in grid:
         if params.get("k", 0) >= n_fit:
             raise ConfigError(

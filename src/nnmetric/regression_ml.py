@@ -8,10 +8,9 @@ Delta_hat(y, h) = (1/k) sum_{i in h} (y - y_i)^2, which turns both inference
 problems into per-point scoring: sort by s_i = -D(x, x_i) -+ gamma
 (y - y_i)^2 / k and take the top k.
 
-Two alternate definitions of the zero-loss set h* are provided as labeled
-heuristics (the exact subset problems remain hard): an eps-insensitive
-variant that accepts any h with Delta <= eps, and a min-loss variant that
-greedily drives Delta itself down.
+An alternate zero-loss set h* is provided as a labeled heuristic (the
+exact subset problem remains hard): a min-loss rule that greedily drives
+Delta itself down.
 """
 
 from __future__ import annotations
@@ -100,15 +99,13 @@ def _worst_member(h, targets, y):
     return pos
 
 
-def hstar_alternate(dists, targets, y: float, k: int, kind: str, eps: float):
-    """Heuristic zero-loss sets for the two alternate h* notions.
+def hstar_alternate(dists, targets, y: float, k: int):
+    """Heuristic min-loss zero-loss set.
 
-    eps_insensitive: start at the plain top-k, repeatedly swap the member
+    Start from the k targets nearest y, then repeatedly swap the member
     worsening Delta most for the nearest outside point that strictly reduces
-    Delta, until Delta <= eps; raises when the swap budget (5k) runs out
-    first.  min_loss: start from the k targets nearest y, same swap loop,
-    run until no swap improves.  Neither is exact.  Excluded points carry
-    infinite distance.
+    Delta, until no swap improves or the swap budget (5k) runs out.  Not
+    exact.  Excluded points carry infinite distance.
     """
     targets = np.asarray(targets, dtype=float)
     dists = np.asarray(dists, dtype=float)
@@ -116,18 +113,10 @@ def hstar_alternate(dists, targets, y: float, k: int, kind: str, eps: float):
     near = order[np.isfinite(dists[order])]  # the finite points, nearest first
     if len(near) < k:
         raise InfeasibleTargetError(f"fewer than k={k} candidates")
-    if kind == "eps_insensitive":
-        h = list(reg_inference_core(dists, targets, y, k, 0.0, "targeted"))
-    elif kind == "min_loss":
-        gap_order = np.lexsort((dists, np.abs(targets - y)))
-        h = [i for i in gap_order if np.isfinite(dists[i])][:k]
-    else:
-        raise ValueError(f"unknown h* rule {kind!r}")
-    budget = 5 * k
-    for _ in range(budget):
+    gap_order = np.lexsort((dists, np.abs(targets - y)))
+    h = [i for i in gap_order if np.isfinite(dists[i])][:k]
+    for _ in range(5 * k):
         current = delta_reg(y, h, targets)
-        if kind == "eps_insensitive" and current <= eps:
-            return np.asarray(h, dtype=int)
         pos = _worst_member(np.asarray(h), targets, y)
         rest = h[:pos] + h[pos + 1 :]
         outside = near[~np.isin(near, h)]
@@ -140,31 +129,23 @@ def hstar_alternate(dists, targets, y: float, k: int, kind: str, eps: float):
         if not len(improving):
             break
         h = rest + [outside[improving[0]]]  # nearest improving point wins
-    final = delta_reg(y, h, targets)
-    if kind == "eps_insensitive" and final > eps:
-        raise InfeasibleTargetError(
-            f"no subset with loss <= {eps} found within {budget} swaps"
-        )
     return np.asarray(sorted(h, key=lambda i: (dists[i], i)), dtype=int)
 
 
 @dataclass(frozen=True)
 class RegTrainConfig(GerryTrainConfig):
-    """Trainer knobs; gamma scales the target-gap term inside inference,
-    hstar picks the h* rule and eps is the eps_insensitive tube width."""
+    """Trainer knobs; gamma scales the target-gap term inside inference
+    and hstar picks the h* rule."""
 
     gamma: float = 1.0
     hstar: str = "upper_bound"
-    eps: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
         if self.gamma < 0:
             raise ValueError("gamma must be nonnegative")
-        if self.hstar not in ("upper_bound", "eps_insensitive", "min_loss"):
+        if self.hstar not in ("upper_bound", "min_loss"):
             raise ValueError(f"unknown hstar variant {self.hstar!r}")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
 
 
 def train_reg_sgd(train: Dataset, config: RegTrainConfig, audit_psd: bool = False) -> TrainResult:
@@ -172,8 +153,8 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, audit_psd: bool = Fals
     symmetric variant of :func:`nnmetric.gerrymander.sgd_rule`.
 
     h-hat is the loss-augmented top-k.  h* is the targeted top-k under
-    ``hstar = upper_bound``, else :func:`hstar_alternate` with that rule.
-    eps-infeasible samples are skipped and counted.
+    ``hstar = upper_bound``, else :func:`hstar_alternate`.  Samples with
+    fewer than k candidates are skipped and counted.
     """
     if train.kind != REAL:
         raise ValueError("train_reg_sgd needs real targets")
@@ -183,7 +164,7 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, audit_psd: bool = Fals
         y = float(targets[i])
         h_star = None
         if config.hstar != "upper_bound":
-            h_star = hstar_alternate(dists, targets, y, config.k, config.hstar, config.eps)
+            h_star = hstar_alternate(dists, targets, y, config.k)
         return reg_surrogate_core(dists, targets, y, config.k, config.gamma, h_star)
 
     return latent_sgd(train, config, infer, *sgd_rule(train, config.c, "symmetric"), audit_psd)

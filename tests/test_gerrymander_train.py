@@ -155,13 +155,15 @@ class TestSymmetricUpdate:
 class TestSharedEpochLoop:
     def test_all_skipped_epochs_stop_every_trainer(self):
         """With no h* for any sample, every trainer's epoch mean is NaN and
-        the shared stop rule ends training after the second epoch."""
+        the shared stop rule ends training after the second epoch.  Each
+        class has one point, and the regression k equals the row count, so
+        no sample has enough other points for its target set."""
         features = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]])
         classed = Dataset(features=features, labels=np.array([1, 2, 3]), kind=CLASS)
         real = Dataset(features=features, labels=np.array([0.0, 1.0, 3.0]), kind=REAL)
         results = [
             train_sgd(classed, GerryTrainConfig(k=1, epochs=5)),
-            train_reg_sgd(real, RegTrainConfig(k=1, epochs=5, hstar="eps_insensitive")),
+            train_reg_sgd(real, RegTrainConfig(k=3, epochs=5)),
             train_hamming(classed, HammingTrainConfig(c=4, k=1, epochs=5)),
         ]
         for result in results:

@@ -601,6 +601,9 @@ class TestCmdRun:
             ("threads", "2", "unknown config key 'threads'"),
             ("train.init", "relieff", "unknown config key 'train.init'"),
             ("hamming.mode", "symmetric", "unknown config key 'hamming.mode'"),
+            ("grid.eps", "0.1", "unknown config key 'grid.eps'"),
+            ("reg.hstar", "eps_insensitive",
+             "reg.hstar: expected one of upper_bound, min_loss, got 'eps_insensitive'"),
         ):
             config = write_config(tmp_path, {**base, key: value})
             assert cli.main(["run", "--config", str(config)]) == 2
@@ -747,6 +750,40 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert "grid.k" in err and method in err
         assert f"{n_fit} training rows" in err and "k = 40" in err
+
+    def test_one_row_hnn_fit_split_exits_2(self, tmp_path, capsys):
+        """4 rows at test_fraction 0.5 leave 2 for training, so each of the
+        2 folds fits on 1 row, which has no pairwise distance for a radius."""
+        config = write_config(
+            tmp_path,
+            {"task": "regress", "method": "euclidean, gw", "predict.rule": "hnn",
+             "data.source": "synth", "data.n": "4", "data.d": "2",
+             "data.test_fraction": "0.5", "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: predict.rule: euclidean ")
+        assert "smallest fit split has 1 training row" in err[0]
+        assert err[0].endswith("use more training rows or fewer cv.folds")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_two_training_rows_leave_no_tuning_validation_row_exits_2(self, tmp_path, capsys):
+        """The learned metrics' 75/25 tuning split of 2 training rows holds
+        out none, so no grid point could be scored."""
+        config = write_config(
+            tmp_path,
+            {"task": "regress", "method": "gerry_reg", "data.source": "synth",
+             "data.n": "4", "data.d": "2", "data.test_fraction": "0.5", "grid.k": "1",
+             "out.dir": str(tmp_path / "out")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "config error: data: gerry_reg tunes on a 75/25 split of the training rows, "
+            "which needs at least 3 of them; got 2 training rows"
+        ]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "method, n_last, seed, message",

@@ -224,21 +224,16 @@ class TestSharedGaps:
         assert np.float64(value).tobytes() == np.float64(float(up - down)).tobytes()
 
 
-def swap_loop_hstar(dists, targets, y, k, kind, eps):
+def swap_loop_hstar(dists, targets, y, k):
     """hstar_alternate with one delta_reg call per swap candidate, in
     (distance, index) order: the reference for its vectorized swap scan."""
     finite = [i for i in range(len(dists)) if np.isfinite(dists[i])]
     if len(finite) < k:
         raise InfeasibleTargetError("too few candidates")
-    if kind == "eps_insensitive":
-        h = list(reg_inference_core(dists, targets, y, k, 0.0, "targeted"))
-    else:
-        gap_order = np.lexsort((dists, np.abs(targets - y)))
-        h = [i for i in gap_order if np.isfinite(dists[i])][:k]
+    gap_order = np.lexsort((dists, np.abs(targets - y)))
+    h = [i for i in gap_order if np.isfinite(dists[i])][:k]
     for _ in range(5 * k):
         current = delta_reg(y, h, targets)
-        if kind == "eps_insensitive" and current <= eps:
-            return h
         sel = targets[h]
         pos = int(np.argmax((sel - y) * np.sign(sel.mean() - y)))
         for i in sorted((i for i in finite if i not in h), key=lambda i: (dists[i], i)):
@@ -248,75 +243,49 @@ def swap_loop_hstar(dists, targets, y, k, kind, eps):
                 break
         else:
             break
-    if kind == "eps_insensitive" and delta_reg(y, h, targets) > eps:
-        raise InfeasibleTargetError("swap budget exhausted")
     return sorted(h, key=lambda i: (dists[i], i))
 
 
 class TestAlternateHStar:
     def test_matches_swap_loop_reference(self):
         rng = np.random.default_rng(21)
-        swapped = 0
-        for trial in range(300):
+        swapped = infeasible = 0
+        for _ in range(300):
             n = int(rng.integers(3, 40))
             k = int(rng.integers(1, min(n, 12) + 1))
-            # rounded values give distance and target ties
+            # rounded values give distance and target ties; excluding n - k + 1
+            # points leaves too few candidates
             dists = np.round(rng.uniform(size=n), int(rng.integers(1, 4)))
-            dists[rng.choice(n, size=int(rng.integers(0, n - k + 1)), replace=False)] = np.inf
+            dists[rng.choice(n, size=int(rng.integers(0, n - k + 2)), replace=False)] = np.inf
             targets = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
             y = float(np.round(rng.normal(), 1))
-            kind = ("min_loss", "eps_insensitive")[trial % 2]
-            eps = float(rng.choice([0.0, 0.05]))
             try:
-                want = swap_loop_hstar(dists, targets, y, k, kind, eps)
+                want = swap_loop_hstar(dists, targets, y, k)
             except InfeasibleTargetError:
                 with pytest.raises(InfeasibleTargetError):
-                    hstar_alternate(dists, targets, y, k, kind, eps)
+                    hstar_alternate(dists, targets, y, k)
+                infeasible += 1
                 continue
-            got = hstar_alternate(dists, targets, y, k, kind, eps).tolist()
+            got = hstar_alternate(dists, targets, y, k).tolist()
             assert got == [int(i) for i in want]
             gap_order = np.lexsort((dists, np.abs(targets - y)))
             start = [i for i in gap_order if np.isfinite(dists[i])][:k]
-            swapped += kind == "min_loss" and sorted(got) != sorted(start)
-        assert swapped > 10
-
-    def test_eps_infinite_is_plain_topk(self):
-        train = make_reg_dataset([[0.0], [1.0], [2.0], [3.0]], [9.0, 8.0, 7.0, 6.0])
-        dists = MahalanobisMetric(w=np.eye(1)).distances([0.0], train.features)
-        h = hstar_alternate(dists, train.labels, 0.0, 2, "eps_insensitive", np.inf)
-        assert sorted(h.tolist()) == [0, 1]
+            swapped += sorted(got) != sorted(start)
+        assert swapped > 10 and infeasible > 0
 
     def test_min_loss_picks_nearest_targets(self):
         train = make_reg_dataset(
             [[0.0], [1.0], [2.0], [3.0]], [0.9, 1.1, 5.0, 6.0]
         )
         dists = MahalanobisMetric(w=np.eye(1)).distances([2.0], train.features)
-        h = hstar_alternate(dists, train.labels, 1.0, 2, "min_loss", 0.0)
+        h = hstar_alternate(dists, train.labels, 1.0, 2)
         assert sorted(h.tolist()) == [0, 1]
 
-    def test_eps_swaps_reach_zero_loss_subset(self):
-        # top-2 by distance has mean 5 (loss 25); swapping in the +1/-1 pair
-        # nearby reaches loss 0
-        train = make_reg_dataset(
-            [[0.0], [0.1], [0.2], [0.3]], [5.0, 5.0, 1.0, -1.0]
-        )
-        dists = MahalanobisMetric(w=np.eye(1)).distances([0.0], train.features)
-        h = hstar_alternate(dists, train.labels, 0.0, 2, "eps_insensitive", 1e-9)
-        assert delta_reg(0.0, h, train.labels) <= 1e-9
-
-    def test_eps_infeasible_raises(self):
-        train = make_reg_dataset([[0.0], [1.0], [2.0]], [10.0, 10.0, 10.0])
-        dists = MahalanobisMetric(w=np.eye(1)).distances([0.0], train.features)
-        with pytest.raises(InfeasibleTargetError):
-            hstar_alternate(dists, train.labels, 0.0, 2, "eps_insensitive", 0.5)
-
     def test_variant_validation(self):
+        for hstar in ("upper_bound", "min_loss"):
+            assert RegTrainConfig(k=1, hstar=hstar).hstar == hstar
         with pytest.raises(ValueError):
             RegTrainConfig(k=1, hstar="exact")
-        with pytest.raises(ValueError):
-            RegTrainConfig(k=1, hstar="eps_insensitive", eps=-1.0)
-        with pytest.raises(ValueError):
-            hstar_alternate(np.ones(3), np.zeros(3), 0.0, 2, "upper_bound", 0.0)
 
 
 class TestTrainer:
@@ -351,19 +320,6 @@ class TestTrainer:
         learned = evaluate(learned_pred, test.labels, "regress").value
         assert learned < base
 
-    def test_eps_variant_skips_infeasible_samples(self):
-        # constant far-away targets make eps h* infeasible for every sample
-        rng = np.random.default_rng(103)
-        features = rng.normal(size=(10, 2))
-        targets = np.linspace(0.0, 9.0, 10)
-        train = make_reg_dataset(features, targets)
-        config = RegTrainConfig(
-            k=2, gamma=1.0, epochs=1, hstar="eps_insensitive", eps=1e-12,
-            stop_rel_tol=None,
-        )
-        result = train_reg_sgd(train, config)
-        assert result.trace[0].skipped > 0
-
     def test_min_loss_variant_runs(self):
         rng = np.random.default_rng(107)
         train = make_reg_dataset(rng.normal(size=(15, 2)), rng.normal(size=15))
@@ -378,5 +334,3 @@ class TestTrainer:
             RegTrainConfig(k=0)
         with pytest.raises(ValueError):
             RegTrainConfig(k=1, gamma=-1.0)
-        with pytest.raises(ValueError):
-            RegTrainConfig(k=1, hstar="exact")

@@ -11,7 +11,10 @@ iteration to LAPACK ``eigh``: one EGOP radius string moved in its last digits.
 run now starts from W = 0 (U = V = I).  It was re-recorded again when the
 Hamming trainer's momentum was deleted, and again when its zero-mean code
 penalty was deleted; both times only its ``hamming`` rows and ``hamming``
-model CSVs moved.
+model CSVs moved.  ``regress_knn`` and ``regress_hnn`` were re-recorded
+under the default targeted top-k h* when the eps-insensitive rule and its
+tube-width axis were deleted; only their ``gerry_reg`` rows and
+``gerry_reg/w.csv`` moved.
 """
 
 import csv
@@ -62,8 +65,6 @@ def regress_config(rule):
             "grid.k": "3, 5",
             "grid.h": "2.0",
             "grid.t": "0.5",
-            "grid.eps": "0.0, 0.1",
-            "reg.hstar": "eps_insensitive",
             "train.epochs": "2",
             "seed": "4",
         }
