@@ -142,12 +142,14 @@ def load_csv(path, label_column: str, label_kind: str) -> Dataset:
     Raises
     ------
     DatasetFormatError
-        On a missing column, a non-numeric or non-finite cell, or an empty
-        file.  Messages include the offending row and column.
+        On a missing label column, no feature column, a non-numeric or
+        non-finite cell, or an empty file.  Messages include the offending
+        row and column.
     """
     if label_kind not in (CLASS, REAL):
         raise ValueError(f"label_kind must be 'class' or 'real', got {label_kind!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops the byte-order mark that Excel and PowerShell write
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -158,6 +160,11 @@ def load_csv(path, label_column: str, label_kind: str) -> Dataset:
             raise DatasetFormatError(
                 f"{path}: missing label column {label_column!r} "
                 f"(columns: {', '.join(header)})"
+            )
+        if len(header) == 1:
+            raise DatasetFormatError(
+                f"{path}: no feature columns besides the label column {label_column!r}; "
+                "add at least one"
             )
         label_idx = header.index(label_column)
         rows = []

@@ -252,7 +252,7 @@ def gradient_pass(train: Dataset, spec: KernelSpec, t: float, temperature=None) 
 def _check_class_surface(train: Dataset, temperature) -> None:
     if train.kind != CLASS:
         raise ValueError("estimate_ejop needs a classed dataset")
-    if train.n_classes < 2:
+    if len(np.unique(train.labels)) < 2:
         raise ValueError("need at least two classes")
     if not temperature > 0:
         raise ValueError("temperature must be positive")

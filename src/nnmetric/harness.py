@@ -9,12 +9,14 @@ tune on ``cv.folds`` folds; ``gerry_sym``, ``gerry_asym`` and ``gerry_reg``
 tune on one seeded 75/25 split.  Every ``grid.k`` value must be below the
 row count of the smallest fit split.  ``predict.rule = hnn`` applies to the
 transform methods only; the learned methods always predict by kNN with
-their tuned k.  GW, EGOP and EJOP are estimated once per (fit split, h, t)
-in a run, GW and EGOP from one shared gradient pass, and every other grid
-value of that split reuses the estimate.  Each model is evaluated once on
-the held-out test split, and the run writes results.csv plus model
-artifacts.  Every random choice derives from the config seed, so rerunning
-a (config, seed) pair reproduces the report bytes exactly.
+their tuned k.  A method's grid is a fit grid, what must be trained, times
+a rule grid, what only changes prediction (``k`` or the hnn quantile of a
+transform method), so each fit split trains each fit point once: GW, EGOP
+and EJOP are estimated once per (fit split, h, t), GW and EGOP from one
+shared gradient pass.  Each model is evaluated once on the held-out test
+split, and the run writes results.csv plus model artifacts.  Every random
+choice derives from the config seed, so rerunning a (config, seed) pair
+reproduces the report bytes exactly.
 
 This module is what ``nnmetric run`` and ``nnmetric synth`` load; the
 oracle suites that check the fast routines live in :mod:`nnmetric.oracles`
@@ -25,7 +27,6 @@ imported here.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import sys
 import warnings
@@ -401,9 +402,8 @@ def _indicator_dataset(ds: Dataset, method: str) -> Dataset:
     )
 
 
-def _relieff_weights_for(ds: Dataset, seed: int, memo: dict) -> np.ndarray:
-    """ReliefF weights of a fit split, computed once per (split content,
-    k_hits, seed) in the run's ``memo``."""
+def _relieff_weights_for(ds: Dataset, seed: int) -> np.ndarray:
+    """ReliefF weights of a fit split, with k_hits below its smallest class."""
     counts = np.bincount(np.asarray(ds.labels, dtype=int))[1:]
     if counts.min() < 2:
         cls = 1 + int(np.argmin(counts))
@@ -412,80 +412,56 @@ def _relieff_weights_for(ds: Dataset, seed: int, memo: dict) -> np.ndarray:
             f"class; class {ds.class_label(cls)} has {int(counts[cls - 1])} of the {ds.n} "
             "rows of a fit split"
         )
-    k_hits = min(5, int(counts.min()) - 1)
-    return _memoised(
-        memo,
-        ("relieff", _content_key(ds), k_hits, seed),
-        lambda: relieff_weights(ds, k_hits=k_hits, seed=seed),
-    )
-
-
-def _content_key(ds: Dataset) -> str:
-    """Digest of a dataset's features and labels (values, dtypes, shapes)."""
-    digest = hashlib.blake2b(digest_size=16)
-    for array in (ds.features, ds.labels):
-        array = np.ascontiguousarray(array)
-        digest.update(f"{array.dtype.str}{array.shape}".encode())
-        digest.update(array.tobytes())
-    return digest.hexdigest()
-
-
-def _memoised(memo: dict, key, compute):
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
+    return relieff_weights(ds, k_hits=min(5, int(counts.min()) - 1), seed=seed)
 
 
 def _fit_transform(
-    method: str, ds: Dataset, params: dict, config: ExperimentConfig, memo: dict, grid=()
+    method: str, split: int, ds: Dataset, params: dict, config: ExperimentConfig, passes: dict
 ):
     """Returns (transform matrix or None, raw estimate to save or None).
 
-    ``memo`` lives for one run.  It holds one gradient pass per (fit-split
-    content, h, t, and the EJOP temperature), shared by GW and EGOP because
-    they probe the same real surface, one result per method and pass, and
-    the ReliefF weights of each fit split (see :func:`_relieff_weights_for`);
-    the ``grid.k`` and hnn quantile axes reuse them.  A pass the memo lacks
-    comes from one :func:`gradient_passes` call over the (h, t) of
-    ``params`` and every (h, t) of ``grid`` not yet memoised, each memoised
-    under its own key: a tuning split passes its method's whole grid, so
-    one loop over its samples serves every point, and the refit passes
-    none and computes only its chosen point.
+    ``passes`` lives for one run and holds one gradient pass per (split, h,
+    t, EJOP temperature), where ``split`` is the fold number of
+    :func:`_kfold_splits` or -1 for the full training split.  GW and EGOP
+    probe the same real surface, so EGOP reduces the passes GW ran.  A
+    tuning split's first miss computes every (h, t) of ``grid.h`` x
+    ``grid.t`` in one :func:`gradient_passes` call, so one loop over its
+    samples serves the whole grid; the refit computes its chosen point alone.
     """
     if method == "euclidean":
         return None, None
     if method == "relieff":
-        weights = _relieff_weights_for(ds, config.seed, memo)
+        weights = _relieff_weights_for(ds, config.seed)
         return np.diag(np.sqrt(weights)), weights[None, :]
     spec = KernelSpec(bandwidth=float(params["h"]))
     t = float(params["t"])
     if method == "ejop":
+        classes = np.unique(ds.labels)
+        if len(classes) < 2:
+            raise ConfigError(
+                f"method: ejop needs at least two classes; all {ds.n} rows of a fit split "
+                f"are class {ds.class_label(int(classes[0]))}"
+            )
         surface, temperature = ds, config.temperature
     else:
         surface, temperature = _indicator_dataset(ds, method), None
-    content = _content_key(surface)
-    key = (content, spec.bandwidth, t, temperature)
-
-    def estimate():
-        if ("pass", *key) not in memo:
-            points = dict.fromkeys([(spec.bandwidth, t), *grid])
-            missing = [p for p in points if ("pass", content, *p, temperature) not in memo]
-            passes = gradient_passes(
-                surface, [(KernelSpec(bandwidth=h), pt) for h, pt in missing], temperature
-            )
-            for point, passed in zip(missing, passes):
-                memo["pass", content, *point, temperature] = passed
-        passed = memo["pass", *key]
-        if method == "gw":
-            weights = estimate_gw(surface, spec, t, passed=passed)
-            return np.diag(np.sqrt(weights)), weights[None, :]
-        if method == "egop":
-            est = estimate_egop(surface, spec, t, passed=passed)
-        else:
-            est = estimate_ejop(surface, spec, t, temperature=temperature, passed=passed)
-        return est.transform(), est.g
-
-    return _memoised(memo, (method, *key), estimate)
+    if (split, spec.bandwidth, t, temperature) not in passes:
+        points = [(spec.bandwidth, t)]
+        if split >= 0:
+            points = list(dict.fromkeys((h, pt) for h in config.grid_h for pt in config.grid_t))
+        fresh = gradient_passes(
+            surface, [(KernelSpec(bandwidth=h), pt) for h, pt in points], temperature
+        )
+        passes.update({(split, *point, temperature): p for point, p in zip(points, fresh)})
+    passed = passes[split, spec.bandwidth, t, temperature]
+    if method == "gw":
+        weights = estimate_gw(surface, spec, t, passed=passed)
+        return np.diag(np.sqrt(weights)), weights[None, :]
+    if method == "egop":
+        est = estimate_egop(surface, spec, t, passed=passed)
+    else:
+        est = estimate_ejop(surface, spec, t, temperature=temperature, passed=passed)
+    return est.transform(), est.g
 
 
 def _kfold_splits(train: Dataset, config: ExperimentConfig):
@@ -506,38 +482,27 @@ def _tune_split(train: Dataset, config: ExperimentConfig):
     return [(train.subset(fit_idx, name="tune_fit"), train.subset(val_idx, name="tune_val"))]
 
 
-# Each family below returns (grid, splits, fit) for _fit_method, where
-# fit(ds, params) -> (predictor, chosen params, artifacts, meta) trains one
-# grid point on ds.  Trainers and predictors are looked up by global name at
-# call time, so perfbench/tracer.py can patch them on this module.
+# Each family below returns (fit grid, rule grid, splits, fit) for
+# _fit_method.  The fit grid holds what must be trained, the rule grid what
+# only changes prediction; fit(split, ds, params) trains one fit point on ds
+# once and returns (predictor, chosen params, artifacts, meta) for each rule
+# point.  ``split`` numbers the tuning splits and is -1 for the refit.
+# Trainers and predictors are looked up by global name at call time, so
+# perfbench/tracer.py can patch them on this module.
 
 
-def _transform_family(method, train, config, memo):
-    if config.rule == "knn":
-        grid = [{"k": k} for k in config.grid_k]
+def _transform_family(method, train, config, passes):
+    if method in ("euclidean", "relieff"):
+        fit_grid = [{}]
     else:
-        grid = [{"q": q} for q in _RADIUS_QUANTILES]
-    points = ()
-    if method not in ("euclidean", "relieff"):
-        grid = [{"h": h, "t": t, **r} for h in config.grid_h for t in config.grid_t for r in grid]
-        points = tuple(dict.fromkeys((float(p["h"]), float(p["t"])) for p in grid))
+        fit_grid = [{"h": h, "t": t} for h in config.grid_h for t in config.grid_t]
+    if config.rule == "knn":
+        rule_grid = [{"k": k} for k in config.grid_k]
+    else:
+        rule_grid = [{"q": q} for q in _RADIUS_QUANTILES]
 
-    def fit(ds, params):
-        # a tuning split runs its whole (h, t) grid in one pass; the refit its point alone
-        transform, estimate = _fit_transform(
-            method, ds, params, config, memo, () if ds is train else points
-        )
-        if config.rule == "knn":
-            rule, extra = NeighborRule("knn", k=int(params["k"])), {}
-        else:
-            # one set of radii per transformed split serves every quantile
-            radii = _memoised(
-                memo,
-                ("radii", method, _content_key(ds), params.get("h"), params.get("t")),
-                lambda: _radii(transform_features(ds.features, transform)),
-            )
-            radius = radii[params["q"]]
-            rule, extra = NeighborRule("hnn", radius=radius), {"radius": radius}
+    def fit(split, ds, params):
+        transform, estimate = _fit_transform(method, split, ds, params, config, passes)
         artifacts = {"transform": transform if transform is not None else np.eye(ds.d)}
         meta = {}
         if estimate is not None:
@@ -550,20 +515,29 @@ def _transform_family(method, train, config, memo):
                 "n": ds.n,
                 "seed": config.seed,
             }
+        if config.rule == "knn":
+            rules = [(NeighborRule("knn", k=int(r["k"])), r) for r in rule_grid]
+        else:
+            # one set of radii per transformed split serves every quantile
+            radii = _radii(transform_features(ds.features, transform))
+            rules = [
+                (NeighborRule("hnn", radius=radii[r["q"]]), {**r, "radius": radii[r["q"]]})
+                for r in rule_grid
+            ]
 
-        def predictor(queries):
-            return predict_batch(ds, transform, queries, rule)
+        def predictor(rule):
+            return lambda queries: predict_batch(ds, transform, queries, rule)
 
-        return predictor, {**params, **extra}, artifacts, meta
+        return [(predictor(rule), {**params, **chosen}, artifacts, meta) for rule, chosen in rules]
 
-    return grid, _kfold_splits(train, config), fit
+    return fit_grid, rule_grid, _kfold_splits(train, config), fit
 
 
-def _gerry_family(method, train, config, memo):
+def _gerry_family(method, train, config, passes):
     variant = "symmetric" if method == "gerry_sym" else "asymmetric"
     grid = [{"k": k, "c": c} for k in config.grid_k for c in config.grid_c]
 
-    def fit(ds, params):
+    def fit(split, ds, params):
         gcfg = GerryTrainConfig(
             k=params["k"], c=params["c"], epochs=config.epochs, seed=config.seed
         )
@@ -576,12 +550,12 @@ def _gerry_family(method, train, config, memo):
         def predictor(queries):
             return metric_predictions(metric, ds, queries, params["k"])
 
-        return predictor, params, artifacts, {"variant": variant}
+        return [(predictor, params, artifacts, {"variant": variant})]
 
-    return grid, _tune_split(train, config), fit
+    return grid, [{}], _tune_split(train, config), fit
 
 
-def _gerry_reg_family(method, train, config, memo):
+def _gerry_reg_family(method, train, config, passes):
     grid = [
         {"k": k, "gamma": g, "c": c}
         for k in config.grid_k
@@ -589,7 +563,7 @@ def _gerry_reg_family(method, train, config, memo):
         for c in config.grid_c
     ]
 
-    def fit(ds, params):
+    def fit(split, ds, params):
         rcfg = RegTrainConfig(
             k=params["k"], c=params["c"], epochs=config.epochs, seed=config.seed,
             gamma=params["gamma"], hstar=config.hstar,
@@ -599,15 +573,15 @@ def _gerry_reg_family(method, train, config, memo):
         def predictor(queries):
             return metric_reg_predictions(metric, ds, queries, params["k"])
 
-        return predictor, params, {"w": metric.w}, {"hstar": config.hstar}
+        return [(predictor, params, {"w": metric.w}, {"hstar": config.hstar})]
 
-    return grid, _tune_split(train, config), fit
+    return grid, [{}], _tune_split(train, config), fit
 
 
-def _hamming_family(method, train, config, memo):
+def _hamming_family(method, train, config, passes):
     grid = [{"k": k} for k in config.grid_k]
 
-    def fit(ds, params):
+    def fit(split, ds, params):
         hcfg = HammingTrainConfig(
             c=config.bits, k=params["k"], epochs=config.epochs, seed=config.seed
         )
@@ -617,19 +591,19 @@ def _hamming_family(method, train, config, memo):
             return hamming_predictions(hasher, ds, queries, params["k"])
 
         chosen = {**params, "bits": config.bits}
-        return predictor, chosen, {"u": hasher.u, "v": hasher.v}, {}
+        return [(predictor, chosen, {"u": hasher.u, "v": hasher.v}, {})]
 
-    return grid, _kfold_splits(train, config), fit
+    return grid, [{}], _kfold_splits(train, config), fit
 
 
-def _fit_method(method, train, config, rows, memo) -> FittedModel:
+def _fit_method(method, train, config, rows, passes) -> FittedModel:
     """Tune one method's grid on its (fit, val) splits, then refit on train.
 
-    Every grid point is trained on each fit split and scored on its val
-    split; one row per (point, split) goes to ``rows``.  The point with the
-    lowest mean score wins, ties going to the earlier point.  ``memo`` is
-    the run's memo of estimates and ReliefF weights (see
-    :func:`_fit_transform`).
+    Each fit split trains each fit point once and scores every rule point
+    of it on its val split; one row per (point, split) goes to ``rows``, in
+    grid order.  The point with the lowest mean score wins, ties going to
+    the earlier point.  ``passes`` is the run's table of gradient passes
+    (see :func:`_fit_transform`).
     """
     if method in _TRANSFORM_METHODS:
         family = _transform_family
@@ -639,7 +613,7 @@ def _fit_method(method, train, config, rows, memo) -> FittedModel:
         family = _gerry_reg_family
     else:
         family = _hamming_family
-    grid, splits, fit = family(method, train, config, memo)
+    fit_grid, rule_grid, splits, fit = family(method, train, config, passes)
     if min(val.n for _, val in splits) == 0:
         # only the 75/25 split of 2 training rows holds out none
         raise ConfigError(
@@ -653,24 +627,26 @@ def _fit_method(method, train, config, rows, memo) -> FittedModel:
             f"each fit split, which needs at least 2 rows, and its smallest fit split has "
             f"{n_fit} training row; use more training rows or fewer cv.folds"
         )
-    for params in grid:
+    for params in (*fit_grid, *rule_grid):
         if params.get("k", 0) >= n_fit:
             raise ConfigError(
                 f"grid.k: {method} tunes on fit splits of {n_fit} training rows, "
                 f"so every k must be below {n_fit}; got k = {params['k']}"
             )
+    scores = np.empty((len(fit_grid), len(rule_grid), len(splits)))
+    for s, (fit_ds, val) in enumerate(splits):
+        for p, params in enumerate(fit_grid):
+            for r, (predictor, *_) in enumerate(fit(s, fit_ds, params)):
+                scores[p, r, s] = _objective(predictor(val.features), val.labels, config.task)
     metric = "error" if config.task == "classify" else "mse"
-    means = []
-    for params in grid:
-        values = []
-        for fit_ds, val in splits:
-            predictor = fit(fit_ds, params)[0]
-            values.append(_objective(predictor(val.features), val.labels, config.task))
-        for fold, value in enumerate(values):
-            rows.append((method, fold, dict(params), metric, value))
-        means.append(float(np.mean(values)))
-    best = grid[min(range(len(grid)), key=lambda i: (means[i], i))]
-    predictor, chosen, artifacts, meta = fit(train, best)
+    means = {}
+    for p, params in enumerate(fit_grid):
+        for r, rule in enumerate(rule_grid):
+            for fold, value in enumerate(scores[p, r]):
+                rows.append((method, fold, {**params, **rule}, metric, float(value)))
+            means[p, r] = float(np.mean(scores[p, r]))
+    p, r = min(means, key=lambda i: (means[i], i))
+    predictor, chosen, artifacts, meta = fit(-1, train, fit_grid[p])[r]
     return FittedModel(method, chosen, predictor, artifacts, meta)
 
 
@@ -697,10 +673,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     rows = []
     models = {}
     reports = {}
-    memo = {}
+    passes = {}
     for method in config.methods:
         try:
-            model = _fit_method(method, train, config, rows, memo)
+            model = _fit_method(method, train, config, rows, passes)
             preds = model.predict(test.features)
             report = evaluate(preds, test.labels, config.task)
         except ConfigError:

@@ -402,21 +402,23 @@ def _draw_estimators(rng, i):
 def _check_estimators(features, labels, targets, hs, ts, temperature):
     """GW, EGOP and EJOP as the harness tunes them against
     bruteforce.explicit_loo.  The instance's 2 x 2 grid of two h and two t
-    is fitted through one memo, as a tuning split does: the first fit runs
-    one pass over every point, EGOP reduces the passes GW ran, and each
-    point is checked.  So the two h of each t share that t's probe
+    is fitted on one tuning split through one table of passes: the first
+    fit runs one pass over every point, EGOP reduces the passes GW ran, and
+    each point is checked.  So the two h of each t share that t's probe
     distances."""
     classed = Dataset(features=features, labels=labels, kind=CLASS)
     real = Dataset(features=features, labels=targets, kind=REAL)
     n, d = features.shape
-    points = tuple((float(h), float(t)) for h in hs for t in ts)
-    config = harness.ExperimentConfig(task="classify", methods=("ejop",), temperature=temperature)
-    memo = {}
-    for h, t in points:
+    config = harness.ExperimentConfig(
+        task="classify", methods=("ejop",), temperature=temperature,
+        grid_h=tuple(map(float, hs)), grid_t=tuple(map(float, ts)),
+    )
+    passes = {}
+    for h, t in [(h, t) for h in config.grid_h for t in config.grid_t]:
         params = {"h": h, "t": t}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # every gate may fail on purpose
-            got = {method: harness._fit_transform(method, ds, params, config, memo, points)[1]
+            got = {method: harness._fit_transform(method, 0, ds, params, config, passes)[1]
                    for method, ds in (("gw", real), ("egop", real), ("ejop", classed))}
         spec = KernelSpec(bandwidth=h)
         loo = bruteforce.explicit_loo(

@@ -84,6 +84,22 @@ class TestLoadCsv:
         with pytest.raises(DatasetFormatError, match="no data rows"):
             load_csv(p, "y", "real")
 
+    def test_byte_order_mark_is_not_part_of_the_first_column(self, tmp_path):
+        text = "label,x\nb,1.0\na,2.0\nb,3.0\n"
+        plain = load_csv(write(tmp_path, text), "label", "class")
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        back = load_csv(marked, "label", "class")
+        np.testing.assert_array_equal(back.features, plain.features)
+        np.testing.assert_array_equal(back.labels, plain.labels)
+        assert (back.kind, back.label_names) == (plain.kind, ("b", "a"))
+
+    def test_no_feature_columns_names_the_file(self, tmp_path):
+        p = write(tmp_path, "label\n1\n2\n")
+        with pytest.raises(DatasetFormatError, match=r"data\.csv: no feature columns besides "
+                                                     r"the label column 'label'"):
+            load_csv(p, "label", "class")
+
     def test_save_load_roundtrip(self, tmp_path):
         ds = synth_sin(n=20, d=3, seed=1)
         p = tmp_path / "rt.csv"

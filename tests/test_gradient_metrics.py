@@ -364,6 +364,12 @@ class TestEstimateEjop:
         with pytest.raises(ValueError):
             estimate_ejop(train, KernelSpec(bandwidth=1.0), 0.1)
 
+    def test_requires_two_classes_present(self):
+        """A split that holds only class 2 has n_classes 2 but one class."""
+        full = blobs2(0, n_per=5, d=2)
+        with pytest.raises(ValueError, match="two classes"):
+            estimate_ejop(full.subset(full.labels == 2), KernelSpec(bandwidth=1.0), 0.1)
+
     def test_constant_evaluator_gives_zero_matrix(self):
         train = blobs2(0, n_per=10, d=3)
         spec = KernelSpec(bandwidth=1.0)

@@ -812,12 +812,15 @@ class TestCmdRun:
             ("gw", (3, 1, 2), None, "needs exactly two classes; class 2 has 6 of the 16 rows"),
             ("relieff", (3, 1, 2), 2, "at least 2 rows per class; class 3 has 1 of the 11 rows"),
             ("gw", (3,), None, "needs exactly two classes; all 5 rows of a fit split are class 3"),
+            ("ejop", (3,), None, "at least two classes; all 5 rows of a fit split are class 3"),
+            ("ejop", (3, 1), 1, "at least two classes; all 5 rows of a fit split are class 1"),
         ],
     )
     def test_unfit_data_names_the_csv_label(self, tmp_path, capsys, method, labels, n_first,
                                             message):
         """The file lists label 3 first, then 1, then 2, so class ids 1, 2, 3
-        stand for labels 3, 1, 2: the error names the file's label, not the id."""
+        stand for labels 3, 1, 2: the error names the file's label, not the id.
+        A fit split of label 1 alone holds class 2 but not class 1."""
         ds = gauss_blobs([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]], 14, 1.0, seed=0)
         rows = []
         for label in labels:
@@ -964,7 +967,7 @@ class TestEstimatorMemo:
         passes_fn, egop_fn = harness.gradient_passes, harness.estimate_egop
 
         def counted_passes(train, points, temperature=None):
-            key = harness._content_key(train)
+            key = (train.features.tobytes(), train.labels.tobytes())
             calls.append([(key, spec.bandwidth, t, temperature) for spec, t in points])
             return passes_fn(train, points, temperature)
 
@@ -983,6 +986,31 @@ class TestEstimatorMemo:
         assert len(points) == len(set(points)) == 2 * 4 + len(refits)
         assert sorted(len(call) for call in calls) == [1] * len(refits) + [4, 4]
         assert len(egop_calls) == 2 * 4 + 1
+
+    def test_relieff_once_per_split_and_radii_once_per_fit_point(self, tmp_path,
+                                                                monkeypatch):
+        """The k and hnn quantile axes only change prediction: ReliefF runs
+        once per fold and once for the refit, and the hnn radii once per
+        (fold, h, t) and once for the refit."""
+        relieff_calls, radii_calls = [], []
+        relieff_fn, radii_fn = harness.relieff_weights, harness._radii
+        monkeypatch.setattr(harness, "relieff_weights",
+                            lambda *a, **kw: relieff_calls.append(1) or relieff_fn(*a, **kw))
+        monkeypatch.setattr(harness, "_radii",
+                            lambda feats: radii_calls.append(1) or radii_fn(feats))
+        data = tmp_path / "blobs.csv"
+        noisy_blobs_csv(data, seed=1, n_per=30, d=3)
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": "relieff", "data.source": "csv",
+             "data.path": str(data), "grid.k": "3, 5", "cv.folds": "2",
+             "out.dir": str(tmp_path / "relieff")},
+        )
+        assert cli.main(["run", "--config", str(config)]) == 0
+        assert len(relieff_calls) == 2 + 1
+        run_experiment(read_config(estimator_config(
+            tmp_path, "hnn", 0, **{"method": "gw", "predict.rule": "hnn"})))
+        assert len(radii_calls) == 2 * 2 + 1
 
     def test_runs_in_one_process_match_fresh_runs(self, tmp_path):
         """A run after another run on other data writes what a run in a
