@@ -20,7 +20,7 @@ class DatasetFormatError(ValueError):
     """Raised for malformed dataset files, with row/column context."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """An immutable feature matrix with class ids (1..R) or real targets.
 
@@ -104,7 +104,7 @@ def _checked_features(features) -> np.ndarray:
     return features
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-column mean and (floored) standard deviation fitted on train data."""
 
@@ -115,7 +115,7 @@ class NormStats:
         return (np.asarray(features, dtype=float) - self.mean) / self.std
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitSpec:
     """A seeded partition of [0, n) into folds whose sizes differ by <= 1."""
 
@@ -230,22 +230,37 @@ def save_csv(path, ds: Dataset) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-# std entries this close to zero (relative to the mean's size) are treated
-# as constant columns and floored to 1
+# std entries this close to zero (relative to the mean's size) are measured
+# again on the column scaled to unit magnitude; still under it, the column is
+# constant and its std is 1
 _STD_FLOOR_REL = 1e-12
 
 
 def zscore_fit_apply(train: Dataset, others=()) -> tuple[NormStats, list[Dataset]]:
     """Fit column-wise z-scoring on ``train`` only, apply to all datasets.
 
-    Uses the population (divide-by-n) standard deviation.  Constant columns
-    get std floored to 1 so they map to zeros rather than dividing by zero.
-    Returns the stats and the normalized datasets, ``train`` first.
+    Uses the population (divide-by-n) standard deviation.  A column whose
+    std overflows or is under the floor is divided by its largest |x| and
+    measured again, so that features of extreme magnitude are scaled, not
+    zeroed; the stored mean and std are scaled back.  A column still under
+    the floor is constant: its std is 1, so it maps to zeros rather than
+    dividing by zero.  Returns the stats and the normalized datasets,
+    ``train`` first.
     """
-    mean = train.features.mean(axis=0)
-    std = train.features.std(axis=0)
-    floor = _STD_FLOOR_REL * (1.0 + np.abs(mean))
-    std = np.where(std <= floor, 1.0, std)
+    with np.errstate(over="ignore"):
+        mean = train.features.mean(axis=0)
+        std = train.features.std(axis=0)
+    odd = np.flatnonzero(~(std > _STD_FLOOR_REL * (1.0 + np.abs(mean))) | np.isinf(std))
+    if len(odd):
+        scale = np.abs(train.features[:, odd]).max(axis=0)
+        scale[scale == 0.0] = 1.0
+        scaled = train.features[:, odd] / scale
+        m, s = scaled.mean(axis=0), scaled.std(axis=0)
+        spread = s > _STD_FLOOR_REL * (1.0 + np.abs(m))
+        # a constant column keeps its mean, unless its std overflowed: that
+        # mean missed the column's value, and the scaled one is exact
+        mean[odd] = np.where(spread | np.isinf(std[odd]), m * scale, mean[odd])
+        std[odd] = np.where(spread, s * scale, 1.0)
     stats = NormStats(mean=mean, std=std)
     out = []
     for ds in (train, *others):

@@ -34,7 +34,7 @@ class InfeasibleTargetError(ValueError):
     """Raised when no size-k neighbor set can vote for the requested class."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MahalanobisMetric:
     """Symmetric metric D(x, x') = (x - x')^T W (x - x'), W PSD.
 
@@ -52,7 +52,7 @@ class MahalanobisMetric:
         return ((diff @ self.w) * diff).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymmetricMetric:
     """Asymmetric distance D(x, x') = |Ux - Vx'|^2.
 

@@ -73,7 +73,7 @@ def gate_mask(train: Dataset, x, t: float, h: float) -> np.ndarray:
     return inside[:d] & inside[d:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientMetricEstimate:
     """Averaged gradient outer product."""
 
@@ -191,7 +191,7 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradientPass:
     """What GW, EGOP and EJOP reduce from one pass over ``n`` samples.
 

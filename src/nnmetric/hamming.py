@@ -48,7 +48,7 @@ def encode(m, features) -> np.ndarray:
     return sign_pm1(np.asarray(features, dtype=float) @ np.asarray(m, dtype=float).T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HammingHasher:
     u: np.ndarray
     v: np.ndarray

@@ -1,9 +1,11 @@
 """kNN and radius (boxcar) prediction under a metric transform, plus evaluation.
 
-Neighbor search is brute force.  The tie order everywhere is total and
-deterministic: distance first, then training index.  Classification votes
-resolve ties by the label of the nearest selected neighbor among the tied
-classes.
+Neighbor search is brute force.  A block of queries selects its neighbors
+as one boolean mask, which a single product with the training targets or
+one-hot labels reduces to each row's sums.  The tie order everywhere is
+total and deterministic: distance first, then training index, NaN last.
+Classification votes resolve ties by the label of the nearest selected
+neighbor among the tied classes.
 """
 
 from __future__ import annotations
@@ -48,14 +50,14 @@ def transform_features(features: np.ndarray, transform) -> np.ndarray:
     return np.asarray(features, dtype=float) @ np.asarray(transform, dtype=float).T
 
 
-# the most distances one block of queries holds (B * n doubles); small
-# enough that the block's matrix product stays on one BLAS thread
+# the most distances one block of queries holds (B * n doubles, and as many
+# mask entries); small enough that the block's distance product and its
+# mask product stay on one BLAS thread
 _BLOCK = 16384
 
 
 def _select(dists, rule):
-    """Every row's selected columns of a B x n block of distances, in
-    (distance, index) order, flat and row after row, and each row's count.
+    """The B x n mask of every row's selected points in a block of distances.
 
     knn takes the points at or under the row's k-th value.  On a row with a
     tie there, or a NaN there (NaN sorts last, so the row's NaNs are at the
@@ -77,13 +79,7 @@ def _select(dists, rule):
             at = (d == c) | (nan_cut & np.isnan(d))
             room = k - np.count_nonzero(under, axis=1, keepdims=True)
             take[odd] = under | (at & (np.cumsum(at, axis=1) <= room))
-    flat = np.flatnonzero(take)
-    rows, cols = np.divmod(flat, dists.shape[1])
-    # by distance, then stably by row: a block has at most _BLOCK < 2**15
-    # rows, so int16 row ids take numpy's radix sort
-    order = np.argsort(dists.ravel()[flat], kind="stable")
-    order = order[np.argsort(rows[order].astype(np.int16), kind="stable")]
-    return cols[order], np.bincount(rows, minlength=len(dists))
+    return take
 
 
 def predict_each(distances, train: Dataset, queries, rule: NeighborRule):
@@ -91,35 +87,38 @@ def predict_each(distances, train: Dataset, queries, rule: NeighborRule):
 
     ``distances(block)`` gives a (B, d) block of query rows' distances to
     the n training rows as a B x n array, with B at most ``max(1, _BLOCK //
-    n)``.  Each block's neighbours come from one :func:`_select` call.
-    The training set's kind sets the prediction: real targets average each
-    row's selected targets; class labels are voted, the whole block's votes
-    counted with one bincount, and a row goes to its most frequent label, a
-    tie to the tied label of its nearest selected neighbour."""
+    n)``.  Each block's neighbours are the mask of one :func:`_select`
+    call, reduced by one product with ``columns``: the real targets, whose
+    sums each row's count turns into a mean, or the one-hot class labels,
+    whose sums are each row's votes.  A row goes to its most frequent
+    label, a tie to the tied label of its nearest selected neighbour in
+    (distance, index) order, NaN after inf."""
     queries = np.atleast_2d(queries)
     labels = train.labels
     vote = train.kind == CLASS
+    columns = np.eye(labels.max() + 1)[labels] if vote else labels
     out = np.empty(len(queries), dtype=int if vote else float)
     rows = max(1, _BLOCK // train.n)
-    if vote:
-        n_slots = int(labels.max()) + 1
     for start in range(0, len(queries), rows):
         block = np.asarray(distances(queries[start:start + rows]), dtype=float)
-        picked, counts = _select(block, rule)
-        labs = labels[picked]
+        take = _select(block, rule)
+        sums = take @ columns
         preds = out[start:start + len(block)]
-        if vote:
-            row = np.repeat(np.arange(len(block)), counts)
-            tally = np.bincount(row * n_slots + labs, minlength=len(block) * n_slots)
-            tally = tally.reshape(len(block), n_slots)
-            # members whose label has their row's top count; each row's
-            # first such member is its nearest
-            won = np.flatnonzero(tally[row, labs] == tally.max(axis=1)[row])
-            preds[:] = labs[won[np.diff(row[won], prepend=-1) != 0]]
-        elif rule.kind == "knn":
-            preds[:] = labs.reshape(len(block), -1).mean(axis=1)
-        else:
-            preds[:] = [run.mean() for run in np.split(labs, np.cumsum(counts)[:-1])]
+        if not vote:
+            preds[:] = sums / np.count_nonzero(take, axis=1)
+            continue
+        preds[:] = sums.argmax(axis=1)
+        tied = sums == sums.max(axis=1, keepdims=True)
+        shared = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
+        # a tied row's members of its tied labels, the others at +inf: the
+        # first argmin is the nearest of them, unless that is at inf or NaN
+        member = take[shared] & np.take(tied[shared], labels, axis=1)
+        near = np.where(member, block[shared], np.inf)
+        first = near.argmin(axis=1)
+        for i in np.flatnonzero(~np.isfinite(near.min(axis=1))):
+            order = np.argsort(block[shared[i]], kind="stable")
+            first[i] = order[member[i, order].argmax()]
+        preds[shared] = labels[first]
     return out
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -121,6 +123,28 @@ class TestZscore:
         train = Dataset(np.full((3, 1), 5.0), np.zeros(3), "real")
         _, (norm,) = zscore_fit_apply(train)
         np.testing.assert_array_equal(norm.features, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("factor", [1e200, 1e-300])
+    def test_extreme_magnitudes_scale_as_unit_magnitude(self, factor):
+        """Features x 1e200 overflow the plain variance and x 1e-300 fall
+        under the floor; both z-score as the unit-scale features do, and
+        print no warning."""
+        x = np.random.default_rng(0).standard_normal((120, 3))
+        _, (unit,) = zscore_fit_apply(Dataset(x, np.zeros(120), "real"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, (scaled,) = zscore_fit_apply(Dataset(x * factor, np.zeros(120), "real"))
+        np.testing.assert_allclose(scaled.features, unit.features, rtol=1e-12)
+
+    @pytest.mark.parametrize("value", [2.0 ** -997, 1e300])
+    def test_constant_column_of_extreme_magnitude_maps_to_zero(self, value):
+        """120 copies of 1e300 have a mean an ulp off, so their plain std
+        overflows; the column is still constant."""
+        train = Dataset(np.full((120, 1), value), np.zeros(120), "real")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, (norm,) = zscore_fit_apply(train)
+        np.testing.assert_array_equal(norm.features, np.zeros((120, 1)))
 
     def test_out_of_range_point_not_clipped(self):
         train = Dataset(np.array([[0.0], [1.0]]), np.zeros(2), "real")

@@ -81,10 +81,11 @@ _DIST_ENTRIES = st.one_of(st.integers(0, 4).map(float), st.sampled_from([np.inf,
 
 
 def selected_rows(dists, rule):
-    """:func:`predictors._select` on a block, split into its rows."""
-    picked, counts = predictors._select(np.asarray(dists, dtype=float), rule)
-    assert len(counts) == len(dists)
-    return np.split(picked, np.cumsum(counts)[:-1])
+    """:func:`predictors._select` on a block: each row's selected columns,
+    in index order."""
+    take = predictors._select(np.asarray(dists, dtype=float), rule)
+    assert take.dtype == bool and take.shape == np.shape(dists)
+    return [np.flatnonzero(row) for row in take]
 
 
 class TestSelected:
@@ -99,45 +100,44 @@ class TestSelected:
     )
     def test_matches_full_stable_sort(self, dists, k, radius):
         """Integer distances repeat, so k often cuts a run of exact ties;
-        every row of the block still selects the first k of its full
-        (distance, index) order, NaN after inf, and the radius ball in that
-        order, or the whole order when the ball is empty."""
+        every row of the block still selects the set of the first k of its
+        full (distance, index) order, NaN after inf, and the radius ball, or
+        every point when the ball is empty."""
         knn = selected_rows(dists, NeighborRule("knn", k=k))
         hnn = selected_rows(dists, NeighborRule("hnn", radius=radius))
         for row, got_knn, got_hnn in zip(dists, knn, hnn):
             order = np.argsort(row, kind="stable")
-            np.testing.assert_array_equal(got_knn, order[:k])
-            ball = order[row[order] <= radius]
-            np.testing.assert_array_equal(got_hnn, ball if len(ball) else order)
+            np.testing.assert_array_equal(got_knn, np.sort(order[:k]))
+            ball = np.flatnonzero(row <= radius)
+            np.testing.assert_array_equal(got_hnn, ball if len(ball) else np.arange(len(row)))
 
     def test_tie_cut_keeps_lowest_indices(self):
         """The first row ties four points at its k-th value, the second none."""
         dists = [[2.0, 1.0, 2.0, 0.0, 2.0, 2.0], [5.0, 0.0, 1.0, 3.0, 4.0, 2.0]]
         got = selected_rows(dists, NeighborRule("knn", k=4))
-        np.testing.assert_array_equal(got[0], [3, 1, 0, 2])
-        np.testing.assert_array_equal(got[1], [1, 2, 5, 3])
+        np.testing.assert_array_equal(got[0], [0, 1, 2, 3])
+        np.testing.assert_array_equal(got[1], [1, 2, 3, 5])
 
     def test_nan_at_the_cut_falls_back_to_full_order(self):
         """A row with fewer than k non-NaN distances fills from its NaNs in
         index order."""
         dists = [[np.nan, 1.0, np.nan, np.inf], [np.nan, 1.0, 0.0, 2.0]]
         got = selected_rows(dists, NeighborRule("knn", k=3))
-        np.testing.assert_array_equal(got[0], [1, 3, 0])
-        np.testing.assert_array_equal(got[1], [2, 1, 3])
+        np.testing.assert_array_equal(got[0], [0, 1, 3])
+        np.testing.assert_array_equal(got[1], [1, 2, 3])
 
     def test_k_at_least_n_takes_every_point(self):
         dists = [[2.0, np.nan, 0.0, 2.0], [1.0, 1.0, 1.0, 1.0]]
         for k in (4, 9):
-            got = selected_rows(dists, NeighborRule("knn", k=k))
-            np.testing.assert_array_equal(got[0], [2, 0, 3, 1])
-            np.testing.assert_array_equal(got[1], [0, 1, 2, 3])
+            for got in selected_rows(dists, NeighborRule("knn", k=k)):
+                np.testing.assert_array_equal(got, [0, 1, 2, 3])
 
     def test_empty_ball_takes_every_point(self):
         """Only the second row's ball is empty."""
         dists = [[0.5, 3.0, 0.0], [3.0, 2.0, 2.0]]
         got = selected_rows(dists, NeighborRule("hnn", radius=1.0))
-        np.testing.assert_array_equal(got[0], [2, 0])
-        np.testing.assert_array_equal(got[1], [1, 2, 0])
+        np.testing.assert_array_equal(got[0], [0, 2])
+        np.testing.assert_array_equal(got[1], [0, 1, 2])
 
 
 def row_distances(dists):
@@ -164,6 +164,22 @@ class TestPredictEach:
         got = predict_each(distances, train, np.zeros((0, 1)), NeighborRule("knn", k=1))
         assert got.shape == (0,) and got.dtype == dtype
         assert calls == []
+
+    @pytest.mark.parametrize("dists,labels,k,want", [
+        # the infs at 1 and 2 are selected and tie labels 3 and 2; the NaN at
+        # 0 is not selected, and the tie goes to the inf at 1
+        ([np.nan, np.inf, np.inf], [1, 3, 2], 2, 3),
+        # labels 1 and 2 tie at two NaN members each, over label 3 at 0.5;
+        # the NaN met first in index order, at 1, takes the tie
+        ([0.5, np.nan, np.nan, np.nan, np.nan], [3, 2, 1, 1, 2], 5, 2),
+    ])
+    def test_vote_tie_at_a_non_finite_nearest_member(self, dists, labels, k, want):
+        """A tie whose nearest tied member is at inf, then at NaN, goes to
+        that member's label in (distance, index) order, NaN after inf."""
+        distances, _ = row_distances(np.array([dists]))
+        train = classed(np.zeros((len(dists), 1)), labels)
+        got = predict_each(distances, train, np.zeros((1, 1)), NeighborRule("knn", k=k))
+        assert got.tolist() == [want]
 
     @settings(deadline=None, max_examples=200)
     @given(
