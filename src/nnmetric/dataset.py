@@ -112,7 +112,18 @@ class NormStats:
     std: np.ndarray
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=float) - self.mean) / self.std
+        """(x - mean) / std per column.  A column whose difference overflows
+        (values of opposite sign near the largest double) is computed again
+        as x / std - mean / std, which stays in range; every other column
+        keeps the bits of the plain form."""
+        features = np.asarray(features, dtype=float)
+        with np.errstate(over="ignore"):
+            out = (features - self.mean) / self.std
+        odd = np.flatnonzero(~np.isfinite(out).all(axis=0))
+        if len(odd):
+            std = self.std[odd]
+            out[:, odd] = features[:, odd] / std - self.mean[odd] / std
+        return out
 
 
 @dataclass(frozen=True, eq=False)

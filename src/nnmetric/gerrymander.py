@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import CLASS, Dataset
-from .numerics import psd_project, sym_eig, symmetrize
+from .numerics import psd_project, sym_eig
 from .predictors import NeighborRule, predict_each
 
 
@@ -38,18 +38,26 @@ class InfeasibleTargetError(ValueError):
 class MahalanobisMetric:
     """Symmetric metric D(x, x') = (x - x')^T W (x - x'), W PSD.
 
-    :meth:`distances` forms the n quadratic forms as the row sums of
-    (diff W) o diff: one matrix product, which BLAS runs, where a
-    three-operand einsum has no contraction path and loops in C.
+    :meth:`distances` forms the n quadratic forms on the transposed
+    differences, d x n, as the column sums of (W diff) o diff: one matrix
+    product, which BLAS runs, where a three-operand einsum has no
+    contraction path and loops in C.
     """
 
     w: np.ndarray
 
     def distances(self, x, features) -> np.ndarray:
         """The n distances from query ``x`` to the rows of ``features``, or,
-        for a (B, d) block of queries, the B x n distances of each row."""
-        diff = np.asarray(features, dtype=float) - np.asarray(x, dtype=float)[..., None, :]
-        return ((diff @ self.w) * diff).sum(axis=-1)
+        for a (B, d) block of queries, the B x n distances of each row.
+
+        The differences are laid out d x n in C order whatever the order of
+        ``features``, so a column-major database, whose transpose is read
+        in memory order, gives the same bits as a row-major one."""
+        x = np.asarray(x, dtype=float)
+        diff = np.subtract(np.asarray(features, dtype=float).T, x[..., :, None], order="C")
+        prod = self.w @ diff
+        prod *= diff
+        return prod.sum(axis=-2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +66,8 @@ class AsymmetricMetric:
 
     The equivalent joint quadratic form [[U^T U, -U^T V], [-V^T U, V^T V]]
     is PSD for every (U, V), so no projection step is ever needed.
+    :meth:`distances` forms the differences V x' - U x transposed, one
+    column per database row, and sums their squares down each column.
     """
 
     u: np.ndarray
@@ -68,8 +78,9 @@ class AsymmetricMetric:
         for a (B, d) block of queries, the B x n distances of each row; the
         database side V x' is computed once per call."""
         query = np.asarray(x, dtype=float) @ self.u.T
-        db = np.asarray(features, dtype=float) @ self.v.T
-        return np.sum((db - query[..., None, :]) ** 2, axis=-1)
+        diff = self.v @ np.asarray(features, dtype=float).T - query[..., :, None]
+        diff *= diff
+        return diff.sum(axis=-2)
 
 
 def n_star(n_classes: int, k: int, ties_forbidden: bool) -> int:
@@ -367,10 +378,12 @@ def sgd_rule(train: Dataset, c: float, variant: str):
             # Psi(x, h) = -D^T D over h's rows D of x - x_j, the W-gradient of
             # S; both sets' rows come from one gather.  (-D^T) @ D keeps each
             # product a general matrix product: numpy hands D.T @ D to BLAS
-            # syrk, which rounds differently in the last bits
+            # syrk, which rounds differently in the last bits.  The products
+            # need not be symmetric to the bit: psd_project symmetrizes the
+            # step from its upper triangle
             diffs = x - train.features[np.concatenate((h_hat, h_star))]
             neg, m = -diffs.T, len(h_hat)
-            delta = symmetrize(neg[:, :m] @ diffs[:m] - neg[:, m:] @ diffs[m:])
+            delta = neg[:, :m] @ diffs[:m] - neg[:, m:] @ diffs[m:]
             return MahalanobisMetric(w=psd_project((1.0 - 1.0 / t) * metric.w - c * delta))
     elif variant == "asymmetric":
         # zero projections cannot break symmetry, so the start is U = V = I
@@ -418,9 +431,12 @@ def latent_sgd(train: Dataset, config, infer, start, update,
     ``config.stop_rel_tol`` relative (or is not finite).  ``audit_psd``
     records the smallest eigenvalue of every updated W.  A metric whose
     distances overflow (a step scale C too large for the data) raises
-    ``ValueError`` naming the number of updates applied.
+    ``ValueError`` naming the number of updates applied.  The distances
+    read one column-major copy of the training set, made once per
+    training, whose transpose the metrics read in memory order.
     """
     rng = np.random.default_rng(config.seed)
+    database = np.asfortranarray(train.features)
     metric = start(rng)
     trace: list[TraceRow] = []
     psd_audit: list[float] = []
@@ -432,7 +448,7 @@ def latent_sgd(train: Dataset, config, infer, start, update,
             losses = []
             for i in rng.permutation(train.n):
                 x = train.features[i]
-                dists = _finite_distances(metric, x, train.features, t)
+                dists = _finite_distances(metric, x, database, t)
                 dists[i] = np.inf
                 try:
                     surrogate, h_hat, h_star = infer(i, dists)
@@ -450,7 +466,7 @@ def latent_sgd(train: Dataset, config, infer, start, update,
                 break
             prev_mean = mean_loss
         if t:  # no sample came after the last update
-            _finite_distances(metric, train.features[0], train.features, t)
+            _finite_distances(metric, train.features[0], database, t)
     return TrainResult(metric=metric, trace=trace, psd_audit=psd_audit)
 
 
@@ -477,7 +493,9 @@ def train_sgd(
 
 def metric_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:
     """kNN class predictions under a learned metric (either variant)."""
+    database = np.asfortranarray(train.features)
+
     def distances(block):
-        return metric.distances(block, train.features)
+        return metric.distances(block, database)
 
     return predict_each(distances, train, queries, NeighborRule("knn", k=k))

@@ -8,7 +8,10 @@ The eigensolver is LAPACK's symmetric driver behind ``np.linalg.eigh``, with
 the values put in descending order by one private helper that
 :func:`sym_eig` and :func:`psd_project` share.  :func:`sym_eig` also fixes
 each vector's sign (largest-magnitude entry positive); :func:`psd_project`
-does not need to, as a column's sign cancels in V diag(lam+) V^T.  The slow
+does not need to, as a column's sign cancels in V diag(lam+) V^T.
+:func:`psd_project` first tests its input with one Cholesky factorization,
+and a positive-definite input, already in the cone, comes back as it is;
+only an input that fails the test is eigendecomposed.  The slow
 independent oracle, a cyclic Jacobi iteration, is
 :func:`nnmetric.bruteforce.brute_sym_eig`.
 """
@@ -44,12 +47,17 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return np.where(_strict_lower(a.shape[0]), a.T, a) + 0.0
 
 
-def _eigh_descending(a: np.ndarray, caller: str):
-    """(values, vectors) of ``symmetrize(a)`` by ``np.linalg.eigh``, values
-    descending (stable order); a non-finite entry raises naming ``caller``."""
+def _checked_symmetric(a: np.ndarray, caller: str) -> np.ndarray:
+    """``symmetrize(a)``; a non-finite entry raises naming ``caller``."""
     work = symmetrize(a)
     if not np.isfinite(work).all():
         raise ValueError(f"{caller} requires finite entries")
+    return work
+
+
+def _eigh_descending(work: np.ndarray):
+    """(values, vectors) of the symmetric ``work`` by ``np.linalg.eigh``,
+    values descending (stable order)."""
     values, vecs = np.linalg.eigh(work)
     order = np.argsort(-values, kind="stable")
     return values[order], vecs[:, order]
@@ -70,7 +78,7 @@ def sym_eig(a: np.ndarray) -> EigenDecomp:
         sign is fixed so its largest-magnitude entry is positive, which makes
         the output deterministic up to eigenvalue multiplicity.
     """
-    values, vecs = _eigh_descending(a, "sym_eig")
+    values, vecs = _eigh_descending(_checked_symmetric(a, "sym_eig"))
     lead = np.argmax(np.abs(vecs), axis=0)
     flip = vecs[lead, np.arange(vecs.shape[1])] < 0.0
     vecs[:, flip] = -vecs[:, flip]
@@ -80,14 +88,22 @@ def sym_eig(a: np.ndarray) -> EigenDecomp:
 def psd_project(a: np.ndarray) -> np.ndarray:
     """Project onto the PSD cone by zeroing negative eigenvalues.
 
-    Returns ``symmetrize((V * max(lam, 0)) @ V.T)`` with the descending
-    eigenpairs of :func:`sym_eig` but without its sign fix: negating a
-    column of V negates both factors of each of its products, so the result
-    is the same bit for bit.  Raises ``ValueError`` on a non-finite entry.
+    ``symmetrize(a)`` is tested with one ``np.linalg.cholesky``.  When the
+    factorization succeeds, the input is positive definite to working
+    precision, already in the cone, and it comes back as it is.  Every
+    other input takes the eigen route: ``symmetrize((V * max(lam, 0)) @
+    V.T)`` with the descending eigenpairs of :func:`sym_eig` but without its
+    sign fix, as negating a column of V negates both factors of each of its
+    products, so the result is the same bit for bit.  Raises ``ValueError``
+    on a non-finite entry.
     """
-    values, vecs = _eigh_descending(a, "psd_project")
-    projected = (vecs * np.maximum(values, 0.0)) @ vecs.T
-    return symmetrize(projected)
+    work = _checked_symmetric(a, "psd_project")
+    try:
+        np.linalg.cholesky(work)
+    except np.linalg.LinAlgError:
+        values, vecs = _eigh_descending(work)
+        return symmetrize((vecs * np.maximum(values, 0.0)) @ vecs.T)
+    return work
 
 
 # eigenvalues below this fraction of the largest are zeroed by the whitening

@@ -170,15 +170,21 @@ def _draw_psd(rng, i):
 
 @_replayable
 def _check_psd(matrix):
-    projected = psd_project(matrix)
-    low = float(bruteforce.brute_sym_eig(projected)[1][-1])
-    if low < -1e-9:
-        return "projection", low, 0.0
-    # the nearest PSD matrix in Frobenius norm clips the Jacobi spectrum
-    vecs, values = bruteforce.brute_sym_eig(matrix)
-    want = (vecs * np.maximum(values, 0.0)) @ vecs.T
-    if np.linalg.norm(projected - want) > 1e-9 * max(1.0, np.linalg.norm(matrix)):
-        return "nearest", projected, want
+    """The projection of the drawn matrix, and of its Gram matrix
+    ``matrix @ matrix.T``: few random symmetric draws are positive
+    definite, but almost every Gram matrix is, so its checks reach the
+    return of an input already in the cone.  Each check's name says which
+    matrix failed."""
+    for prefix, a in (("", matrix), ("gram_", matrix @ matrix.T)):
+        projected = psd_project(a)
+        low = float(bruteforce.brute_sym_eig(projected)[1][-1])
+        if low < -1e-9:
+            return prefix + "projection", low, 0.0
+        # the nearest PSD matrix in Frobenius norm clips the Jacobi spectrum
+        vecs, values = bruteforce.brute_sym_eig(a)
+        want = (vecs * np.maximum(values, 0.0)) @ vecs.T
+        if np.linalg.norm(projected - want) > 1e-9 * max(1.0, np.linalg.norm(a)):
+            return prefix + "nearest", projected, want
 
 
 def _draw_training_run(rng, i):

@@ -51,7 +51,10 @@ def reg_inference_core(dists, targets, y: float, k: int, gamma: float, direction
     ``gaps`` is that array when the caller already has it, as
     :func:`reg_surrogate_core` shares one between its two calls, and is
     computed here when omitted.  Only the points scoring at least the k-th
-    best, ties included, are sorted (by descending score, then index)."""
+    best, ties included, are sorted (by descending score, then index): the
+    cut lists them in index order, so one stable sort of their scores gives
+    that order.  The set is feasible when its worst member, the k-th best
+    score, and its best member are both finite."""
     dists = np.asarray(dists, dtype=float)
     if gaps is None:
         gaps = gamma * (y - np.asarray(targets, dtype=float)) ** 2 / k
@@ -63,12 +66,17 @@ def reg_inference_core(dists, targets, y: float, k: int, gamma: float, direction
         neg = dists - gaps
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    kth = np.partition(neg, k - 1)[k - 1] if k <= len(neg) else np.inf
-    cut = (neg <= kth).nonzero()[0]
-    h = cut[np.lexsort((cut, neg[cut]))][:k]
-    if len(h) < k or not np.isfinite(neg[h]).all():
-        raise InfeasibleTargetError(f"fewer than k={k} candidates")
-    return h
+    if k <= len(neg):
+        part = neg.copy()
+        part.partition(k - 1)
+        kth = part[k - 1]
+        # NaN partitions last and is below no score, so it is never a member
+        if np.isfinite(kth):
+            cut = (neg <= kth).nonzero()[0]
+            h = cut[neg[cut].argsort(kind="stable")[:k]]
+            if np.isfinite(neg[h[0]]):
+                return h
+    raise InfeasibleTargetError(f"fewer than k={k} candidates")
 
 
 def reg_surrogate_core(dists, targets, y: float, k: int, gamma: float, h_star=None):
@@ -80,8 +88,10 @@ def reg_surrogate_core(dists, targets, y: float, k: int, gamma: float, h_star=No
     calls, and each set's Delta-hat is the sum of its members' squared gaps
     over k, the reduction :func:`delta_reg_ub` makes."""
     targets = np.asarray(targets, dtype=float)
-    sq = (y - targets) ** 2
-    gaps = gamma * sq / k
+    sq = y - targets
+    sq *= sq
+    gaps = gamma * sq
+    gaps /= k
     h_hat = reg_inference_core(dists, targets, y, k, gamma, "loss_augmented", gaps)
     if h_star is None:
         h_star = reg_inference_core(dists, targets, y, k, gamma, "targeted", gaps)
@@ -172,7 +182,9 @@ def train_reg_sgd(train: Dataset, config: RegTrainConfig, audit_psd: bool = Fals
 
 def metric_reg_predictions(metric, train: Dataset, queries, k: int) -> np.ndarray:
     """kNN-mean regression predictions under a learned metric."""
+    database = np.asfortranarray(train.features)
+
     def distances(block):
-        return metric.distances(block, train.features)
+        return metric.distances(block, database)
 
     return predict_each(distances, train, queries, NeighborRule("knn", k=k))

@@ -136,6 +136,19 @@ class TestZscore:
             _, (scaled,) = zscore_fit_apply(Dataset(x * factor, np.zeros(120), "real"))
         np.testing.assert_allclose(scaled.features, unit.features, rtol=1e-12)
 
+    def test_column_near_the_largest_double_scales_as_unit_magnitude(self):
+        """A column of +-1.5e308 overflows x - mean; it z-scores as the same
+        column of +-1 does, and prints no warning."""
+        x = synth_sin(120, 4, c1=3.0, seed=3).features
+        signs = np.sign(x[:, 2] - 0.2)
+        unit, big = x.copy(), x.copy()
+        unit[:, 2], big[:, 2] = signs, signs * 1.5e308
+        _, (want,) = zscore_fit_apply(Dataset(unit, np.zeros(120), "real"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, (got,) = zscore_fit_apply(Dataset(big, np.zeros(120), "real"))
+        np.testing.assert_allclose(got.features, want.features, rtol=1e-12)
+
     @pytest.mark.parametrize("value", [2.0 ** -997, 1e300])
     def test_constant_column_of_extreme_magnitude_maps_to_zero(self, value):
         """120 copies of 1e300 have a mean an ulp off, so their plain std

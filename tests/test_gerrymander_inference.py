@@ -25,6 +25,7 @@ from nnmetric.gerrymander import (
     surrogate_core,
     targeted_inference_core,
 )
+from nnmetric.hamming import HammingHasher
 from nnmetric.numerics import psd_project
 from nnmetric.predictors import NeighborRule, predict_each
 
@@ -645,3 +646,37 @@ class TestBlockDistances:
             np.testing.assert_array_equal(got, want)
         else:
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+class TestColumnMajorDatabase:
+    @pytest.mark.parametrize("variant", ["symmetric", "asymmetric", "hamming"])
+    def test_either_layout_gives_the_same_bytes(self, variant):
+        """The trainers hand the distances a column-major database and other
+        callers a row-major one; both give the same bits, for one query row
+        and for a block (Hamming codes take one row).  d = 10 is past the
+        8 terms where numpy sums a contiguous axis pairwise."""
+        rng = np.random.default_rng(29)
+        for d in (1, 4, 10):
+            features = 3.0 * rng.normal(size=(60, d))
+            block = rng.normal(size=(7, d))
+            a, b = rng.normal(size=(2, d, d))
+            if variant == "symmetric":
+                metric = MahalanobisMetric(w=a.T @ a)
+            elif variant == "asymmetric":
+                metric = AsymmetricMetric(u=a, v=b)
+            else:
+                metric = HammingHasher(u=a, v=b)
+            queries = [block[0]] if variant == "hamming" else [block[0], block]
+            for query in queries:
+                got = metric.distances(query, features)
+                column_major = metric.distances(query, np.asfortranarray(features))
+                assert got.tobytes() == column_major.tobytes()
+                if variant == "hamming":
+                    continue
+                diffs = np.atleast_2d(query)[:, None, :] - features
+                if variant == "symmetric":
+                    want = np.einsum("bnd,de,bne->bn", diffs, metric.w, diffs)
+                else:
+                    proj = np.atleast_2d(query) @ a.T
+                    want = ((proj[:, None, :] - features @ b.T) ** 2).sum(axis=-1)
+                np.testing.assert_allclose(np.atleast_2d(got), want, rtol=1e-12)

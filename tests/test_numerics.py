@@ -161,8 +161,12 @@ class TestPsdProject:
 
     @pytest.mark.parametrize("case", ["zero", "repeated", "rank_deficient", "d1", "random"])
     def test_bytes_match_sym_eig_route(self, case):
-        """psd_project skips sym_eig's sign fix: a column's sign cancels in
-        V diag(lam+) V^T, so the result is the sym_eig route's bit for bit."""
+        """A positive-definite input passes the Cholesky test and comes back
+        as symmetrize(a), bit for bit.  An input with a negative eigenvalue
+        takes the eigen route, which skips sym_eig's sign fix: a column's
+        sign cancels in V diag(lam+) V^T, so the result is the sym_eig
+        route's bit for bit.  An input within roundoff of singular may take
+        either route."""
         rng = np.random.default_rng(12)
         for _ in range(200):
             d = 1 if case == "d1" else int(rng.integers(2, 12))
@@ -177,8 +181,34 @@ class TestPsdProject:
             else:
                 a = random_symmetric(rng, d, scale=10.0 ** rng.uniform(-3, 3))
             vecs, values = sym_eig(a)
-            want = symmetrize((vecs * np.maximum(values, 0.0)) @ vecs.T)
-            assert psd_project(a).tobytes() == want.tobytes()
+            eigen_route = symmetrize((vecs * np.maximum(values, 0.0)) @ vecs.T).tobytes()
+            unchanged = symmetrize(a).tobytes()
+            margin = 1e-8 * np.abs(values).max()
+            got = psd_project(a).tobytes()
+            if values[-1] > margin:
+                assert got == unchanged
+            elif values[-1] < -margin:
+                assert got == eigen_route
+            else:
+                assert got in (unchanged, eigen_route)
+
+    @pytest.mark.parametrize("case", ["zero", "rank_deficient", "projected"])
+    def test_psd_singular_input_stays_in_the_cone(self, case):
+        """A PSD input with zero eigenvalues, which the Cholesky test may
+        pass or fail in roundoff, comes back with no eigenvalue below
+        -1e-12 |a| whichever route it takes."""
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            d = int(rng.integers(2, 12))
+            if case == "zero":
+                a = np.zeros((d, d))
+            elif case == "rank_deficient":
+                b = rng.standard_normal((d, int(rng.integers(1, d))))
+                a = b @ b.T
+            else:
+                a = psd_project(random_symmetric(rng, d))
+            low = np.linalg.eigvalsh(psd_project(a))[0]
+            assert low >= -1e-12 * np.linalg.norm(a)
 
     def test_rejects_nonfinite_naming_itself(self):
         with pytest.raises(ValueError, match="psd_project"):

@@ -114,6 +114,27 @@ class TestRegInference:
         with pytest.raises(InfeasibleTargetError):
             reg_inference_core(dists, np.array([0.0, 1.0]), 0.0, 2, 1.0, "targeted")
 
+    @pytest.mark.parametrize("case", ["fewer_rows_than_k", "plus_inf_member",
+                                      "minus_inf_member", "nan_member"])
+    def test_a_set_with_a_score_not_finite_raises(self, case):
+        """The set of k best scores is infeasible when its worst member is
+        +inf or NaN (fewer than k finite scores) or its best is -inf."""
+        dists = {
+            "fewer_rows_than_k": [1.0],
+            "plus_inf_member": [0.5, np.inf, np.inf],
+            "minus_inf_member": [-np.inf, 1.0, 2.0],
+            "nan_member": [0.5, np.nan, np.nan],
+        }[case]
+        dists = np.array(dists)
+        for direction in ("targeted", "loss_augmented"):
+            with pytest.raises(InfeasibleTargetError):
+                reg_inference_core(dists, np.zeros(len(dists)), 0.0, 2, 1.0, direction)
+
+    def test_a_nan_score_is_never_a_member(self):
+        dists = np.array([np.nan, 2.0, np.nan, 1.0])
+        h = reg_inference_core(dists, np.zeros(4), 0.0, 2, 1.0, "targeted")
+        assert h.tolist() == [3, 1]
+
     def test_unknown_direction(self):
         with pytest.raises(ValueError):
             reg_inference_core(np.array([1.0]), np.array([1.0]), 0.0, 1, 1.0, "sideways")
