@@ -15,8 +15,15 @@ sample, one probe-distance matrix gives both the gates and the plug-in
 weights.  One loop over the sample serves a whole grid of (h, t) points
 (:func:`gradient_passes`): what no h changes (the sample's differences and,
 per t, the probe distances, their minima and roots) is formed once, and each
-point gets the pass it would get alone, to the bit.  The squared distances
-come from the exact expansion
+point gets the pass it would get alone, to the bit.  The loop takes the
+samples in blocks of b = max(1, ``_PASS_BLOCK`` // (2 d n)), so that each
+numpy call works on the (b, 2d, n) probe distances of b samples at small
+shapes, and on one sample, as a plain per-sample loop, once 2 d n is more
+than half of ``_PASS_BLOCK``.  The blocks change no bit of any pass: each
+sample's terms are added to the sums one at a time, in sample order, and
+where some gate of a block stayed closed, each sample multiplies its open
+rows alone, as a per-sample loop does.  The squared distances come from
+the exact expansion
 |x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i), with no matrix
 product and none of the cancellation of |p|^2 - 2 p.f + |f|^2, and the
 triangle weights stay unnormalized (max(0, h - r)) until the plug-in sums
@@ -85,10 +92,15 @@ class GradientMetricEstimate:
         return whitening_transform(self.g)
 
 
-def _loo_weights(h: float, dists, own: int, out):
-    """Unnormalized triangle weights max(0, h - r) of probe distances r,
-    written to ``out``, with the queried column ``own`` zeroed, and their
-    row sums.
+# samples per block of the gradient pass: a block's probe distances are a
+# (b, 2d, n) array of at most this many doubles, b = max(1, _PASS_BLOCK // (2 d n))
+_PASS_BLOCK = 32768
+
+
+def _loo_weights(h: float, dists, own, out):
+    """Unnormalized triangle weights max(0, h - r) of probe distances r, one
+    probe per row, written to ``out``, with each row's queried column
+    ``own[row]`` zeroed, and their row sums.
 
     The kernel's 1/h cancels once a row is divided by its sum, so it is never
     applied.  A row with no other point in reach falls back to uniform
@@ -96,33 +108,41 @@ def _loo_weights(h: float, dists, own: int, out):
     """
     np.subtract(h, dists, out=out)
     np.maximum(out, 0.0, out=out)
-    out[:, own] = 0.0
-    total = out.sum(axis=1)
-    empty = total == 0.0
-    if empty.any():
-        out[empty] = np.arange(out.shape[1]) != own
-        total = out.sum(axis=1)
+    out[np.arange(len(out)), own] = 0.0
+    total = np.add.reduce(out, axis=1)
+    if not total.all():
+        empty = total == 0.0
+        out[empty] = np.arange(out.shape[1]) != own[empty, None]
+        total[empty] = out[empty].sum(axis=1)
     return out, total
 
 
 def _gradient_pass(train: Dataset, points, targets, temperature):
-    """Yield ``(j, mask, central differences)`` for each sample and each
-    point ``j`` of ``points``, a sequence of ``(KernelSpec, t)``, whose gate
-    opened on it.
+    """Yield ``(j, masks, central differences)`` for each block of samples
+    and each point ``j`` of ``points``, a sequence of ``(KernelSpec, t)``,
+    whose gate opened on some sample of the block: one row per sample of the
+    block, in sample order, of its gates (b, d) and its differences (b, d),
+    or (b, d, C) on the class surface, zero where a gate stayed closed.
 
-    Per sample x, the 2d x n squared probe distances at a step t come from
-    the exact expansion |x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i).
-    What no h changes is formed once and shared: per sample, the difference
-    x - f and its column sums of squares; per distinct t, the probe
-    distances (the queried point sits at exactly t^2), their row minima and
-    their square roots, taken the first time a gate of that t opens.  Per
-    point, the minima give the density gates (as :func:`gate_mask`) and, on
-    the gated rows, :func:`_loo_weights` writes the leave-one-out weights
-    to a buffer of its own, leaving the shared roots for the next h.  The
-    plug-in value at a probe is ``(raw @ targets) / total``, softmaxed at
-    ``temperature`` unless that is None.  Each point gets the arithmetic a
-    pass of that point alone gets, to the bit.  A point whose every gate
-    stayed closed warns once, after the loop.
+    The samples go in blocks of b = max(1, ``_PASS_BLOCK`` // (2 d n)), one
+    sample at large n d, and every array below carries the block as its
+    first axis.  Per sample x, the 2d x n squared probe distances at a step t
+    come from the exact expansion |x +- t e_i - f|^2 = |x - f|^2 + t^2 +-
+    2t (x_i - f_i).  What no h changes is formed once and shared: per block,
+    the differences x - f and their sums of squares over the d coordinates;
+    per distinct t, the probe distances (the queried point sits at exactly
+    t^2), their row minima and their square roots, taken the first time a
+    gate of that t opens in the block.  Per point, the minima give the
+    density gates (as :func:`gate_mask`), and :func:`_loo_weights` writes
+    the leave-one-out weights of the open rows to a buffer of its own,
+    leaving the shared roots for the next h.  The plug-in value at a probe
+    is ``(raw @ targets) / total``, softmaxed at ``temperature`` unless that
+    is None.  When every gate of the block opened, one stacked product
+    serves the block, which gives each sample its own product; otherwise
+    :func:`_gated_values` weighs and multiplies each sample's open rows
+    alone.  So each point gets, to the bit, the arithmetic of a pass of that
+    point alone over one sample at a time.  A point whose every gate stayed
+    closed warns once, after the loop.
     """
     if train.n < 2:
         raise ValueError("need at least two points")
@@ -133,31 +153,46 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
     for j, (spec, t) in enumerate(points):
         h = spec.bandwidth
         by_t.setdefault(t, []).append((j, h, h * h + 1e-12))
+    b = max(1, _PASS_BLOCK // (2 * d * n))
     columns = np.ascontiguousarray(feats.T)
-    cross = np.empty((d, n))
-    scaled = np.empty((d, n))
-    base = np.empty(n)
-    shifted = np.empty(n)
-    dists = np.empty((2 * d, n))
-    weights = np.empty((2 * d, n))
-    nearest = np.empty(2 * d)
+    cross = np.empty((b, d, n))
+    scaled = np.empty((b, d, n))
+    base = np.empty((b, n))
+    shifted = np.empty((b, n))
+    dists = np.empty((b, 2 * d, n))
+    weights = np.empty((b * 2 * d, n))
+    nearest = np.empty((b, 2 * d))
+    # each probe row's sample within the block
+    offsets = np.repeat(np.arange(b), 2 * d)
+    # the row sums, shaped to divide the plug-in sums of the block's probes
+    sums_shape = (b, 2 * d) + (1,) * (targets.ndim - 1)
+    rows = dists.reshape(2 * d * b, n)
     opened = [False] * len(points)
-    for idx in range(n):
-        np.subtract(feats[idx][:, None], columns, out=cross)
+    for start in range(0, n, b):
+        if n - start < b:
+            # the last block is shorter: work on the leading rows of each buffer
+            b = n - start
+            cross, scaled, base, shifted = cross[:b], scaled[:b], base[:b], shifted[:b]
+            dists, nearest, offsets = dists[:b], nearest[:b], offsets[: 2 * d * b]
+            rows = dists.reshape(2 * d * b, n)
+            sums_shape = (b,) + sums_shape[1:]
+        owners = offsets + start
+        np.subtract(feats[start : start + b, :, None], columns, out=cross)
         # scaled holds the squares until the first t overwrites it
-        np.sum(np.square(cross, out=scaled), axis=0, out=base)
+        np.add.reduce(np.square(cross, out=scaled), axis=1, out=base)
         for t, group in by_t.items():
             np.add(base, t * t, out=shifted)
             np.multiply(cross, 2.0 * t, out=scaled)
-            np.add(shifted, scaled, out=dists[:d])
-            np.subtract(shifted, scaled, out=dists[d:])
+            np.add(shifted[:, None], scaled, out=dists[:, :d])
+            np.subtract(shifted[:, None], scaled, out=dists[:, d:])
             # features are finite, so "some point within h" is "the nearest is"
-            np.min(dists, axis=1, out=nearest)
+            np.minimum.reduce(dists, axis=2, out=nearest)
             rooted = False
             for j, h, reach in group:
                 inside = nearest <= reach
-                mask = inside[:d] & inside[d:]
-                if not mask.any():
+                mask = inside[:, :d] & inside[:, d:]
+                every = mask.all()
+                if not (every or mask.any()):
                     continue
                 opened[j] = True
                 if not rooted:
@@ -166,29 +201,40 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
                         np.maximum(dists, 0.0, out=dists)
                     np.sqrt(dists, out=dists)
                     rooted = True
-                if mask.all():
-                    active, m, rows = None, d, dists
+                if every:
+                    raw, total = _loo_weights(h, rows, owners, weights[: len(rows)])
+                    vals = raw.reshape(b, 2 * d, n) @ targets
+                    vals /= total.reshape(sums_shape)
                 else:
-                    active = np.flatnonzero(mask)
-                    m = len(active)
-                    rows = dists[np.concatenate([active, d + active])]
-                raw, total = _loo_weights(h, rows, idx, weights[: 2 * m])
-                vals = raw @ targets
-                vals /= total if vals.ndim == 1 else total[:, None]
+                    vals = _gated_values(h, mask, rows, owners, weights, targets)
                 if temperature is not None:
                     vals = _softmax(vals / temperature)
-                diffs = (vals[:m] - vals[m:]) / (2.0 * t)
-                if active is not None:
-                    full = np.zeros((d,) + vals.shape[1:])
-                    full[active] = diffs
-                    diffs = full
-                yield j, mask, diffs
+                yield j, mask, (vals[:, :d] - vals[:, d:]) / (2.0 * t)
     for j, (spec, t) in enumerate(points):
         if not opened[j]:
             warnings.warn(
                 f"every density gate failed on {n} rows at h = {spec.bandwidth:g}, t = {t:g}; "
                 "estimate is zero"
             )
+
+
+def _gated_values(h, mask, rows, owners, weights, targets):
+    """The plug-in sums over weights (b, 2d) or (b, 2d, C) of a block of
+    samples whose gates ``mask`` did not all open, zero on the rows of a
+    closed gate.  Of ``rows``, the block's (b 2d, n) probe distances whose
+    queried columns are ``owners``, only the open rows are weighed, and each
+    sample multiplies its own open rows, as a pass of one sample at a time
+    does: BLAS rounds a row by its place in the matrix."""
+    rows_open = np.concatenate((mask, mask), axis=1)
+    sizes = rows_open.sum(axis=1)
+    keep = rows_open.ravel()
+    raw, total = _loo_weights(h, rows[keep], owners[keep], weights[: sizes.sum()])
+    ends = np.cumsum(sizes)
+    vals = np.concatenate([raw[e - m : e] @ targets for m, e in zip(sizes, ends) if m])
+    vals /= total if vals.ndim == 1 else total[:, None]
+    probed = np.zeros(rows_open.shape + targets.shape[1:])
+    probed[rows_open] = vals
+    return probed
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,7 +260,11 @@ def gradient_passes(train: Dataset, points, temperature=None) -> list[GradientPa
     """One pass over the sample, in sample order, for every ``(KernelSpec,
     t)`` of ``points``: the one per-sample loop of GW, EGOP and EJOP.  The
     i-th :class:`GradientPass` is what :func:`gradient_pass` returns for
-    the i-th point, bit for bit.
+    the i-th point, bit for bit.  Each block of samples adds its samples'
+    terms one at a time, in sample order (:func:`_add_in_order`), so the
+    sums do not depend on how the samples are grouped into blocks; a sample
+    whose every gate stayed closed adds zeros, which leave a sum that
+    started at +0 as it was.
 
     With ``temperature`` None it probes the leave-one-out kernel regression
     of the labels, the surface GW and EGOP share; otherwise the class mass
@@ -230,18 +280,28 @@ def gradient_passes(train: Dataset, points, temperature=None) -> list[GradientPa
     # central differences over a tiny t, or of a huge slope, overflow these
     # sums; the estimators check them and name the pass, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, mask, grad in _gradient_pass(train, points, targets, temperature):
+        for j, masks, grads in _gradient_pass(train, points, targets, temperature):
             outer, abs_sums, counts = sums[j]
-            counts += mask
+            _add_in_order(counts, masks)
             if temperature is None:
-                abs_sums += np.abs(grad)
-                outer += grad[:, None] * grad
+                _add_in_order(abs_sums, np.abs(grads))
+                _add_in_order(outer, grads[:, :, None] * grads[:, None, :])
             else:
-                outer += grad @ grad.T
+                _add_in_order(outer, grads @ grads.transpose(0, 2, 1))
     return [
         GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)
         for (spec, t), (outer, abs_sums, counts) in zip(points, sums)
     ]
+
+
+def _add_in_order(total, terms):
+    """Add the stack ``terms`` to ``total`` one entry at a time, in order, as
+    a running sum does: an accumulation, where a reduction might pair them.
+    One entry, a block of one sample, is a plain ``+=``."""
+    if len(terms) == 1:
+        total += terms[0]
+    else:
+        total[...] = np.add.accumulate(np.concatenate((total[None], terms)), axis=0)[-1]
 
 
 def gradient_pass(train: Dataset, spec: KernelSpec, t: float, temperature=None) -> GradientPass:

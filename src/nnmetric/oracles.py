@@ -518,7 +518,8 @@ def run_oracle(suite: str, budget: int, seed: int = 0) -> OracleOutcome:
 def cmd_oracle(suite: str, budget: int = 200, seed: int = 0, out: str = ".") -> int:
     """Exit 0 when every check passes, 1 on a violation or an error raised
     while the suite runs, 2 on bad usage.  A violation, or an error raised
-    by a check, saves its record to ``oracle_<suite>_failure.json``."""
+    by a check, saves its record to ``oracle_<suite>_failure.json`` and
+    names that file on stderr; an error raised by a draw saves nothing."""
     try:
         _check_usage(suite, budget, seed)
     except ValueError as exc:
@@ -537,7 +538,8 @@ def cmd_oracle(suite: str, budget: int = 200, seed: int = 0, out: str = ".") -> 
     replay = out_dir / f"oracle_{suite}_failure.json"
     replay.write_text(harness._json_text(outcome.failure), encoding="utf-8")
     if outcome.failure["check"] == "raised":
-        print(f"{suite}: the suite raised {outcome.failure['error']}", file=sys.stderr)
+        print(f"{suite}: the suite raised {outcome.failure['error']}; instance saved to {replay}",
+              file=sys.stderr)
     else:
         print(f"{suite}: violation on check {outcome.checked}; instance saved to {replay}",
               file=sys.stderr)

@@ -10,6 +10,7 @@ from conftest import loo_pass, probed_pass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nnmetric import gradient_metrics as gm
 from nnmetric.bruteforce import (
     explicit_loo,
     finite_diff_gradient,
@@ -520,6 +521,36 @@ class TestGridPass:
             sq = np.sum((probes[:, None, :] - np.delete(X, idx, axis=0)[None]) ** 2, axis=2)
             fallback += int(np.sum(~np.any(sq <= h * h, axis=1)))
         assert masks[h, t].all() and fallback > 0
+
+
+class TestPassBlocks:
+    """The pass takes its samples in blocks of max(1, _PASS_BLOCK // (2dn)).
+    On :func:`partly_gated` data, where blocks mix open, partly gated and
+    closed samples, the grouping changes no byte of any pass and no
+    warning."""
+
+    @pytest.mark.parametrize("kind, temperature", [(REAL, None), (CLASS, 0.5)])
+    def test_pass_does_not_depend_on_how_samples_are_grouped(
+        self, monkeypatch, kind, temperature
+    ):
+        train, _, _ = partly_gated(kind)
+        points = [(KernelSpec(bandwidth=h), t) for h, t in TestGridPass.POINTS]
+        n, d = train.n, train.d
+        seen = {}
+        # one sample per block; 7, 7, 7, 7 and an uneven 2; all 30 in one
+        for per_block in (1, 7, n):
+            monkeypatch.setattr(gm, "_PASS_BLOCK", per_block * 2 * d * n)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                passes = gradient_passes(train, points, temperature)
+            seen[per_block] = (
+                [str(w.message) for w in caught],
+                [[getattr(p, f).tobytes() for f in ("outer", "abs_sums", "counts")]
+                 for p in passes],
+            )
+        assert len(seen[1][0]) == 1 and "at h = 0.05, t = 0.4;" in seen[1][0][0]
+        assert seen[7] == seen[1]
+        assert seen[n] == seen[1]
 
 
 def dyadic_grid(kind):

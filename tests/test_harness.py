@@ -461,8 +461,10 @@ class TestCmdOracle:
                          str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"neighbors: the suite raised {error.__name__}: fast routine broke\n"
-        payload = json.loads((tmp_path / "oracle_neighbors_failure.json").read_text("utf-8"))
+        replay = tmp_path / "oracle_neighbors_failure.json"
+        assert err == (f"neighbors: the suite raised {error.__name__}: fast routine broke; "
+                       f"instance saved to {replay}\n")
+        payload = json.loads(replay.read_text("utf-8"))
         assert payload["check"] == "raised"
         assert payload["error"] == f"{error.__name__}: fast routine broke"
         _, draw, _ = ORACLE_SUITES["neighbors"]
