@@ -153,9 +153,9 @@ def load_csv(path, label_column: str, label_kind: str) -> Dataset:
     Raises
     ------
     DatasetFormatError
-        On a missing label column, no feature column, a non-numeric or
-        non-finite cell, or an empty file.  Messages include the offending
-        row and column.
+        On a missing label column, a repeated column name, no feature
+        column, a non-numeric or non-finite cell, or an empty file.
+        Messages include the offending row and column.
     """
     if label_kind not in (CLASS, REAL):
         raise ValueError(f"label_kind must be 'class' or 'real', got {label_kind!r}")
@@ -167,6 +167,12 @@ def load_csv(path, label_column: str, label_kind: str) -> Dataset:
         except StopIteration:
             raise DatasetFormatError(f"{path}: file is empty") from None
         header = [name.strip() for name in header]
+        for col_idx, name in enumerate(header):
+            if name in header[:col_idx]:
+                raise DatasetFormatError(
+                    f"{path}: column {name!r} appears more than once in the header; "
+                    "give each column its own name"
+                )
         if label_column not in header:
             raise DatasetFormatError(
                 f"{path}: missing label column {label_column!r} "

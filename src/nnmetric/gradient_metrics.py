@@ -21,9 +21,10 @@ numpy call works on the (b, 2d, n) probe distances of b samples at small
 shapes, and on one sample, as a plain per-sample loop, once 2 d n is more
 than half of ``_PASS_BLOCK``.  The blocks change no bit of any pass: each
 sample's terms are added to the sums one at a time, in sample order, and
-where some gate of a block stayed closed, each sample multiplies its open
-rows alone, as a per-sample loop does.  The squared distances come from
-the exact expansion
+a stacked product gives each sample the bits of its own.  Every block
+takes one path: all of its probes are weighed and multiplied, and the
+differences of closed gates are set to zero afterwards.  The squared
+distances come from the exact expansion
 |x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i), with no matrix
 product and none of the cancellation of |p|^2 - 2 p.f + |f|^2, and the
 triangle weights stay unnormalized (max(0, h - r)) until the plug-in sums
@@ -131,18 +132,15 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
     2t (x_i - f_i).  What no h changes is formed once and shared: per block,
     the differences x - f and their sums of squares over the d coordinates;
     per distinct t, the probe distances (the queried point sits at exactly
-    t^2), their row minima and their square roots, taken the first time a
-    gate of that t opens in the block.  Per point, the minima give the
-    density gates (as :func:`gate_mask`), and :func:`_loo_weights` writes
-    the leave-one-out weights of the open rows to a buffer of its own,
-    leaving the shared roots for the next h.  The plug-in value at a probe
-    is ``(raw @ targets) / total``, softmaxed at ``temperature`` unless that
-    is None.  When every gate of the block opened, one stacked product
-    serves the block, which gives each sample its own product; otherwise
-    :func:`_gated_values` weighs and multiplies each sample's open rows
-    alone.  So each point gets, to the bit, the arithmetic of a pass of that
-    point alone over one sample at a time.  A point whose every gate stayed
-    closed warns once, after the loop.
+    t^2), their row minima and their square roots.  Per point, the minima
+    give the density gates (as :func:`gate_mask`), and :func:`_loo_weights`
+    writes the leave-one-out weights of every probe of the block to a
+    buffer of its own, leaving the shared roots for the next h.  The
+    plug-in value at a probe is ``(raw @ targets) / total``, softmaxed at
+    ``temperature`` unless that is None, from one stacked product that
+    gives each sample the bits of its own product; the differences of the
+    closed gates are then set to +0.  So each point gets, to the bit, the
+    pass of that point alone over one sample at a time.
     """
     if train.n < 2:
         raise ValueError("need at least two points")
@@ -167,7 +165,6 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
     # the row sums, shaped to divide the plug-in sums of the block's probes
     sums_shape = (b, 2 * d) + (1,) * (targets.ndim - 1)
     rows = dists.reshape(2 * d * b, n)
-    opened = [False] * len(points)
     for start in range(0, n, b):
         if n - start < b:
             # the last block is shorter: work on the leading rows of each buffer
@@ -187,54 +184,23 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
             np.subtract(shifted[:, None], scaled, out=dists[:, d:])
             # features are finite, so "some point within h" is "the nearest is"
             np.minimum.reduce(dists, axis=2, out=nearest)
-            rooted = False
+            # rounding can take a squared distance just below 0
+            if nearest.min() < 0.0:
+                np.maximum(dists, 0.0, out=dists)
+            np.sqrt(dists, out=dists)
             for j, h, reach in group:
                 inside = nearest <= reach
                 mask = inside[:, :d] & inside[:, d:]
-                every = mask.all()
-                if not (every or mask.any()):
+                if not mask.any():
                     continue
-                opened[j] = True
-                if not rooted:
-                    # rounding can take a squared distance just below 0
-                    if nearest.min() < 0.0:
-                        np.maximum(dists, 0.0, out=dists)
-                    np.sqrt(dists, out=dists)
-                    rooted = True
-                if every:
-                    raw, total = _loo_weights(h, rows, owners, weights[: len(rows)])
-                    vals = raw.reshape(b, 2 * d, n) @ targets
-                    vals /= total.reshape(sums_shape)
-                else:
-                    vals = _gated_values(h, mask, rows, owners, weights, targets)
+                raw, total = _loo_weights(h, rows, owners, weights[: len(rows)])
+                vals = raw.reshape(b, 2 * d, n) @ targets
+                vals /= total.reshape(sums_shape)
                 if temperature is not None:
                     vals = _softmax(vals / temperature)
-                yield j, mask, (vals[:, :d] - vals[:, d:]) / (2.0 * t)
-    for j, (spec, t) in enumerate(points):
-        if not opened[j]:
-            warnings.warn(
-                f"every density gate failed on {n} rows at h = {spec.bandwidth:g}, t = {t:g}; "
-                "estimate is zero"
-            )
-
-
-def _gated_values(h, mask, rows, owners, weights, targets):
-    """The plug-in sums over weights (b, 2d) or (b, 2d, C) of a block of
-    samples whose gates ``mask`` did not all open, zero on the rows of a
-    closed gate.  Of ``rows``, the block's (b 2d, n) probe distances whose
-    queried columns are ``owners``, only the open rows are weighed, and each
-    sample multiplies its own open rows, as a pass of one sample at a time
-    does: BLAS rounds a row by its place in the matrix."""
-    rows_open = np.concatenate((mask, mask), axis=1)
-    sizes = rows_open.sum(axis=1)
-    keep = rows_open.ravel()
-    raw, total = _loo_weights(h, rows[keep], owners[keep], weights[: sizes.sum()])
-    ends = np.cumsum(sizes)
-    vals = np.concatenate([raw[e - m : e] @ targets for m, e in zip(sizes, ends) if m])
-    vals /= total if vals.ndim == 1 else total[:, None]
-    probed = np.zeros(rows_open.shape + targets.shape[1:])
-    probed[rows_open] = vals
-    return probed
+                grads = (vals[:, :d] - vals[:, d:]) / (2.0 * t)
+                grads[~mask] = 0.0
+                yield j, mask, grads
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,7 +230,10 @@ def gradient_passes(train: Dataset, points, temperature=None) -> list[GradientPa
     terms one at a time, in sample order (:func:`_add_in_order`), so the
     sums do not depend on how the samples are grouped into blocks; a sample
     whose every gate stayed closed adds zeros, which leave a sum that
-    started at +0 as it was.
+    started at +0 as it was.  After the loop, a point whose every gate
+    stayed closed warns once, and so does a point whose gate opened but
+    whose every central difference was zero (each open probe's ball held
+    only its own sample, say): either estimate is zero.
 
     With ``temperature`` None it probes the leave-one-out kernel regression
     of the labels, the surface GW and EGOP share; otherwise the class mass
@@ -288,6 +257,18 @@ def gradient_passes(train: Dataset, points, temperature=None) -> list[GradientPa
                 _add_in_order(outer, grads[:, :, None] * grads[:, None, :])
             else:
                 _add_in_order(outer, grads @ grads.transpose(0, 2, 1))
+    for (spec, t), (outer, _, counts) in zip(points, sums):
+        where = f"on {train.n} rows at h = {spec.bandwidth:g}, t = {t:g}; estimate is zero"
+        if not counts.any():
+            message = f"every density gate failed {where}"
+        elif not outer.any():
+            message = (
+                f"every central difference was zero {where} and puts every distance at 0; "
+                "use a larger h"
+            )
+        else:
+            continue
+        warnings.warn(message)
     return [
         GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)
         for (spec, t), (outer, abs_sums, counts) in zip(points, sums)

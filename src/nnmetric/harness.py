@@ -765,8 +765,10 @@ def cmd_run(config_path, seed=None, out=None) -> int:
             mapping["out.dir"] = str(out)
         config = ExperimentConfig.from_mapping(mapping)
         with warnings.catch_warnings():
-            # one line per all-gated pass, not one per distinct text
-            warnings.filterwarnings("always", message="every density gate failed")
+            # one line per all-gated or all-zero pass, not one per distinct text
+            warnings.filterwarnings(
+                "always", message="every (density gate failed|central difference was zero)"
+            )
             result = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

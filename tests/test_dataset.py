@@ -102,6 +102,21 @@ class TestLoadCsv:
                                                      r"the label column 'label'"):
             load_csv(p, "label", "class")
 
+    def test_repeated_label_column_is_refused(self, tmp_path):
+        """Two ``label`` columns would make one the labels and the other a
+        feature."""
+        p = write(tmp_path, "x1,label,label\n1.0,2.0,3.0\n2.0,3.0,4.0\n")
+        with pytest.raises(DatasetFormatError, match=r"data\.csv: column 'label' appears more "
+                                                     r"than once"):
+            load_csv(p, "label", "real")
+
+    def test_repeated_feature_column_is_refused(self, tmp_path):
+        """Names are compared after their blanks are stripped."""
+        p = write(tmp_path, "x1,label, x1\n1.0,2.0,3.0\n2.0,3.0,4.0\n")
+        with pytest.raises(DatasetFormatError, match=r"data\.csv: column 'x1' appears more "
+                                                     r"than once"):
+            load_csv(p, "label", "class")
+
     def test_save_load_roundtrip(self, tmp_path):
         ds = synth_sin(n=20, d=3, seed=1)
         p = tmp_path / "rt.csv"

@@ -287,6 +287,34 @@ class TestEstimateEgop:
             est = estimate_egop(train, KernelSpec(bandwidth=0.01), t=5.0)
         np.testing.assert_array_equal(est.g, np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("kind, temperature", [(REAL, None), (CLASS, 0.5)])
+    def test_all_zero_differences_warn_and_zero(self, kind, temperature):
+        """Points far apart with t < h: every gate opens on the queried
+        point, but no probe's ball holds another, so every probe falls back
+        to the same uniform weights and every difference is 0.  The pass
+        warns once, naming n, h and t."""
+        features = [[0.0, 0.0], [100.0, 100.0], [200.0, 0.0], [300.0, 100.0]]
+        if kind == REAL:
+            train = real_dataset(features, [0.0, 1.0, 3.0, 2.0])
+        else:
+            train = class_dataset(features, [1, 2, 1, 2])
+        with pytest.warns(UserWarning) as caught:
+            passed = gradient_pass(train, KernelSpec(bandwidth=1.0), 0.5, temperature)
+        assert [str(w.message) for w in caught] == [
+            "every central difference was zero on 4 rows at h = 1, t = 0.5; estimate is "
+            "zero and puts every distance at 0; use a larger h"
+        ]
+        np.testing.assert_array_equal(passed.counts, [4.0, 4.0])
+        np.testing.assert_array_equal(passed.outer, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("kind, temperature", [(REAL, None), (CLASS, 0.5)])
+    def test_ordinary_pass_does_not_warn(self, kind, temperature):
+        train, spec, _ = partly_gated(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            passed = gradient_pass(train, spec, 0.2, temperature)
+        assert passed.outer.any()
+
     def test_single_index_direction_recovered(self):
         angles = []
         for seed in range(3):
@@ -629,11 +657,15 @@ class TestExactGeometry:
 
     def test_gate_opens_on_a_point_exactly_h_away(self):
         """With t > h only the middle sample's probes each hold a point, and
-        that point sits exactly h away; a smaller h closes every gate."""
+        that point sits exactly h away; a smaller h closes every gate.  At
+        weight max(0, h - h) = 0 both probes fall back to the same uniform
+        weights, so the open gate's difference is 0 and the pass warns."""
         train = real_dataset([[-1.25], [0.0], [1.25]], [1.0, 0.0, 2.0])
         t = 0.75
         np.testing.assert_array_equal(gate_mask(train, [0.0], t, 0.5), [True])
-        np.testing.assert_array_equal(gradient_pass(train, KernelSpec(0.5), t).counts, [1.0])
+        with pytest.warns(UserWarning, match="every central difference was zero on 3 rows"):
+            opened = gradient_pass(train, KernelSpec(0.5), t)
+        np.testing.assert_array_equal(opened.counts, [1.0])
         with pytest.warns(UserWarning, match="every density gate failed"):
             closed = gradient_pass(train, KernelSpec(0.4375), t)
         np.testing.assert_array_equal(closed.counts, [0.0])
