@@ -5,13 +5,13 @@ are only usable at small n choose k, but they are obviously correct; the
 eigensolver reference is a plain cyclic Jacobi iteration, and the gradient
 pass reference probes a plug-in refit on the sample without each point.  The
 helpers only references call (set scores, the feature map Psi, the
-asymmetric score partials of one member set, the soft Hamming distance, the
-relaxed Hamming gradients of one member set, kernel plug-ins, central
-differences) live here too.  The test suite and the oracle suites
-(:mod:`nnmetric.oracles`) check the fast routines against these; no run
-imports this module.  Keep these independent of the code they check: of
-``gradient_metrics`` only ``gate_mask`` is used, which the pass itself never
-calls.
+asymmetric score partials of one member set, the Hamming code of one row,
+the soft Hamming distance, the relaxed Hamming gradients of one member set,
+kernel plug-ins, central differences) live here too.  The test suite and
+the oracle suites (:mod:`nnmetric.oracles`) check the fast routines against
+these; no run imports this module.  Keep these independent of the code they
+check: of ``gradient_metrics`` only ``gate_mask`` is used, which the pass
+itself never calls.
 """
 
 from __future__ import annotations
@@ -162,6 +162,11 @@ def asym_score_grads(u, v, x, h, train):
     grad_u = -2.0 * np.outer(k * (u @ x) - v @ xs.sum(axis=0), x)
     grad_v = -2.0 * (v @ (xs.T @ xs) - np.outer(u @ x, xs.sum(axis=0)))
     return grad_u, grad_v
+
+
+def binarize(m, x) -> np.ndarray:
+    """The code sign(m x) of one row x, with sign(0) = +1."""
+    return np.where(np.asarray(m, dtype=float) @ np.asarray(x, dtype=float) >= 0.0, 1.0, -1.0)
 
 
 def hamming_score(hasher, x, h, train) -> float:

@@ -96,7 +96,7 @@ class _Candidates(NamedTuple):
     order: np.ndarray  # each position's index into the distances
     n_finite: int
     classes: list  # the classes with a finite point, ascending
-    sets: np.ndarray | None  # (tau, class, m) -> the set's positions, ascending
+    sets: np.ndarray | None  # (tau, class, m) -> the set's positions, ascending; read-only
     totals: list | None  # (tau, class, m) -> the set's distance sum in member order
     rescored: list | None  # (class, m) -> the tau=0 set's sum in nearest-first order
     feasible: tuple  # (tau, class) -> the indices on the m axis of the feasible sets
@@ -138,26 +138,51 @@ def _feasible(sizes: tuple, k: int) -> tuple:
     )
 
 
-def _candidates(dists, labels, k: int) -> _Candidates:
+# the candidates of most samples follow one of a few hundred code sequences
+# (773 in all the training of classify_learned); 1024 entries of 3 classes
+# at k = 3 hold about 1.3 MB
+@lru_cache(maxsize=1024)
+def _set_tables(n_classes: int, k: int, codes: tuple):
+    """Every (tau, class, m) set of the candidates whose codes are
+    ``codes``, as positions among them, in two read-only tables: in the
+    member order of its greedy fill (the m nearest target points, then the
+    capped others), which is the first k positions of one stable argsort of
+    the candidates' tiers (:func:`_tiers`), and sorted, which lists it
+    nearest-first."""
+    tiers = _tiers(n_classes, k).take(codes, axis=-1)
+    member = tiers.argsort(axis=-1, kind="stable")[..., :k].copy()
+    nearest = np.sort(member, axis=-1)
+    member.flags.writeable = False
+    nearest.flags.writeable = False
+    return member, nearest
+
+
+def _candidates(dists, labels, k: int, ties: bool = False) -> _Candidates:
     """The candidate list of every set a class can win, the k nearest
     finite points of each class, and all those sets, scored.
 
-    One stable argsort orders the points by (distance, index); -inf sorts
-    first and +inf and NaN last, so the finite points are one block of it.
-    The block is scanned from its start, in prefixes that double in width,
-    until every class holds min(k, its finite points); the finite points
-    per class are the class counts less the non-finite points.
+    The points are ordered by (distance, index); -inf sorts first and +inf
+    and NaN last, so the finite points are one block of that order.  The
+    block is scanned from its start, in windows that double in width, until
+    every class holds min(k, its finite points); the finite points per
+    class are the class counts less the non-finite points.  The order comes
+    from numpy's default argsort, which leaves equal distances in no set
+    order; before a window is scanned, its distances and the next one are
+    checked for two equal ones, and the first such tie switches to a stable
+    argsort.  Without a tie up to there, both sorts give the same prefix.
+    ``ties`` says ties are the rule, as in integer Hamming distances, and
+    sorts stably from the start.
 
     Every (tau, class, m) set of :func:`targeted_inference_core` then comes
-    from one stable argsort of the candidates' tiers (:func:`_tiers`): its
-    first k positions are the set in the member order of its greedy fill
-    (the m nearest target points, then the capped others).  All sets are
-    scored with one gather-and-sum, so each sum adds its terms in that
-    member order; then each set is sorted, which lists it nearest-first,
-    and the tau=0 sets of :func:`loss_augmented_inference_core` are scored
-    again in that order.
+    from :func:`_set_tables`, cached per sequence of candidate codes (a
+    candidate's code is its class's row times k plus its rank in its
+    class).  All sets are scored with one gather-and-sum, so each sum adds
+    its terms in the member order of the set's greedy fill, and the tau=0
+    sets of :func:`loss_augmented_inference_core` are scored again
+    nearest-first.
     """
-    order = dists.argsort(kind="stable")
+    stable = ties
+    order = dists.argsort(kind="stable" if stable else None)
     n_finite = int(np.count_nonzero(np.isfinite(dists)))
     lead = 0
     if len(order) and dists[order[0]] == -np.inf:
@@ -174,10 +199,16 @@ def _candidates(dists, labels, k: int) -> _Candidates:
     seen = [0] * len(sizes)
     near, codes = [], []
     # 8 k points per class id hold every class's k nearest in most samples
-    # of mixed classes; a rare or distant class widens the prefix
+    # of mixed classes; a rare or distant class widens the window
     start, width, end = lead, 8 * k * len(sizes), lead + n_finite
     while missing and start < end:
-        block = order[start:min(start + width, end)]
+        stop = min(start + width, end)
+        if not stable:
+            # the window's distances and the next one, ascending
+            window = dists.take(order[start:stop + 1])
+            if (window[1:] == window[:-1]).any():
+                order, stable = dists.argsort(kind="stable"), True
+        block = order[start:stop]
         for j, lab in zip(block.tolist(), labels[block].tolist()):
             rank = seen[lab]
             if rank < k:
@@ -187,15 +218,14 @@ def _candidates(dists, labels, k: int) -> _Candidates:
                 missing -= 1
                 if not missing:
                     break
-        start, width = start + width, 2 * width
+        start, width = stop, 2 * width
     near = np.array(near, dtype=int)
     if not codes:
         return _Candidates(near, n_finite, classes, None, None, None, ((), ()))
-    near_dists = dists[near]
-    sets = _tiers(len(classes), k).take(codes, axis=-1).argsort(axis=-1, kind="stable")[..., :k]
-    totals = near_dists[sets].sum(axis=-1).tolist()
-    sets.sort(axis=-1)
-    rescored = near_dists[sets[0]].sum(axis=-1).tolist()
+    near_dists = dists.take(near)
+    member, sets = _set_tables(len(classes), k, tuple(codes))
+    totals = near_dists.take(member).sum(axis=-1).tolist()
+    rescored = near_dists.take(sets[0]).sum(axis=-1).tolist()
     feasible = _feasible(tuple(sizes[c] for c in classes), k)
     return _Candidates(near, n_finite, classes, sets, totals, rescored, feasible)
 
@@ -236,7 +266,7 @@ def targeted_inference_core(dists, labels, target: int, k: int, tau: int,
         row = cands.classes.index(target)
         m = _first_minimum(cands.totals[tau][row], cands.feasible[tau][row])
         if m is not None:
-            return cands.order[cands.sets[tau, row, m]]
+            return cands.order.take(cands.sets[tau, row, m])
     raise InfeasibleTargetError(
         f"no size-{k} set of the {cands.n_finite} finite points lets class "
         f"{target} win with tau={tau}"
@@ -265,10 +295,10 @@ def loss_augmented_inference_core(dists, labels, y: int, k: int,
                 best, best_value = (row, m), value
     if best is None:
         raise InfeasibleTargetError("no class admits a feasible neighbor set")
-    return cands.order[cands.sets[0][best]], best_value
+    return cands.order.take(cands.sets[0][best]), best_value
 
 
-def surrogate_core(dists, labels, y: int, k: int):
+def surrogate_core(dists, labels, y: int, k: int, ties: bool = False):
     """(surrogate, loss-augmented h-hat, tie-free targeted h*) on per-point
     distances; excluded points carry infinite distance.
 
@@ -276,11 +306,14 @@ def surrogate_core(dists, labels, y: int, k: int):
     the worst vote winner, is nonnegative and upper-bounds that loss at the
     plain top-k neighbor set.  Per sample it builds one candidate structure,
     which holds every set both calls choose from, already scored, and makes
-    one loss-augmented and one targeted (tau=1) inference call.
+    one loss-augmented and one targeted (tau=1) inference call.  ``ties``
+    sorts the distances stably from the start, for distances that tie in
+    most samples, such as integer Hamming distances (:func:`_candidates`);
+    the result is the same either way.
     """
     dists = np.asarray(dists, dtype=float)
     labels = np.asarray(labels, dtype=int)
-    cands = _candidates(dists, labels, k)
+    cands = _candidates(dists, labels, k, ties)
     h_hat, augmented = loss_augmented_inference_core(dists, labels, y, k, cands)
     h_star = targeted_inference_core(dists, labels, int(y), k, tau=1, cands=cands)
     return augmented + float(dists[h_star].sum()), h_hat, h_star

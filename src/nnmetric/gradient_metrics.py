@@ -98,10 +98,11 @@ class GradientMetricEstimate:
 _PASS_BLOCK = 32768
 
 
-def _loo_weights(h: float, dists, own, out):
+def _loo_weights(h: float, dists, cells, out):
     """Unnormalized triangle weights max(0, h - r) of probe distances r, one
     probe per row, written to ``out``, with each row's queried column
-    ``own[row]`` zeroed, and their row sums.
+    zeroed, and their row sums.  ``out`` is C-contiguous, and ``cells``
+    holds the flat position in it of each row's queried column.
 
     The kernel's 1/h cancels once a row is divided by its sum, so it is never
     applied.  A row with no other point in reach falls back to uniform
@@ -109,11 +110,13 @@ def _loo_weights(h: float, dists, own, out):
     """
     np.subtract(h, dists, out=out)
     np.maximum(out, 0.0, out=out)
-    out[np.arange(len(out)), own] = 0.0
+    flat = out.reshape(-1)
+    flat[cells] = 0.0
     total = np.add.reduce(out, axis=1)
     if not total.all():
         empty = total == 0.0
-        out[empty] = np.arange(out.shape[1]) != own[empty, None]
+        out[empty] = 1.0
+        flat[cells[empty]] = 0.0
         total[empty] = out[empty].sum(axis=1)
     return out, total
 
@@ -160,8 +163,9 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
     dists = np.empty((b, 2 * d, n))
     weights = np.empty((b * 2 * d, n))
     nearest = np.empty((b, 2 * d))
-    # each probe row's sample within the block
-    offsets = np.repeat(np.arange(b), 2 * d)
+    # the flat position of each probe row's own sample in a block's weights,
+    # for the block's first sample at 0
+    own = np.arange(2 * d * b) * n + np.repeat(np.arange(b), 2 * d)
     # the row sums, shaped to divide the plug-in sums of the block's probes
     sums_shape = (b, 2 * d) + (1,) * (targets.ndim - 1)
     rows = dists.reshape(2 * d * b, n)
@@ -170,10 +174,10 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
             # the last block is shorter: work on the leading rows of each buffer
             b = n - start
             cross, scaled, base, shifted = cross[:b], scaled[:b], base[:b], shifted[:b]
-            dists, nearest, offsets = dists[:b], nearest[:b], offsets[: 2 * d * b]
+            dists, nearest, own = dists[:b], nearest[:b], own[: 2 * d * b]
             rows = dists.reshape(2 * d * b, n)
             sums_shape = (b,) + sums_shape[1:]
-        owners = offsets + start
+        cells = own + start
         np.subtract(feats[start : start + b, :, None], columns, out=cross)
         # scaled holds the squares until the first t overwrites it
         np.add.reduce(np.square(cross, out=scaled), axis=1, out=base)
@@ -193,7 +197,7 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
                 mask = inside[:, :d] & inside[:, d:]
                 if not mask.any():
                     continue
-                raw, total = _loo_weights(h, rows, owners, weights[: len(rows)])
+                raw, total = _loo_weights(h, rows, cells, weights[: len(rows)])
                 vals = raw.reshape(b, 2 * d, n) @ targets
                 vals /= total.reshape(sums_shape)
                 if temperature is not None:

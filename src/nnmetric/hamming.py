@@ -11,15 +11,20 @@ through tanh while the other side stays binarized.  Each step descends with
 eta(t) = 1/t and no momentum, and renormalizes the hash matrices to unit
 Frobenius norm.
 
-Training infers on hard Hamming distances.  Retrieval ranks database codes
-by the soft distance |code - tanh(s * Ux)|^2 / 4 instead, since short codes
-tie constantly, with s calibrated so projections average |tanh| of 0.4.
-The set score, one code's soft distance and the relaxed gradients of one
-member set, which only references use, are in :mod:`nnmetric.bruteforce`.
+Training infers on hard Hamming distances, counted from the signs of the
+projections without forming either code.  Those small integers tie in
+almost every sample, so inference orders them with a stable sort from the
+start (``ties`` of :func:`nnmetric.gerrymander.surrogate_core`).
+Retrieval ranks database codes by the soft distance |code - tanh(s * Ux)|^2
+/ 4 instead, since short codes tie constantly, with s calibrated so
+projections average |tanh| of 0.4.  One row's code, the set score, one
+code's soft distance and the relaxed gradients of one member set, which
+only references use, are in :mod:`nnmetric.bruteforce`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -37,10 +42,6 @@ _SCALE_TOL = 1e-2
 def sign_pm1(a) -> np.ndarray:
     """Entrywise sign with sign(0) = +1."""
     return np.where(np.asarray(a, dtype=float) >= 0.0, 1.0, -1.0)
-
-
-def binarize(m, x) -> np.ndarray:
-    return sign_pm1(np.asarray(m, dtype=float) @ np.asarray(x, dtype=float))
 
 
 def encode(m, features) -> np.ndarray:
@@ -62,9 +63,15 @@ class HammingHasher:
         return self.u.shape[0]
 
     def distances(self, x, features) -> np.ndarray:
-        """Hard Hamming distances between the query code and database codes."""
-        q = binarize(self.u, x)
-        return (self.c - encode(self.v, features) @ q) / 2.0
+        """Hard Hamming distances between the query code sign(Ux) and the
+        database codes sign(V x_i), sign(0) = +1: per row, the number of
+        bits where the two differ, as a float.  A database bit b differs
+        from the query's bit q by b (1 - 2q) + q, so the counts are one
+        product of the database bits with the weights 1 - 2q, plus the
+        query's set bits.  Every partial sum is a small integer, so each
+        count is exact, and the projections are those of :func:`encode`."""
+        query = self.u @ x >= 0.0
+        return (features @ self.v.T >= 0.0) @ np.where(query, -1.0, 1.0) + np.count_nonzero(query)
 
 
 def calibrate_scales(train: Dataset, u):
@@ -127,7 +134,9 @@ class HammingTrainConfig:
 
 
 def _normalize(m) -> np.ndarray:
-    norm = float(np.linalg.norm(m))
+    """m over its Frobenius norm, sqrt(m . m) as np.linalg.norm forms it."""
+    flat = m.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))
     return m / norm if norm > 0 else m
 
 
@@ -155,7 +164,7 @@ def train_hamming(train: Dataset, config: HammingTrainConfig) -> TrainResult:
     feats = train.features
 
     def infer(i, dists):
-        return surrogate_core(dists, train.labels, int(train.labels[i]), config.k)
+        return surrogate_core(dists, train.labels, int(train.labels[i]), config.k, ties=True)
 
     def update(hasher, t, x, h_hat, h_star):
         u, v = hasher.u, hasher.v
@@ -164,13 +173,13 @@ def train_hamming(train: Dataset, config: HammingTrainConfig) -> TrainResult:
         rows = feats[np.concatenate([h_hat, h_star])]
         proj = rows @ v.T
         ux = u @ x
-        q = sign_pm1(ux)
+        q = np.where(ux >= 0.0, 1.0, -1.0)
         # the code sums of the two k-row sets; sums of +-1 are exact
-        codes = sign_pm1(proj)
+        codes = np.where(proj >= 0.0, 1.0, -1.0)
         code_diff = codes[:k].sum(axis=0) - codes[k:].sum(axis=0)
         # [tanh'(Ux) o code_diff] x^T, and the sums over members of
         # (q o tanh'(V x_j)) x_j^T, h-hat's minus h*'s
-        grad_u = np.outer(_tanh_prime(ux) * code_diff, x)
+        grad_u = (_tanh_prime(ux) * code_diff)[:, None] * x
         pulled = _tanh_prime(proj) * q
         grad_v = pulled[:k].T @ rows[:k] - pulled[k:].T @ rows[k:]
         eta = 1.0 / t

@@ -13,6 +13,7 @@ from conftest import probed_pass
 
 from nnmetric.bruteforce import (
     asym_score_grads,
+    binarize,
     brute_loss_augmented,
     brute_reg_inference,
     brute_targeted,
@@ -44,7 +45,6 @@ from nnmetric.gradient_metrics import (
 )
 from nnmetric.hamming import (
     HammingTrainConfig,
-    binarize,
     encode,
     hamming_predictions,
     random_hasher,

@@ -20,6 +20,7 @@ from nnmetric.gerrymander import (
     _candidates,
     InfeasibleTargetError,
     MahalanobisMetric,
+    _set_tables,
     loss_augmented_inference_core,
     n_star,
     surrogate_core,
@@ -543,6 +544,142 @@ class TestLeaveOneOutInstances:
             dists[excluded] = rng.choice([-np.inf, np.nan, np.inf], size=len(excluded))
             assert_cores_equal_the_loop(dists, labels, y, k)
 
+
+class SortRecorder(np.ndarray):
+    """Distances that note the kind of every argsort made of them; None is
+    numpy's default sort."""
+
+    def argsort(self, *args, kind=None, **kwargs):
+        self.kinds.append(kind)
+        return super().argsort(*args, kind=kind, **kwargs)
+
+
+def sort_kinds(dists, labels, k, ties=False):
+    """The kinds of argsort that ``_candidates`` makes of ``dists``, in order,
+    after checking its candidates against the (distance, index) order."""
+    recorder = dists.view(SortRecorder)
+    recorder.kinds = []
+    cands = _candidates(recorder, labels, k, ties)
+    if cands.n_finite >= k:
+        finite = [i for i in np.argsort(dists, kind="stable") if np.isfinite(dists[i])]
+        want = [i for pos, i in enumerate(finite)
+                if [labels[j] for j in finite[:pos]].count(labels[i]) < k]
+        assert cands.order.tolist() == want
+    return recorder.kinds
+
+
+def far_class_instance(rng, n, k):
+    """Distinct float distances at n points of classes 1..3, where every point
+    of one rare class lies past every other point, so the scan widens from
+    n = 200 on; the queried point is at inf."""
+    far = int(rng.integers(1, 4))
+    weights = np.full(3, 0.45)
+    weights[far - 1] = 0.1
+    labels = np.concatenate([[1, 2, 3], 1 + rng.choice(3, size=n - 3, p=weights)])
+    dists = rng.random(n) * 9.0
+    dists[labels == far] += 9.0
+    dists[int(rng.integers(n))] = np.inf
+    return dists, labels, far
+
+
+class TestTieCheckedSort:
+    """The default argsort orders the distances, and a tie in the positions
+    the scan reads, or between the last of them and the next, switches to the
+    stable argsort: the candidates follow the (distance, index) order either
+    way."""
+
+    def test_no_tie_widens_on_the_default_sort(self):
+        rng = np.random.default_rng(107)
+        for _ in range(30):
+            n, k = int(rng.integers(200, 301)), int(rng.choice([3, 5]))
+            dists, labels, far = far_class_instance(rng, n, k)
+            assert len(np.unique(dists)) == n
+            assert scan_end(dists, labels, k) > 8 * k * (labels.max() + 1)
+            assert sort_kinds(dists, labels, k) == [None]
+            for y in (far, far % 3 + 1):
+                assert_cores_equal_the_loop(dists, labels, y, k)
+
+    @pytest.mark.parametrize("widened", [False, True])
+    def test_a_tie_at_the_last_scanned_position_and_the_next(self, widened):
+        """The point that completes the scan ties with the next point, of its
+        own class, at a lower or higher index: only the lower one may be the
+        candidate.  With a far class, both lie past the first window."""
+        rng = np.random.default_rng(109)
+        lower = 0
+        for _ in range(60):
+            if widened:
+                n, k = int(rng.integers(200, 301)), int(rng.choice([3, 5]))
+                dists, labels, _ = far_class_instance(rng, n, k)
+            else:
+                n, k = int(rng.integers(30, 301)), int(rng.choice([1, 3, 5]))
+                labels = np.concatenate([[1, 2, 3], rng.integers(1, 4, size=n - 3)])
+                dists = rng.random(n)
+                dists[int(rng.integers(n))] = np.inf
+            finite = [j for j in np.argsort(dists, kind="stable") if np.isfinite(dists[j])]
+            end = scan_end(dists, labels, k)
+            if end == len(finite):
+                continue
+            last, after = finite[end - 1], finite[end]
+            assert (end > 8 * k * (labels.max() + 1)) == widened
+            dists[after], labels[after] = dists[last], labels[last]
+            lower += after < last
+            assert sort_kinds(dists, labels, k) == [None, "stable"]
+            for y in (1, 2, 3):
+                assert_cores_equal_the_loop(dists, labels, y, k)
+        assert lower >= 15, lower
+
+    def test_a_tie_at_the_edge_of_the_first_window(self):
+        """A far class's two nearest points tie at the last position of the
+        first window and the first one past it."""
+        rng = np.random.default_rng(113)
+        lower = 0
+        for _ in range(40):
+            k = int(rng.choice([3, 5]))
+            window = 8 * k * 4  # class ids 1..3 make four bins
+            n = window + int(rng.integers(20, 100))
+            perm = rng.permutation(n)
+            dists = np.empty(n)
+            dists[perm] = np.sort(rng.random(n))
+            labels = np.empty(n, dtype=int)
+            labels[perm[:window - 1]] = 1 + np.arange(window - 1) % 2
+            labels[perm[window - 1:]] = 3
+            edge, past = perm[window - 1], perm[window]
+            dists[past] = dists[edge]
+            lower += past < edge
+            assert sort_kinds(dists, labels, k) == [None, "stable"]
+            for y in (1, 3):
+                assert_cores_equal_the_loop(dists, labels, y, k)
+        assert lower >= 10, lower
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_minus_inf_and_nan_while_the_scan_widens(self, integer):
+        rng = np.random.default_rng(127)
+        for _ in range(30):
+            n, k = int(rng.integers(200, 301)), int(rng.choice([3, 5]))
+            dists, labels, far = far_class_instance(rng, n, k)
+            if integer:
+                dists = np.floor(dists)
+            excluded = rng.choice(n, size=int(rng.integers(1, 6)), replace=False)
+            dists[excluded] = rng.choice([-np.inf, np.nan, np.inf], size=len(excluded))
+            assert scan_end(dists, labels, k) > 8 * k * (labels.max() + 1)
+            kinds = sort_kinds(dists, labels, k)
+            assert kinds == ([None, "stable"] if integer else [None])
+            assert sort_kinds(dists, labels, k, ties=True) == ["stable"]
+            for y in (far, far % 3 + 1):
+                assert_cores_equal_the_loop(dists, labels, y, k)
+
+    def test_cached_set_tables_are_read_only(self):
+        rng = np.random.default_rng(131)
+        dists, labels, _ = far_class_instance(rng, 60, 3)
+        cands = _candidates(dists, labels, 3)
+        again = _candidates(dists.copy(), labels, 3)
+        assert again.sets is cands.sets
+        for table in _set_tables.__wrapped__(3, 3, tuple(range(9))) + (cands.sets,):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0, 0, 0] = 1
+
+
 def scan_end(dists, labels, k):
     """One past the position, in the finite (distance, index) order, of the
     last point that is among the k nearest of its class."""
@@ -573,13 +710,14 @@ def assert_cores_equal_the_loop(dists, labels, y, k):
         return
     h_hat, value = loss_augmented_inference_core(dists, labels, y, k)
     assert np.array_equal(h_hat, want_hat) and value.hex() == want_value.hex()
-    if want_star is None:
-        with pytest.raises(InfeasibleTargetError):
-            surrogate_core(dists, labels, y, k)
-        return
-    surrogate, h_hat, h_star = surrogate_core(dists, labels, y, k)
-    assert np.array_equal(h_hat, want_hat) and np.array_equal(h_star, want_star)
-    assert surrogate.hex() == (want_value + float(dists[want_star].sum())).hex()
+    for ties in (False, True):  # the tie-checked and the stable sort
+        if want_star is None:
+            with pytest.raises(InfeasibleTargetError):
+                surrogate_core(dists, labels, y, k, ties)
+            continue
+        surrogate, h_hat, h_star = surrogate_core(dists, labels, y, k, ties)
+        assert np.array_equal(h_hat, want_hat) and np.array_equal(h_star, want_star)
+        assert surrogate.hex() == (want_value + float(dists[want_star].sum())).hex()
 
 
 class TestBruteForceInternals:

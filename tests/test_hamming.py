@@ -6,6 +6,7 @@ import pytest
 from nnmetric import bruteforce
 from nnmetric.bruteforce import (
     asym_hamming_distance,
+    binarize,
     db_side_grad,
     hamming_score,
     query_side_grad,
@@ -16,7 +17,6 @@ from nnmetric.hamming import (
     _normalize,
     HammingHasher,
     HammingTrainConfig,
-    binarize,
     calibrate_scales,
     encode,
     hamming_predictions,
@@ -93,6 +93,56 @@ class TestHammingScore:
         np.testing.assert_array_equal(
             hasher.distances([1.0, 1.0], train.features), [0.0, 1.0, 2.0]
         )
+
+
+class TestHardDistances:
+    """The hard distances count the bits where the signs of the projections
+    differ, without forming either code."""
+
+    def test_equal_the_code_product_bit_for_bit(self):
+        """300 random hashers, half Gaussian and half on rows, hashes and
+        queries of -1, 0 and 1, where many projections are exactly zero (or
+        -0.0) on the query side, the database side or both: the bytes of
+        (c - encode(V, F) @ binarize(U, x)) / 2, in either memory layout of
+        the database, and a count of the differing signs."""
+        rng = np.random.default_rng(139)
+        zeros = {"query": 0, "database": 0}
+        for trial in range(300):
+            c, d, n = int(rng.integers(1, 40)), int(rng.integers(1, 12)), int(rng.integers(1, 60))
+            if trial % 2:
+                u, v = rng.normal(size=(c, d)), rng.normal(size=(c, d))
+                features, x = rng.normal(size=(n, d)), rng.normal(size=d)
+            else:
+                u, v = (rng.integers(-1, 2, size=(c, d)).astype(float) for _ in range(2))
+                features = rng.integers(-1, 2, size=(n, d)).astype(float)
+                x = rng.integers(-1, 2, size=d) * rng.choice([0.0, -0.0, 1.0], size=d)
+            zeros["query"] += bool((u @ x == 0.0).any())
+            zeros["database"] += bool((features @ v.T == 0.0).any())
+            want = (c - encode(v, features) @ binarize(u, x)) / 2.0
+            count = np.sum(encode(v, features) != binarize(u, x), axis=1)
+            for database in (features, np.asfortranarray(features)):
+                got = HammingHasher(u=u, v=v).distances(x, database)
+                assert got.dtype == np.float64 and got.shape == (n,)
+                assert got.tobytes() == want.tobytes()
+                assert got.tolist() == count.tolist()
+        assert min(zeros.values()) >= 100, zeros
+
+    def test_count_the_signs_of_exact_projections(self):
+        """On rows of small integers every projection is exact, so a plain
+        Python count of the differing signs, sign(0) = +1, is the reference."""
+        rng = np.random.default_rng(149)
+
+        def signs(row, m):
+            return [sum(a * b for a, b in zip(row, m_row)) >= 0 for m_row in m.tolist()]
+
+        for _ in range(100):
+            c, d, n = int(rng.integers(1, 12)), int(rng.integers(1, 6)), int(rng.integers(1, 30))
+            u, v = (rng.integers(-2, 3, size=(c, d)).astype(float) for _ in range(2))
+            features = rng.integers(-2, 3, size=(n, d)).astype(float)
+            x = rng.integers(-2, 3, size=d).astype(float)
+            query = signs(x.tolist(), u)
+            want = [sum(a != b for a, b in zip(signs(row, v), query)) for row in features.tolist()]
+            assert HammingHasher(u=u, v=v).distances(x, features).tolist() == want
 
 
 class TestInferenceOnHammingDistances:

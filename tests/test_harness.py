@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -427,6 +428,10 @@ class TestCmdOracle:
         elif broken == "cap_off_by_one":
             tiers = gerrymander._tiers
             monkeypatch.setattr(gerrymander, "_tiers", lambda n, k: tiers(n, k)[::-1])
+            # the set tables are cached: a cache of the mutant's own, dropped
+            # with it, builds them from the swapped tiers
+            monkeypatch.setattr(gerrymander, "_set_tables",
+                                functools.lru_cache(gerrymander._set_tables.__wrapped__))
             mutant = original
         else:
             def mutant(dists, labels, k):
