@@ -10,8 +10,10 @@ the soft Hamming distance, the relaxed Hamming gradients of one member set,
 kernel plug-ins, central differences) live here too.  The test suite and
 the oracle suites (:mod:`nnmetric.oracles`) check the fast routines against
 these; no run imports this module.  Keep these independent of the code they
-check: of ``gradient_metrics`` only ``gate_mask`` is used, which the pass
-itself never calls.
+check: of ``gradient_metrics`` only ``gate_mask`` is used.  The pass
+itself computes no gate, since at 0 < t <= h the queried point opens every
+one; :func:`explicit_loo` still applies it, so each check against it shows
+that every gate stayed open.
 """
 
 from __future__ import annotations

@@ -6,34 +6,28 @@ indicators for labels).  Averaging the gradient outer products yields a PSD
 matrix whose whitening map rescales and rotates the space toward directions
 along which the target actually varies; averaging coordinatewise absolute
 differences instead yields diagonal weights that rescale but cannot rotate.
-
-Density gating zeroes coordinates whose probe balls are empty, which keeps
-boundary noise out of the averages.  No optimization is involved anywhere.
+No optimization is involved anywhere.
 
 GW, EGOP and EJOP are reductions of one pass (:func:`gradient_pass`): per
-sample, one probe-distance matrix gives both the gates and the plug-in
-weights.  One loop over the sample serves a whole grid of (h, t) points
-(:func:`gradient_passes`): what no h changes (the sample's differences and,
-per t, the probe distances, their minima and roots) is formed once, and each
-point gets the pass it would get alone, to the bit.  The loop takes the
-samples in blocks of b = max(1, ``_PASS_BLOCK`` // (2 d n)), so that each
-numpy call works on the (b, 2d, n) probe distances of b samples at small
-shapes, and on one sample, as a plain per-sample loop, once 2 d n is more
-than half of ``_PASS_BLOCK``.  The blocks change no bit of any pass: each
-sample's terms are added to the sums one at a time, in sample order, and
-a stacked product gives each sample the bits of its own.  Every block
-takes one path: all of its probes are weighed and multiplied, and the
-differences of closed gates are set to zero afterwards.  The squared
-distances come from the exact expansion
-|x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i), with no matrix
-product and none of the cancellation of |p|^2 - 2 p.f + |f|^2, and the
-triangle weights stay unnormalized (max(0, h - r)) until the plug-in sums
-are divided by their total.  The weights drop the queried point; the gates
-count it.  The queried point lies at distance exactly t from each of its
-own probes, so when t <= h every probe ball holds it and no gate ever
-closes: the gate only acts for t > h.  Counting it keeps every estimate as
-it was when the gate was introduced; a gate that skipped it would close on
-isolated samples at any t and change the estimates.
+sample, one probe-distance matrix gives the plug-in weights.  One loop over
+the sample serves a whole grid of (h, t) points (:func:`gradient_passes`):
+what no h changes (the sample's differences and, per t, the probe distances
+and their roots) is formed once, and each point gets the pass it would get
+alone, to the bit.  The loop takes the samples in blocks of
+b = max(1, ``_PASS_BLOCK`` // (2 d n)), so that each numpy call works on the
+(b, 2d, n) probe distances of b samples at small shapes, and on one sample,
+as a plain per-sample loop, once 2 d n is more than half of
+``_PASS_BLOCK``.  The blocks change no bit of any pass: each sample's terms
+are added to the sums one at a time, in sample order, and a stacked product
+gives each sample the bits of its own.  The squared distances come from the
+exact expansion |x +- t e_i - f|^2 = |x - f|^2 + t^2 +- 2t (x_i - f_i), with
+no matrix product and none of the cancellation of |p|^2 - 2 p.f + |f|^2, and
+the triangle weights stay unnormalized (max(0, h - r)) until the plug-in
+sums are divided by their total.  The weights drop the queried point.
+
+The pass takes 0 < t <= h.  The queried point lies at distance exactly t
+from each of its own probes, so the density gate (:func:`gate_mask`) that
+the reference pass applies never closes, and the pass computes none.
 """
 
 from __future__ import annotations
@@ -67,9 +61,8 @@ def _softmax(scores):
 
 def gate_mask(train: Dataset, x, t: float, h: float) -> np.ndarray:
     """Per-coordinate density gates: both probe balls B(x +- t e_i, h) hold
-    a point.  Probe distances are plain sums of squared differences, an
-    arithmetic the gradient pass does not share.  The gate of
-    :func:`nnmetric.bruteforce.explicit_loo`, the pass's reference."""
+    a point.  Probe distances are plain sums of squared differences.  Only
+    :func:`nnmetric.bruteforce.explicit_loo`, the pass's reference, calls it."""
     x = np.asarray(x, dtype=float)
     d = len(x)
     probes = np.repeat(x[None, :], 2 * d, axis=0)
@@ -122,11 +115,10 @@ def _loo_weights(h: float, dists, cells, out):
 
 
 def _gradient_pass(train: Dataset, points, targets, temperature):
-    """Yield ``(j, masks, central differences)`` for each block of samples
-    and each point ``j`` of ``points``, a sequence of ``(KernelSpec, t)``,
-    whose gate opened on some sample of the block: one row per sample of the
-    block, in sample order, of its gates (b, d) and its differences (b, d),
-    or (b, d, C) on the class surface, zero where a gate stayed closed.
+    """Yield ``(j, central differences)`` for each block of samples and each
+    point ``j`` of ``points``, a sequence of ``(KernelSpec, t)`` with
+    0 < t <= h: one row per sample of the block, in sample order, of its
+    differences (b, d), or (b, d, C) on the class surface.
 
     The samples go in blocks of b = max(1, ``_PASS_BLOCK`` // (2 d n)), one
     sample at large n d, and every array below carries the block as its
@@ -135,25 +127,22 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
     2t (x_i - f_i).  What no h changes is formed once and shared: per block,
     the differences x - f and their sums of squares over the d coordinates;
     per distinct t, the probe distances (the queried point sits at exactly
-    t^2), their row minima and their square roots.  Per point, the minima
-    give the density gates (as :func:`gate_mask`), and :func:`_loo_weights`
-    writes the leave-one-out weights of every probe of the block to a
-    buffer of its own, leaving the shared roots for the next h.  The
-    plug-in value at a probe is ``(raw @ targets) / total``, softmaxed at
-    ``temperature`` unless that is None, from one stacked product that
-    gives each sample the bits of its own product; the differences of the
-    closed gates are then set to +0.  So each point gets, to the bit, the
-    pass of that point alone over one sample at a time.
+    t^2) and their square roots.  Per point, :func:`_loo_weights` writes the
+    leave-one-out weights of every probe of the block to a buffer of its
+    own, leaving the shared roots for the next h.  The plug-in value at a
+    probe is ``(raw @ targets) / total``, softmaxed at ``temperature``
+    unless that is None, from one stacked product that gives each sample the
+    bits of its own product.  So each point gets, to the bit, the pass of
+    that point alone over one sample at a time.
     """
     if train.n < 2:
         raise ValueError("need at least two points")
     feats = train.features
     n, d = feats.shape
-    # the points of each distinct t, each with its h and its gate's reach
+    # the points of each distinct t, each with its h
     by_t = {}
     for j, (spec, t) in enumerate(points):
-        h = spec.bandwidth
-        by_t.setdefault(t, []).append((j, h, h * h + 1e-12))
+        by_t.setdefault(t, []).append((j, spec.bandwidth))
     b = max(1, _PASS_BLOCK // (2 * d * n))
     columns = np.ascontiguousarray(feats.T)
     cross = np.empty((b, d, n))
@@ -162,7 +151,6 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
     shifted = np.empty((b, n))
     dists = np.empty((b, 2 * d, n))
     weights = np.empty((b * 2 * d, n))
-    nearest = np.empty((b, 2 * d))
     # the flat position of each probe row's own sample in a block's weights,
     # for the block's first sample at 0
     own = np.arange(2 * d * b) * n + np.repeat(np.arange(b), 2 * d)
@@ -174,7 +162,7 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
             # the last block is shorter: work on the leading rows of each buffer
             b = n - start
             cross, scaled, base, shifted = cross[:b], scaled[:b], base[:b], shifted[:b]
-            dists, nearest, own = dists[:b], nearest[:b], own[: 2 * d * b]
+            dists, own = dists[:b], own[: 2 * d * b]
             rows = dists.reshape(2 * d * b, n)
             sums_shape = (b,) + sums_shape[1:]
         cells = own + start
@@ -186,25 +174,17 @@ def _gradient_pass(train: Dataset, points, targets, temperature):
             np.multiply(cross, 2.0 * t, out=scaled)
             np.add(shifted[:, None], scaled, out=dists[:, :d])
             np.subtract(shifted[:, None], scaled, out=dists[:, d:])
-            # features are finite, so "some point within h" is "the nearest is"
-            np.minimum.reduce(dists, axis=2, out=nearest)
             # rounding can take a squared distance just below 0
-            if nearest.min() < 0.0:
+            if dists.min() < 0.0:
                 np.maximum(dists, 0.0, out=dists)
             np.sqrt(dists, out=dists)
-            for j, h, reach in group:
-                inside = nearest <= reach
-                mask = inside[:, :d] & inside[:, d:]
-                if not mask.any():
-                    continue
+            for j, h in group:
                 raw, total = _loo_weights(h, rows, cells, weights[: len(rows)])
                 vals = raw.reshape(b, 2 * d, n) @ targets
                 vals /= total.reshape(sums_shape)
                 if temperature is not None:
                     vals = _softmax(vals / temperature)
-                grads = (vals[:, :d] - vals[:, d:]) / (2.0 * t)
-                grads[~mask] = 0.0
-                yield j, mask, grads
+                yield j, (vals[:, :d] - vals[:, d:]) / (2.0 * t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +192,8 @@ class GradientPass:
     """What GW, EGOP and EJOP reduce from one pass over ``n`` samples.
 
     ``outer`` sums the gradient outer products (``J J^T`` for the class-mass
-    Jacobian), ``abs_sums`` the absolute central differences (real surface
-    only, zero otherwise) and ``counts`` the samples whose gate opened each
-    coordinate.  ``temperature`` is None on the real surface.
+    Jacobian) and ``abs_sums`` the absolute central differences (real surface
+    only, zero otherwise).  ``temperature`` is None on the real surface.
     """
 
     n: int
@@ -223,7 +202,6 @@ class GradientPass:
     temperature: float | None
     outer: np.ndarray
     abs_sums: np.ndarray
-    counts: np.ndarray
 
 
 def gradient_passes(train: Dataset, points, temperature=None) -> list[GradientPass]:
@@ -232,19 +210,23 @@ def gradient_passes(train: Dataset, points, temperature=None) -> list[GradientPa
     i-th :class:`GradientPass` is what :func:`gradient_pass` returns for
     the i-th point, bit for bit.  Each block of samples adds its samples'
     terms one at a time, in sample order (:func:`_add_in_order`), so the
-    sums do not depend on how the samples are grouped into blocks; a sample
-    whose every gate stayed closed adds zeros, which leave a sum that
-    started at +0 as it was.  After the loop, a point whose every gate
-    stayed closed warns once, and so does a point whose gate opened but
-    whose every central difference was zero (each open probe's ball held
-    only its own sample, say): either estimate is zero.
+    sums do not depend on how the samples are grouped into blocks.  After
+    the loop, a point whose every central difference was zero (each probe's
+    ball held only its own sample, say) warns once: its estimate is zero.
 
-    With ``temperature`` None it probes the leave-one-out kernel regression
-    of the labels, the surface GW and EGOP share; otherwise the class mass
-    softmaxed at that temperature, the surface of EJOP.
+    Every point must have 0 < t <= h; a point outside raises ``ValueError``
+    naming its h and t.  With ``temperature`` None it probes the
+    leave-one-out kernel regression of the labels, the surface GW and EGOP
+    share; otherwise the class mass softmaxed at that temperature, the
+    surface of EJOP.
     """
+    for spec, t in points:
+        if not 0.0 < t <= spec.bandwidth:
+            raise ValueError(
+                f"the gradient pass needs 0 < t <= h; got h = {spec.bandwidth:g}, t = {t:g}"
+            )
     d = train.d
-    sums = [(np.zeros((d, d)), np.zeros(d), np.zeros(d)) for _ in points]
+    sums = [(np.zeros((d, d)), np.zeros(d)) for _ in points]
     if temperature is None:
         targets = np.asarray(train.labels, dtype=float)
     else:
@@ -253,29 +235,23 @@ def gradient_passes(train: Dataset, points, temperature=None) -> list[GradientPa
     # central differences over a tiny t, or of a huge slope, overflow these
     # sums; the estimators check them and name the pass, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, masks, grads in _gradient_pass(train, points, targets, temperature):
-            outer, abs_sums, counts = sums[j]
-            _add_in_order(counts, masks)
+        for j, grads in _gradient_pass(train, points, targets, temperature):
+            outer, abs_sums = sums[j]
             if temperature is None:
                 _add_in_order(abs_sums, np.abs(grads))
                 _add_in_order(outer, grads[:, :, None] * grads[:, None, :])
             else:
                 _add_in_order(outer, grads @ grads.transpose(0, 2, 1))
-    for (spec, t), (outer, _, counts) in zip(points, sums):
-        where = f"on {train.n} rows at h = {spec.bandwidth:g}, t = {t:g}; estimate is zero"
-        if not counts.any():
-            message = f"every density gate failed {where}"
-        elif not outer.any():
-            message = (
-                f"every central difference was zero {where} and puts every distance at 0; "
-                "use a larger h"
+    for (spec, t), (outer, _) in zip(points, sums):
+        if not outer.any():
+            warnings.warn(
+                f"every central difference was zero on {train.n} rows at h = "
+                f"{spec.bandwidth:g}, t = {t:g}; estimate is zero and puts every distance "
+                "at 0; use a larger h"
             )
-        else:
-            continue
-        warnings.warn(message)
     return [
-        GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums, counts)
-        for (spec, t), (outer, abs_sums, counts) in zip(points, sums)
+        GradientPass(train.n, spec.bandwidth, t, temperature, outer, abs_sums)
+        for (spec, t), (outer, abs_sums) in zip(points, sums)
     ]
 
 
@@ -329,7 +305,7 @@ def _finite(passed: GradientPass, sums: np.ndarray, what: str) -> np.ndarray:
 def estimate_egop(
     train: Dataset, spec: KernelSpec, t: float, passed: GradientPass | None = None
 ) -> GradientMetricEstimate:
-    """Average outer product of gated gradient estimates over the sample.
+    """Average outer product of the gradient estimates over the sample.
 
     The plug-in regressor drops the queried point (its probes would
     otherwise lean on the point itself).  ``passed``, a
@@ -345,12 +321,11 @@ def estimate_egop(
 def estimate_gw(
     train: Dataset, spec: KernelSpec, t: float, passed: GradientPass | None = None
 ) -> np.ndarray:
-    """Diagonal weights: mean absolute coordinate difference over gated
-    samples.  Coordinates never gated come out zero.  ``passed`` as in
-    :func:`estimate_egop`."""
+    """Diagonal weights: mean absolute coordinate difference over the
+    sample.  ``passed`` as in :func:`estimate_egop`."""
     passed = _pass_for(train, spec, t, None, passed)
     abs_sums = _finite(passed, passed.abs_sums, "absolute differences")
-    return abs_sums / np.maximum(passed.counts, 1.0)
+    return abs_sums / train.n
 
 
 def estimate_ejop(

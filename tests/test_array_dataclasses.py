@@ -21,8 +21,7 @@ INSTANCES = [
     MahalanobisMetric(w=EYE),
     AsymmetricMetric(u=EYE, v=EYE),
     GradientMetricEstimate(g=EYE, kind="gw"),
-    GradientPass(n=2, h=1.0, t=0.5, temperature=None, outer=EYE, abs_sums=np.zeros(2),
-                 counts=np.zeros(2)),
+    GradientPass(n=2, h=1.0, t=0.5, temperature=None, outer=EYE, abs_sums=np.zeros(2)),
     HammingHasher(u=EYE, v=EYE),
 ]
 

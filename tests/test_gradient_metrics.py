@@ -2,11 +2,12 @@
 ``bruteforce``), and the averaged-outer-product metric estimators, checked
 against hand values, oracles, and known geometry."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
-from conftest import loo_pass, probed_pass
+from conftest import fallback_rows, loo_pass, probed_pass
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,16 +50,22 @@ def class_dataset(features, labels):
     )
 
 
-def partly_gated(kind=REAL):
-    """30 uniform points in the unit cube with t > h, so a probe ball never
-    holds its own sample: some samples pass every gate, some a few, some none.
-    Classed targets split the cube at x0 = 0.5."""
-    X = np.random.default_rng(6).uniform(size=(30, 3))
+def cube_points():
+    """30 uniform points in the unit cube."""
+    return np.random.default_rng(6).uniform(size=(30, 3))
+
+
+def sparse_cube(kind=REAL):
+    """:func:`cube_points` at h = 0.35, t = 0.3: most probe balls hold other
+    points, while 24 of the 180 probe rows hold none but their own sample and
+    fall back to uniform weights.  Classed targets split the cube at
+    x0 = 0.5."""
+    X = cube_points()
     if kind == REAL:
         train = real_dataset(X, np.sin(3.0 * X[:, 0]))
     else:
         train = class_dataset(X, 1 + (X[:, 0] > 0.5).astype(int))
-    return train, KernelSpec(bandwidth=0.35), 0.4
+    return train, KernelSpec(bandwidth=0.35), 0.3
 
 
 def blobs2(seed, n_per=80, d=5):
@@ -174,8 +181,10 @@ class TestDensityGate:
         assert not gate_mask(train, [10.0, 10.0], t=0.1, h=0.5)[0]
 
     def test_loo_fixture_has_closed_partial_and_open_gates(self):
-        train, spec, t = partly_gated()
-        masks = np.array([gate_mask(train, x, t, spec.bandwidth) for x in train.features])
+        """With t > h, outside the pass's contract, the reference's gate
+        closes: some samples pass every gate, some a few, some none."""
+        train = real_dataset(cube_points(), np.zeros(30))
+        masks = np.array([gate_mask(train, x, 0.4, 0.35) for x in train.features])
         assert (~masks.any(axis=1)).any()
         assert (masks.any(axis=1) & ~masks.all(axis=1)).any()
         assert masks.all(axis=1).any()
@@ -184,15 +193,24 @@ class TestDensityGate:
     @given(st.integers(0, 10_000))
     def test_gates_never_close_when_t_below_h(self, seed):
         """The gate counts the queried point, which sits at distance t from
-        its own probes, so with t < h every coordinate of every sample opens
-        (this is why the bench grids report gate_pass_ratio 1.0)."""
+        its own probes, so with t < h every coordinate of every sample opens,
+        and the pass, which computes no gate, equals the gated reference."""
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(2, 20)), int(rng.integers(1, 5))
         train = real_dataset(rng.uniform(size=(n, d)) * 10.0, rng.normal(size=n))
         h = float(rng.uniform(0.01, 2.0))
         t = h * float(rng.uniform(0.01, 0.99))
         assert all(gate_mask(train, x, t, h).all() for x in train.features)
-        np.testing.assert_array_equal(gradient_pass(train, KernelSpec(h), t).counts, n)
+        spec = KernelSpec(h)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # every difference may be zero
+            got = gradient_pass(train, spec, t)
+        want = loo_pass(train, spec, t, kernel_plug_in(spec, None))
+        for sums in ("outer", "abs_sums"):
+            ref = getattr(want, sums)
+            np.testing.assert_allclose(
+                getattr(got, sums), ref, rtol=0.0, atol=1e-9 * max(1.0, np.abs(ref).max())
+            )
 
     def test_gate_rate_grows_with_sample_size(self):
         rng = np.random.default_rng(3)
@@ -260,7 +278,7 @@ class TestEstimateEgop:
         assert np.abs(rotated.g - q.T @ base.g @ q).max() <= 1e-8
 
     def test_plugin_matches_explicit_leave_one_out(self):
-        train, spec, t = partly_gated()
+        train, spec, t = sparse_cube()
         fast = estimate_egop(train, spec, t)
         slow = np.zeros((3, 3))
         for _, grad in explicit_loo(
@@ -281,18 +299,11 @@ class TestEstimateEgop:
         with pytest.raises(ValueError):
             estimate_egop(real_dataset([[0.0]], [1.0]), KernelSpec(bandwidth=1.0), 0.1)
 
-    def test_all_gates_false_warns_and_zeroes(self):
-        train = real_dataset([[0.0, 0.0], [100.0, 100.0]], [0.0, 1.0])
-        with pytest.warns(UserWarning, match=r"on 2 rows at h = 0\.01, t = 5;"):
-            est = estimate_egop(train, KernelSpec(bandwidth=0.01), t=5.0)
-        np.testing.assert_array_equal(est.g, np.zeros((2, 2)))
-
     @pytest.mark.parametrize("kind, temperature", [(REAL, None), (CLASS, 0.5)])
     def test_all_zero_differences_warn_and_zero(self, kind, temperature):
-        """Points far apart with t < h: every gate opens on the queried
-        point, but no probe's ball holds another, so every probe falls back
-        to the same uniform weights and every difference is 0.  The pass
-        warns once, naming n, h and t."""
+        """Points far apart with t < h: no probe's ball holds another point,
+        so every probe falls back to the same uniform weights and every
+        difference is 0.  The pass warns once, naming n, h and t."""
         features = [[0.0, 0.0], [100.0, 100.0], [200.0, 0.0], [300.0, 100.0]]
         if kind == REAL:
             train = real_dataset(features, [0.0, 1.0, 3.0, 2.0])
@@ -304,12 +315,11 @@ class TestEstimateEgop:
             "every central difference was zero on 4 rows at h = 1, t = 0.5; estimate is "
             "zero and puts every distance at 0; use a larger h"
         ]
-        np.testing.assert_array_equal(passed.counts, [4.0, 4.0])
         np.testing.assert_array_equal(passed.outer, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("kind, temperature", [(REAL, None), (CLASS, 0.5)])
     def test_ordinary_pass_does_not_warn(self, kind, temperature):
-        train, spec, _ = partly_gated(kind)
+        train, spec, _ = sparse_cube(kind)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             passed = gradient_pass(train, spec, 0.2, temperature)
@@ -348,7 +358,7 @@ class TestEstimateGw:
         np.testing.assert_allclose(w, [3.0, 0.0], atol=1e-12)
 
     def test_plugin_matches_explicit_leave_one_out(self):
-        train, spec, t = partly_gated()
+        train, spec, t = sparse_cube()
         fast = estimate_gw(train, spec, t)
         sums, counts = np.zeros(3), np.zeros(3)
         for mask, grad in explicit_loo(
@@ -407,7 +417,7 @@ class TestEstimateEjop:
         np.testing.assert_array_equal(est.g, np.zeros((3, 3)))
 
     def test_plugin_matches_explicit_leave_one_out(self):
-        train, spec, t = partly_gated(CLASS)
+        train, spec, t = sparse_cube(CLASS)
         fast = estimate_ejop(train, spec, t, temperature=0.5)
         slow = np.zeros((3, 3))
         for _, jac in explicit_loo(
@@ -465,7 +475,7 @@ class TestReliefF:
 
 class TestGradientPass:
     def test_gw_and_egop_reduce_one_pass(self):
-        train, spec, t = partly_gated()
+        train, spec, t = sparse_cube()
         passed = gradient_pass(train, spec, t)
         np.testing.assert_array_equal(
             estimate_gw(train, spec, t, passed=passed), estimate_gw(train, spec, t)
@@ -475,7 +485,7 @@ class TestGradientPass:
         )
 
     def test_ejop_reduces_its_own_pass(self):
-        train, spec, t = partly_gated(CLASS)
+        train, spec, t = sparse_cube(CLASS)
         passed = gradient_pass(train, spec, t, temperature=0.5)
         np.testing.assert_array_equal(
             estimate_ejop(train, spec, t, temperature=0.5, passed=passed).g,
@@ -483,13 +493,13 @@ class TestGradientPass:
         )
 
     def test_rejects_a_pass_of_other_arguments(self):
-        train, spec, t = partly_gated()
+        train, spec, t = sparse_cube()
         passed = gradient_pass(train, spec, t)
         with pytest.raises(ValueError, match="other data or parameters"):
             estimate_egop(train, spec, t / 2.0, passed=passed)
         with pytest.raises(ValueError, match="other data or parameters"):
             estimate_gw(train, KernelSpec(bandwidth=0.5), t, passed=passed)
-        classed, _, _ = partly_gated(CLASS)
+        classed, _, _ = sparse_cube(CLASS)
         with pytest.raises(ValueError, match="other data or parameters"):
             estimate_ejop(classed, spec, t, passed=passed)
 
@@ -499,69 +509,85 @@ class TestGradientPass:
          (estimate_ejop, CLASS, "outer")],
     )
     def test_estimators_refuse_non_finite_sums(self, estimate, kind, sums):
-        train, spec, t = partly_gated(kind)
+        train, spec, t = sparse_cube(kind)
         passed = gradient_pass(train, spec, t, None if kind == REAL else 1.0)
         broken = GradientPass(**{**vars(passed), sums: np.full_like(getattr(passed, sums), np.inf)})
-        with pytest.raises(ValueError, match=r"gradient pass at h = 0\.35, t = 0\.4 .* not finite"):
+        with pytest.raises(ValueError, match=r"gradient pass at h = 0\.35, t = 0\.3 .* not finite"):
             estimate(train, spec, t, passed=broken)
+
+    @pytest.mark.parametrize("h, t", [(0.35, 0.4), (0.35, 0.0), (0.35, -0.1), (0.35, np.nan)])
+    def test_refuses_a_point_outside_zero_to_h(self, h, t):
+        train, spec, _ = sparse_cube()
+        points = [(spec, 0.3), (KernelSpec(bandwidth=h), t)]
+        with pytest.raises(ValueError, match=re.escape(f"0 < t <= h; got h = {h:g}, t = {t:g}")):
+            gradient_passes(train, points)
+
+    @pytest.mark.parametrize("temperature", [None, 0.5])
+    def test_accepts_t_equal_to_h(self, temperature):
+        """At t = h the queried point lies on the rim of its own probe balls."""
+        train, spec, _ = sparse_cube(REAL if temperature is None else CLASS)
+        passed = gradient_pass(train, spec, spec.bandwidth, temperature)
+        want = loo_pass(train, spec, spec.bandwidth, kernel_plug_in(spec, temperature),
+                        temperature)
+        np.testing.assert_allclose(passed.outer, want.outer, atol=1e-12)
+        np.testing.assert_allclose(passed.abs_sums, want.abs_sums, atol=1e-12)
 
 
 class TestGridPass:
     """One loop over the sample for several (h, t) points gives each point
-    the pass it gets alone, to the bit.  On :func:`partly_gated` data the
-    points cover a shared t with several h, a repeated point, a point whose
-    every gate closes, partly gated samples (some coordinates open, some
-    closed) and rows that fall back to uniform weights."""
+    the pass it gets alone, to the bit.  On :func:`sparse_cube` data the
+    points cover a shared t with several h, a repeated point, points at
+    t = h, a point whose every probe falls back to uniform weights, and
+    points where some rows fall back and others do not.  The grid warns as
+    the one-point passes do."""
 
-    POINTS = [(0.35, 0.4), (0.5, 0.4), (0.05, 0.4), (0.35, 0.4), (0.1, 0.05), (0.5, 0.05)]
+    POINTS = [(0.35, 0.3), (0.5, 0.3), (0.01, 0.01), (0.35, 0.3), (0.1, 0.05), (0.5, 0.05),
+              (0.3, 0.3)]
 
     @pytest.mark.parametrize("kind, temperature", [(REAL, None), (CLASS, 0.5)])
     def test_grid_pass_equals_one_point_passes(self, kind, temperature):
-        train, _, _ = partly_gated(kind)
+        train, _, _ = sparse_cube(kind)
         points = [(KernelSpec(bandwidth=h), t) for h, t in self.POINTS]
-        with pytest.warns(UserWarning, match=r"at h = 0\.05, t = 0\.4;") as caught:
+        with warnings.catch_warnings(record=True) as in_grid:
+            warnings.simplefilter("always")
             grid = gradient_passes(train, points, temperature)
-        assert len(caught) == 1
-        for (spec, t), got in zip(points, grid):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                want = gradient_pass(train, spec, t, temperature)
+        with warnings.catch_warnings(record=True) as one_by_one:
+            warnings.simplefilter("always")
+            alone = [gradient_pass(train, spec, t, temperature) for spec, t in points]
+        assert [str(w.message) for w in in_grid] == [str(w.message) for w in one_by_one]
+        for (spec, t), got, want in zip(points, grid, alone):
             assert (got.n, got.h, got.t, got.temperature) == (
                 want.n, want.h, want.t, want.temperature
             )
-            for sums in ("outer", "abs_sums", "counts"):
+            for sums in ("outer", "abs_sums"):
                 assert getattr(got, sums).tobytes() == getattr(want, sums).tobytes()
 
     def test_points_cover_closed_partial_and_fallback_cases(self):
-        train, _, _ = partly_gated()
-        X, d = train.features, train.d
-        masks = {
-            (h, t): np.array([gate_mask(train, x, t, h) for x in X]) for h, t in self.POINTS
-        }
-        assert not masks[0.05, 0.4].any()
-        partial = masks[0.35, 0.4]
-        assert (partial.any(axis=1) & ~partial.all(axis=1)).any()
-        # an open gate whose probe holds no point but its own sample
-        h, t = 0.1, 0.05
-        fallback = 0
-        for idx, x in enumerate(X):
-            probes = np.vstack([x + t * np.eye(d), x - t * np.eye(d)])
-            sq = np.sum((probes[:, None, :] - np.delete(X, idx, axis=0)[None]) ** 2, axis=2)
-            fallback += int(np.sum(~np.any(sq <= h * h, axis=1)))
-        assert masks[h, t].all() and fallback > 0
+        """Every reference gate is open at every point, none closed or
+        partial; the fallback cases are present."""
+        train, _, _ = sparse_cube()
+        X = train.features
+        for h, t in set(self.POINTS):
+            assert 0.0 < t <= h
+            assert all(gate_mask(train, x, t, h).all() for x in X)
+        ts = [t for _, t in self.POINTS]
+        assert len(set(ts)) < len(ts) and len(set(self.POINTS)) < len(self.POINTS)
+        assert fallback_rows(X, 0.01, 0.01) == 2 * train.d * train.n
+        assert 0 < fallback_rows(X, 0.1, 0.05) < 2 * train.d * train.n
+        assert 0 < fallback_rows(X, 0.3, 0.3) < 2 * train.d * train.n
 
 
 class TestPassBlocks:
     """The pass takes its samples in blocks of max(1, _PASS_BLOCK // (2dn)).
-    On :func:`partly_gated` data, where blocks mix open, partly gated and
-    closed samples, the grouping changes no byte of any pass and no
-    warning."""
+    On :func:`sparse_cube` data, where blocks mix samples whose probes fall
+    back to uniform weights with samples whose probes do not, the grouping
+    changes no byte of any pass and no warning."""
 
     @pytest.mark.parametrize("kind, temperature", [(REAL, None), (CLASS, 0.5)])
     def test_pass_does_not_depend_on_how_samples_are_grouped(
         self, monkeypatch, kind, temperature
     ):
-        train, _, _ = partly_gated(kind)
+        train, _, _ = sparse_cube(kind)
         points = [(KernelSpec(bandwidth=h), t) for h, t in TestGridPass.POINTS]
         n, d = train.n, train.d
         seen = {}
@@ -573,10 +599,9 @@ class TestPassBlocks:
                 passes = gradient_passes(train, points, temperature)
             seen[per_block] = (
                 [str(w.message) for w in caught],
-                [[getattr(p, f).tobytes() for f in ("outer", "abs_sums", "counts")]
+                [[getattr(p, f).tobytes() for f in ("outer", "abs_sums")]
                  for p in passes],
             )
-        assert len(seen[1][0]) == 1 and "at h = 0.05, t = 0.4;" in seen[1][0][0]
         assert seen[7] == seen[1]
         assert seen[n] == seen[1]
 
@@ -606,10 +631,9 @@ def kernel_plug_in(spec, temperature):
 
 class TestExactGeometry:
     """Duplicate rows, training points exactly on a probe and points exactly
-    h from a probe: the pass agrees with the explicit leave-one-out refit,
-    gate for gate."""
+    h from a probe: the pass agrees with the explicit leave-one-out refit."""
 
-    @pytest.mark.parametrize("h, t", [(0.5, 0.25), (0.25, 0.5), (0.25, 0.25)])
+    @pytest.mark.parametrize("h, t", [(0.5, 0.25), (0.25, 0.25)])
     @pytest.mark.parametrize("temperature", [None, 0.5])
     def test_pass_matches_explicit_leave_one_out(self, h, t, temperature):
         train = dyadic_grid(REAL if temperature is None else CLASS)
@@ -617,7 +641,6 @@ class TestExactGeometry:
 
         passed = gradient_pass(train, spec, t, temperature)
         want = loo_pass(train, spec, t, kernel_plug_in(spec, temperature), temperature)
-        np.testing.assert_array_equal(passed.counts, want.counts)
         np.testing.assert_allclose(passed.outer, want.outer, atol=1e-12)
         np.testing.assert_allclose(passed.abs_sums, want.abs_sums, atol=1e-12)
         for sums in (passed.outer, passed.abs_sums):
@@ -654,21 +677,6 @@ class TestExactGeometry:
         rim = np.sqrt(np.sum((X - on_probe) ** 2, axis=1))
         assert (rim == h).any()
         assert len(np.unique(X, axis=0)) < train.n
-
-    def test_gate_opens_on_a_point_exactly_h_away(self):
-        """With t > h only the middle sample's probes each hold a point, and
-        that point sits exactly h away; a smaller h closes every gate.  At
-        weight max(0, h - h) = 0 both probes fall back to the same uniform
-        weights, so the open gate's difference is 0 and the pass warns."""
-        train = real_dataset([[-1.25], [0.0], [1.25]], [1.0, 0.0, 2.0])
-        t = 0.75
-        np.testing.assert_array_equal(gate_mask(train, [0.0], t, 0.5), [True])
-        with pytest.warns(UserWarning, match="every central difference was zero on 3 rows"):
-            opened = gradient_pass(train, KernelSpec(0.5), t)
-        np.testing.assert_array_equal(opened.counts, [1.0])
-        with pytest.warns(UserWarning, match="every density gate failed"):
-            closed = gradient_pass(train, KernelSpec(0.4375), t)
-        np.testing.assert_array_equal(closed.counts, [0.0])
 
 
 class TestConsistencyTrend:

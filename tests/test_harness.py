@@ -4,11 +4,10 @@ import os
 import re
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
-from conftest import gauss_blobs
+from conftest import fallback_rows, gauss_blobs
 
 from nnmetric import bruteforce, cli, gerrymander, harness, oracles, predictors, regression_ml
 from nnmetric import gradient_metrics as gm
@@ -349,20 +348,30 @@ class TestCmdOracle:
         assert outcome.failure["check"] in ("gw", "egop", "ejop")
         assert rechecks("estimators", outcome.failure)
 
-    def test_estimators_suite_draws_closed_partial_and_open_gates(self, monkeypatch):
-        masks = []
+    def test_estimators_suite_draws_the_rim_fallback_rows_and_open_gates(self, monkeypatch):
+        """Some draws put t at min h itself, the rim, and some hold probe
+        rows whose ball holds no point but their own sample, which fall back
+        to uniform weights; the reference's gate is open on every draw."""
+        instances, masks = [], []
+        weight, draw, check = ORACLE_SUITES["estimators"]
         original = bruteforce.explicit_loo
+
+        def recording_draw(rng, i):
+            instances.append(draw(rng, i))
+            return instances[-1]
 
         def recording(train, spec, t, plug_in):
             out = original(train, spec, t, plug_in)
             masks.extend(mask for mask, _ in out)
             return out
 
+        monkeypatch.setitem(ORACLE_SUITES, "estimators", (weight, recording_draw, check))
         monkeypatch.setattr(bruteforce, "explicit_loo", recording)
         assert run_oracle("estimators", 60).failure is None
-        opened = np.array([mask.sum() / mask.size for mask in masks])
-        assert (opened == 0.0).any() and (opened == 1.0).any()
-        assert ((opened > 0.0) & (opened < 1.0)).any()
+        assert len(instances) == 60 and all(mask.all() for mask in masks)
+        assert any(inst["ts"][0] == min(inst["hs"]) for inst in instances)
+        assert any(fallback_rows(inst["features"], h, t)
+                   for inst in instances for h in inst["hs"] for t in inst["ts"])
 
     @pytest.mark.parametrize(
         "broken,check", [("ascending", "descending"), ("no_sign_flip", "sign")]
@@ -602,6 +611,18 @@ class TestCmdRun:
             config = write_config(tmp_path, {**base, key: value})
             assert cli.main(["run", "--config", str(config)]) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid_h, grid_t", [("0.01", "5.0"), ("2.0, 1.0, 3.0", "0.25, 1.5, 0.5")],
+        ids=["one_point", "several_values"],
+    )
+    def test_t_above_the_smallest_h_exits_2(self, tmp_path, capsys, grid_h, grid_t):
+        """The gradient pass needs 0 < t <= h at every grid point."""
+        config = estimator_config(tmp_path, "wide_t", 0, **{"grid.h": grid_h, "grid.t": grid_t})
+        assert cli.main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "grid.t" in err and "grid.h" in err, err
+        assert not (tmp_path / "wide_t").exists()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert cli.main(["run", "--config", str(tmp_path / "gone.cfg")]) == 2
@@ -1022,41 +1043,29 @@ class TestEstimatorMemo:
         assert output_bytes(tmp_path / "first")["results.csv"] != output_bytes(
             tmp_path / "second")["results.csv"]
 
-    def test_every_gate_closed_runs_and_warns_once_per_pass(self, tmp_path):
-        """h = 0.01 with t = 5 closes every gate: GW and EGOP estimate zero,
-        the run still exits 0 with finite results, and each of the 3 passes
-        (2 folds and the refit) warns once, naming h and t."""
-        config = estimator_config(
-            tmp_path, "gated", 0, **{"method": "euclidean, gw, egop", "grid.h": "0.01",
-                                     "grid.t": "5.0"}
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cli.main(["run", "--config", str(config)]) == 0
-        messages = [str(w.message) for w in caught if "density gate" in str(w.message)]
-        assert len(messages) == 3
-        assert all("at h = 0.01, t = 5;" in message for message in messages)
-        rows = read_results(tmp_path / "gated")
-        assert all(np.isfinite(float(row["value"])) for row in rows)
-        assert set(final_values(rows)) == {"euclidean", "gw", "egop"}
-        weights = np.loadtxt(tmp_path / "gated" / "models" / "gw" / "estimate.csv",
-                             delimiter=",")
-        assert not weights.any()
-
     def test_cli_prints_one_line_per_all_gated_pass(self, tmp_path):
-        """Under Python's default filter a text is printed once per process;
-        two of GW's 3 all-gated passes (the 30-row folds) warn with the same
+        """Rows far apart, with t < h and a small h: no probe's ball holds a
+        point but its own sample, so every difference of EJOP's class surface
+        is zero.  Under Python's default filter a text is printed once per
+        process; two of the 3 passes (the 30-row folds) warn with the same
         text, and ``nnmetric run`` still prints all 3."""
-        config = estimator_config(
-            tmp_path, "gated", 0, **{"method": "gw", "grid.h": "0.01", "grid.t": "5.0"}
+        data = tmp_path / "blobs.csv"
+        noisy_blobs_csv(data, seed=1, n_per=40, d=3)
+        config = write_config(
+            tmp_path,
+            {"task": "classify", "method": "ejop", "data.source": "csv",
+             "data.path": str(data), "grid.k": "3, 5", "grid.h": "0.01", "grid.t": "0.005",
+             "cv.folds": "2", "out.dir": str(tmp_path / "zero")},
         )
         done = subprocess.run(
             [sys.executable, "-m", "nnmetric.cli", "run", "--config", str(config)],
             env=cli_env(), capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        lines = [line for line in done.stderr.splitlines() if "every density gate failed" in line]
+        lines = [line for line in done.stderr.splitlines()
+                 if "every central difference was zero" in line]
         assert len(lines) == 3, done.stderr
+        assert len(set(lines)) == 2, done.stderr
 
 
 class TestTrainTestHygiene:

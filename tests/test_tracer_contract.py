@@ -20,8 +20,8 @@ PACKAGE = ROOT / "src" / "nnmetric"
 
 # traced functions no run reaches, each with the reason
 NOT_CALLED = {
-    "gradient_metrics.gate_mask": "the gradient pass has computed its own gates since it "
-    "became one pass; the span waits for the next change to the benchmark",
+    "gradient_metrics.gate_mask": "only the reference pass, bruteforce.explicit_loo, calls "
+    "it; its span leaves with the tracer's gate metrics at the next change to the benchmark",
 }
 
 
